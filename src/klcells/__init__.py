@@ -13,6 +13,7 @@ from .basedring import (
     RingReport,
     TruncationError,
     cells_of,
+    full_kl_ring,
     ring_from_text,
     ring_to_text,
     subquotient_qn,
@@ -103,6 +104,7 @@ __all__ = [
     "RingReport",
     "TruncationError",
     "cells_of",
+    "full_kl_ring",
     "ring_from_text",
     "ring_to_text",
     "subquotient_qn",

@@ -1,10 +1,11 @@
 """Positively based rings with an identity basis element.
 
 Houses the generic container (labels, non-negative integer structure
-constants, an anti-involution permuting the basis) plus the two constructors
-used throughout: the subquotient ring Q_n spanned by e and the KL elements
-that start and end with s (with the longest-element coefficient deleted from
-products), and its subring A_n spanned by e and s alone.
+constants, an anti-involution permuting the basis), its one axiom checker
+verify, and the constructors used throughout: the full KL ring ZD_2n with
+inversion as its involution, the subquotient ring Q_n spanned by e and the KL
+elements that start and end with s (with the longest-element coefficient
+deleted from products), and its subring A_n spanned by e and s alone.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import klring
+from .dihedral import DihedralGroup
 from .klring import CellPartition
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "RingViolation",
     "RingReport",
     "restrict_constants",
+    "full_kl_ring",
     "subquotient_qn",
     "subring_an",
     "verify",
@@ -51,8 +54,8 @@ class BasedRing:
 
     c[x][y][z] is the coefficient of basis element z in the product x * y.
     The involution is a permutation of basis indices acting as an
-    anti-automorphism; for the rings built here every basis word is a
-    palindrome, so it is the identity permutation.
+    anti-automorphism; it defaults to the identity permutation, which is
+    right for Q_n and A_n, whose basis words are palindromes.
     """
 
     labels: tuple[str, ...]
@@ -201,6 +204,26 @@ def restrict_constants(
             row.append(tuple(full[z] for z in keep))
         table.append(tuple(row))
     return _checked(BasedRing(labels, tuple(table), keep.index(0) if 0 in keep else 0, name=name))
+
+
+def full_kl_ring(n: int) -> BasedRing:
+    """The KL ring ZD_2n as a based ring whose involution is inversion.
+
+    It is not passed through verify here: associativity costs O(size^5) and
+    the ring has 2n basis elements.  structure_constants already refuses
+    negative constants and a failing identity.
+    """
+    constants = klring.structure_constants(n)
+    group = DihedralGroup(n)
+    index = {el: i for i, el in enumerate(constants.elements)}
+    involution = tuple(index[group.inverse(el)] for el in constants.elements)
+    return BasedRing(
+        constants.labels,
+        constants.c,
+        constants.identity_index,
+        involution,
+        name=f"ZD{2 * n}",
+    )
 
 
 def subquotient_qn(n: int) -> BasedRing:

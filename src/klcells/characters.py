@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basedring import BasedRing
-from .matrixmodule import MatrixModule
+from .matrixmodule import MatrixModule, identity_matrix
 from .quadfield import NonRealRootsError, QuadNum, solve_quadratic_monic
 
 __all__ = [
@@ -232,7 +232,7 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
     size = ring.size
     if module.rank < 1 or len(module.labels) != size:
         raise DecompositionError("module shape does not match the ring")
-    if module.mats[ring.identity] != _identity_matrix(module.rank):
+    if module.mats[ring.identity] != identity_matrix(module.rank):
         raise DecompositionError("identity basis element must act as the identity")
     # augmented system: rows indexed by basis element, columns by character
     aug = [
@@ -252,10 +252,6 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
             )
         mults.append(value.as_integer())
     return ModuleDecomposition(tuple(mults))
-
-
-def _identity_matrix(rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
 def _solve_exact_linear(aug: list[list[QuadNum]], size: int) -> list[QuadNum] | None:

@@ -18,6 +18,7 @@ from .basedring import (
     BasedRing,
     RingError,
     RingFormatError,
+    full_kl_ring,
     ring_from_text,
     ring_products,
     ring_to_text,
@@ -26,6 +27,7 @@ from .basedring import (
 )
 from .characters import CharacterTable, character_table, special_character
 from .classifier import (
+    DEFAULT_MAX_RANK,
     ClassificationReport,
     ClassifierError,
     classify,
@@ -34,7 +36,7 @@ from .classifier import (
 from .klring import CellPartition, compute_cells, structure_constants
 from .matrixmodule import MatrixModule
 from .quadfield import QuadNum
-from .selfcheck import run_suite
+from .selfcheck import SMALLEST_MAX_N, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -174,8 +176,7 @@ def _pick_ring(args: argparse.Namespace) -> tuple[str, BasedRing]:
         return f"Q{args.n}", subquotient_qn(args.n)
     if args.which == "an":
         return f"A{args.n}", subring_an(args.n)
-    constants = structure_constants(args.n)
-    ring = BasedRing(constants.labels, constants.c, 0, name=f"ZD{2 * args.n}")
+    ring = full_kl_ring(args.n)
     return ring.name, ring
 
 
@@ -419,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cls.add_argument("--bound", type=int, help="override the entry bound")
     cls.add_argument(
-        "--max-rank", type=int, default=6, help="rank cap for profile screening"
+        "--max-rank", type=int, default=DEFAULT_MAX_RANK,
+        help="rank cap for profile screening",
     )
     add_common(cls)
     cls.set_defaults(func=cmd_classify)
@@ -434,11 +436,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "ring" and args.which in ("qn", "an") and args.n < 3:
-        parser.error(f"{args.which} needs n >= 3")
+    if args.command in ("ring", "cells", "characters"):
+        least = 2 if getattr(args, "which", None) == "full-kl" else 3
+        if args.n < least:
+            parser.error(f"{args.command} needs --n >= {least}")
     if args.command == "classify":
         if bool(args.ring_file) == (args.n is not None):
             parser.error("classify needs exactly one of --n or --ring-file")
+        if args.max_rank < 1:
+            parser.error("--max-rank must be at least 1")
+        if args.bound is not None and args.bound < 0:
+            parser.error("--bound must be non-negative")
+    if args.command == "verify" and args.max_n < SMALLEST_MAX_N:
+        parser.error(f"verify needs --max-n >= {SMALLEST_MAX_N}")
     try:
         return args.func(args)
     except (RingFormatError, ClassifierError, FileNotFoundError) as exc:

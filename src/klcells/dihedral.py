@@ -5,6 +5,11 @@ first letter and its length, except that the two words of length n coincide in
 the longest element w0.  Elements are stored in that two-parameter normal form;
 group arithmetic routes through the rotation/reflection model (a residue mod n
 plus a flip flag) and converts back at the boundary.
+
+The Bruhat order is decided by length alone: u <= v iff u == v or
+l(u) < l(v), since every shorter element is a product of a subword of each
+reduced word of v.  bruhat_leq_subword enumerates subwords; it stays as the
+oracle that the tests and the verify suite compare bruhat_leq with.
 """
 
 from __future__ import annotations
@@ -14,11 +19,6 @@ from functools import lru_cache
 from typing import Iterable
 
 GENERATORS = ("s", "t")
-
-# Largest n for which the length-comparison Bruhat shortcut is certified
-# against the subword oracle before use; beyond this the verified pattern
-# is applied directly.
-BRUHAT_VERIFY_CAP = 12
 
 __all__ = ["DihedralElement", "DihedralGroup", "GENERATORS"]
 
@@ -158,9 +158,6 @@ class DihedralGroup:
             return el
         return DihedralElement(_other(el.start), el.length)
 
-    def length(self, el: DihedralElement) -> int:
-        return el.length
-
     def word(self, el: DihedralElement) -> str:
         """A reduced word for el ("e" for the identity; w0 starts with s)."""
         if el.is_identity:
@@ -209,14 +206,8 @@ class DihedralGroup:
         return u in _subword_products(self.n, v)
 
     def bruhat_leq(self, u: DihedralElement, v: DihedralElement) -> bool:
-        """Bruhat order; uses the length shortcut once certified for this n."""
-        if _length_rule_certified(self.n):
-            return u == v or u.length < v.length
-        return self.bruhat_leq_subword(u, v)
-
-    def bruhat_lower(self, v: DihedralElement) -> frozenset[DihedralElement]:
-        """The interval {u : u <= v}."""
-        return frozenset(u for u in self.elements() if self.bruhat_leq(u, v))
+        """Bruhat order by the dihedral length rule: u == v or l(u) < l(v)."""
+        return u == v or u.length < v.length
 
 
 @lru_cache(maxsize=None)
@@ -228,23 +219,3 @@ def _subword_products(n: int, v: DihedralElement) -> frozenset[DihedralElement]:
         g = group.element(letter)
         products |= {group.multiply(p, g) for p in products}
     return frozenset(products)
-
-
-@lru_cache(maxsize=None)
-def _length_rule_certified(n: int) -> bool:
-    """Check "u <= v iff u == v or l(u) < l(v)" against the subword oracle.
-
-    The rule is certified per n (up to BRUHAT_VERIFY_CAP, beyond which the
-    verified pattern is trusted); if verification ever failed for some n the
-    oracle would be used for that n instead.
-    """
-    if n > BRUHAT_VERIFY_CAP:
-        return True
-    group = DihedralGroup(n)
-    els = group.elements()
-    for u in els:
-        for v in els:
-            fast = u == v or u.length < v.length
-            if fast != group.bruhat_leq_subword(u, v):
-                return False
-    return True

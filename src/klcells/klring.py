@@ -97,9 +97,6 @@ class KLStructureConstants:
     c: tuple[tuple[tuple[int, ...], ...], ...]
     identity_index: int = 0
 
-    def product(self, i: int, j: int) -> tuple[int, ...]:
-        return self.c[i][j]
-
     def index(self, label: str) -> int:
         return self.labels.index(label)
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from klcells import classifier
-from klcells.cli import main
+from klcells.basedring import ring_from_text
+from klcells.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,26 @@ def test_ring_full_kl(capsys):
     code, out, _ = run_cli(capsys, "ring", "--n", "3", "--full-kl")
     assert code == 0
     assert "w0" in out
+
+
+def _reversed_label(label):
+    # the inverse of an alternating word is the reversed word
+    return label if label in ("e", "w0") else label[::-1]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_full_kl_ring_carries_inversion(n, capsys):
+    code, text, _ = run_cli(capsys, "ring", "--n", str(n), "--full-kl", "--format", "ringfile")
+    assert code == 0
+    ring = ring_from_text(text)
+    assert [ring.labels[i] for i in ring.involution] == [
+        _reversed_label(label) for label in ring.labels
+    ]
+    code, out, _ = run_cli(
+        capsys, "ring", "--n", str(n), "--full-kl", "--format", "structured"
+    )
+    payload = json.loads(out)["ring"]
+    assert payload["involution"] == [_reversed_label(label) for label in payload["labels"]]
 
 
 def test_ring_an(capsys):
@@ -205,6 +226,31 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cells", "--n", "2"],
+        ["characters", "--n", "2"],
+        ["ring", "--full-kl", "--n", "0"],
+        ["classify", "--n", "5", "--max-rank", "0"],
+        ["classify", "--n", "5", "--bound", "-1"],
+        ["verify", "--max-n", "1"],
+    ],
+    ids=["cells-n2", "characters-n2", "full-kl-n0", "max-rank-0", "bound-negative",
+         "verify-max-n1"],
+)
+def test_out_of_range_arguments_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_max_rank_default_is_the_classifier_default():
+    args = _build_parser().parse_args(["classify", "--n", "5"])
+    assert args.max_rank == classifier.DEFAULT_MAX_RANK
 
 
 def test_unknown_filter_exits_two(capsys):

@@ -71,9 +71,10 @@ def test_inverse_is_reversed_word(n, word):
 
 def test_length():
     g5 = DihedralGroup(5)
-    assert g5.length(g5.element("")) == 0
-    assert g5.length(g5.element("ststs")) == 5
-    assert g5.length(DihedralElement("s", 3)) == 3
+    assert g5.element("").length == 0
+    assert g5.element("ststs").length == 5
+    assert g5.element("sts").length == 3
+    assert g5.element("ststst").length == 4  # st st st = ts ts in D_10
 
 
 def test_enumerate_elements():
@@ -125,6 +126,14 @@ def test_bruhat_matches_subword_oracle(n):
             expected = _subword_reference(group, u, v)
             assert group.bruhat_leq_subword(u, v) == expected
             assert group.bruhat_leq(u, v) == expected
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_bruhat_matches_subword_products_beyond_eight(n):
+    group = DihedralGroup(n)
+    for u in group.elements():
+        for v in group.elements():
+            assert group.bruhat_leq(u, v) == group.bruhat_leq_subword(u, v)
 
 
 def test_invalid_letters_rejected():

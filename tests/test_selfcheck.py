@@ -1,3 +1,5 @@
+import pytest
+
 from klcells import classifier
 from klcells import selfcheck
 
@@ -9,6 +11,12 @@ def test_suite_passes_at_small_exponent():
     lines = report.lines()
     assert any(line.startswith("PASS") for line in lines)
     assert lines[-1].endswith("(ok)")
+
+
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_suite_refuses_exponents_that_leave_checks_empty(max_n):
+    with pytest.raises(ValueError):
+        selfcheck.run_suite(max_n=max_n)
 
 
 def test_suite_detects_annotation_corruption(monkeypatch):
