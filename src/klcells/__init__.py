@@ -55,9 +55,7 @@ from .klring import (
     KLStructureConstants,
     PositivityError,
     compute_cells,
-    kl_basis_element,
     structure_constants,
-    to_kl_coords,
 )
 from .matrixmodule import (
     MatrixModule,
@@ -88,9 +86,7 @@ __all__ = [
     "KLStructureConstants",
     "PositivityError",
     "compute_cells",
-    "kl_basis_element",
     "structure_constants",
-    "to_kl_coords",
     # quadfield
     "FieldMismatchError",
     "NonRealRootsError",

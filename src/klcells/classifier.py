@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .basedring import BasedRing, subquotient_qn
 from .characters import (
+    CharacterError,
     CharacterTable,
     DecompositionError,
     character_table,
@@ -864,6 +865,8 @@ def classify(
     status data.  Disabling s-rigidity switches the
     searches to raw per-rank runs without trace pinning, which surfaces any
     extra algebraic solutions; a rank override forces a single raw search.
+    A ring without an exact full character table (non-commutative, not split
+    semisimple, or beyond the quadratic fields) raises ClassifierError.
     """
     disabled = set(disabled_filters)
     extras = [f for f in extra_filters if f not in disabled]
@@ -874,7 +877,10 @@ def classify(
         raise ClassifierError("pass ring only with ring_id='custom'")
     else:
         ring = bundled_ring(ring_id)
-    table = character_table(ring)
+    try:
+        table = character_table(ring)
+    except CharacterError as exc:  # the ring is outside what the search supports
+        raise ClassifierError(str(exc)) from exc
     if not table.exact:
         raise ClassifierError("classification needs an exact character table")
     profiles = feasible_rank_profiles(table, faithful=True, max_rank=max_rank)

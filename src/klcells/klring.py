@@ -3,30 +3,23 @@
 For dihedral groups the basis element attached to w is the plain Bruhat sum
 kl(w) = sum of all v <= w with coefficient 1, and the structure constants
 kl(x) * kl(y) = sum_z c[x][y][z] kl(z) are non-negative integers.  This module
-computes those constants, the change of basis, and the left/right/two-sided
-cell partitions any such table induces.
+builds that table from the dihedral multiplication rule for kl(g) * kl(w),
+without expanding anything in the group ring, and computes the
+left/right/two-sided cell partitions any such table induces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .dihedral import DihedralElement, DihedralGroup
-
-# A group algebra element is a finitely supported integer coefficient vector,
-# kept as a mapping from group elements to (arbitrary-precision) ints.
-GroupAlgebraElement = dict[DihedralElement, int]
+from .dihedral import GENERATORS, DihedralElement, DihedralGroup
 
 __all__ = [
-    "GroupAlgebraElement",
     "KLStructureConstants",
     "CellPartition",
     "PositivityError",
-    "algebra_product",
-    "kl_basis_element",
-    "to_kl_coords",
     "structure_constants",
     "compute_cells",
 ]
@@ -34,57 +27,6 @@ __all__ = [
 
 class PositivityError(ArithmeticError):
     """A structure constant came out negative; indicates an implementation bug."""
-
-
-def algebra_product(
-    group: DihedralGroup,
-    x: Mapping[DihedralElement, int],
-    y: Mapping[DihedralElement, int],
-) -> GroupAlgebraElement:
-    """Convolution product in the integral group ring."""
-    out: GroupAlgebraElement = {}
-    for u, cu in x.items():
-        if cu == 0:
-            continue
-        for v, cv in y.items():
-            if cv == 0:
-                continue
-            w = group.multiply(u, v)
-            out[w] = out.get(w, 0) + cu * cv
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def kl_basis_element(group: DihedralGroup, w: DihedralElement) -> GroupAlgebraElement:
-    """kl(w) = sum of all v <= w in Bruhat order, each with coefficient 1."""
-    return {v: 1 for v in group.elements() if group.bruhat_leq(v, w)}
-
-
-def to_kl_coords(
-    group: DihedralGroup, x: Mapping[DihedralElement, int]
-) -> tuple[int, ...]:
-    """Coordinates of x in the KL basis, aligned with group.elements().
-
-    The change of basis is unitriangular with respect to length, so a single
-    back-substitution sweep in length-decreasing order is exact over Z.
-    """
-    elements = group.elements()
-    remaining = dict(x)
-    coords = [0] * len(elements)
-    for i in range(len(elements) - 1, -1, -1):
-        el = elements[i]
-        a = remaining.get(el, 0)
-        if a == 0:
-            continue
-        coords[i] = a
-        for v in kl_basis_element(group, el):
-            b = remaining.get(v, 0) - a
-            if b == 0:
-                remaining.pop(v, None)
-            else:
-                remaining[v] = b
-    if remaining:
-        raise PositivityError(f"back-substitution left a remainder: {remaining}")
-    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -103,26 +45,63 @@ class KLStructureConstants:
 
 @lru_cache(maxsize=None)
 def structure_constants(n: int) -> KLStructureConstants:
-    """Compute (and cache) the full KL structure constant table for D_2n."""
+    """Compute (and cache) the full KL structure constant table for D_2n.
+
+    Rows come from the dihedral left-multiplication rule at v = 1 (Lusztig,
+    Hecke algebras with unequal parameters, dihedral chapter): for a generator
+    g, kl(g)kl(w) = 2 kl(w) if g is a left descent of w, and otherwise
+    kl(gw) + kl(hw), where h is the first letter of w and the second term
+    drops when l(w) < 2.  A word x = g x' of length k then gives
+    kl(x) = kl(g)kl(x') - kl(h x') (the second term only for k >= 3), so the
+    rows follow one another in length order; w0 is taken as the word
+    starting with s.
+    """
     group = DihedralGroup(n)
     elements = group.elements()
     labels = tuple(group.label(el) for el in elements)
-    basis = [kl_basis_element(group, el) for el in elements]
+    index = {el: i for i, el in enumerate(elements)}
     size = len(elements)
-    table = []
-    for i in range(size):
+    gens = {g: group.element(g) for g in GENERATORS}
+    # left[g][z]: the terms (index, coefficient) of kl(g) * kl(elements[z])
+    left = {
+        g: [_left_terms(group, g, w, index) for w in elements] for g in GENERATORS
+    }
+    table = [tuple(tuple(int(z == y) for z in range(size)) for y in range(size))]
+    for i, x in enumerate(elements[1:], 1):
+        g = x.start or "s"
+        shorter = group.multiply(gens[g], x)
+        base = table[index[shorter]]
+        drop = None
+        if x.length >= 3:
+            drop = table[index[group.multiply(gens[shorter.start], shorter)]]
         row = []
         for j in range(size):
-            coords = to_kl_coords(group, algebra_product(group, basis[i], basis[j]))
-            if any(a < 0 for a in coords):
+            coords = [-a for a in drop[j]] if drop else [0] * size
+            for z, a in enumerate(base[j]):
+                if a:
+                    for w, b in left[g][z]:
+                        coords[w] += a * b
+            if min(coords) < 0:
                 raise PositivityError(
                     f"negative coefficient in kl({labels[i]})*kl({labels[j]}): {coords}"
                 )
-            row.append(coords)
+            row.append(tuple(coords))
         table.append(tuple(row))
     constants = KLStructureConstants(n, labels, elements, tuple(table))
     _check_identity_axioms(constants)
     return constants
+
+
+def _left_terms(
+    group: DihedralGroup, g: str, w: DihedralElement, index: dict[DihedralElement, int]
+) -> tuple[tuple[int, int], ...]:
+    """kl(g) * kl(w) in the KL basis, as (index, coefficient) pairs."""
+    if g in group.left_descents(w):
+        return ((index[w], 2),)
+    terms = ((index[group.multiply(group.element(g), w)], 1),)
+    if w.length >= 2:
+        terms += ((index[group.multiply(group.element(w.start), w)], 1),)
+    return terms
 
 
 def _check_identity_axioms(constants: KLStructureConstants) -> None:

@@ -271,6 +271,28 @@ def test_malformed_ring_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+# rings that ring_from_text accepts but classify cannot search: non-commutative
+# (ZD_8), not split semisimple (x * x = 0), and an inexact character table (Q7)
+UNSUPPORTED_RINGS = {
+    "non-commutative": ("ring", "--n", "4", "--full-kl", "--format", "ringfile"),
+    "nilpotent": "labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\n",
+    "inexact": ("ring", "--n", "7", "--qn", "--format", "ringfile"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNSUPPORTED_RINGS))
+def test_unsupported_ring_file_exits_two(kind, tmp_path, capsys):
+    source = UNSUPPORTED_RINGS[kind]
+    if isinstance(source, tuple):
+        code, source, _ = run_cli(capsys, *source)
+        assert code == 0
+    path = tmp_path / f"{kind}.ring"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", "--ring-file", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 0

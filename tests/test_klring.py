@@ -1,88 +1,50 @@
-import itertools
-
 import pytest
 
 from klcells.dihedral import DihedralGroup
-from klcells.klring import (
-    algebra_product,
-    compute_cells,
-    kl_basis_element,
-    structure_constants,
-    to_kl_coords,
-)
+from klcells.klring import compute_cells, structure_constants
 
 
-def _oracle_kl(group, w):
-    """Independent KL element: enumerate subsequences of the reduced word."""
-    word = group.word(w).replace("e", "")
-    lower = set()
-    for mask in itertools.product((0, 1), repeat=len(word)):
-        sub = "".join(letter for letter, keep in zip(word, mask) if keep)
-        lower.add(group.element(sub))
-    return {v: 1 for v in lower}
+def _oracle_table(n):
+    """The KL table by group-ring convolution, independent of the library's rule.
 
-
-def _oracle_kl_coords(group, x):
-    """Independent triangular solve, most complex element first."""
-    remaining = dict(x)
-    coords = {}
-    for el in sorted(group.elements(), key=lambda e: -e.length):
-        a = remaining.get(el, 0)
-        if a:
-            coords[el] = a
-            for v, c in _oracle_kl(group, el).items():
-                remaining[v] = remaining.get(v, 0) - a * c
-    assert all(v == 0 for v in remaining.values())
-    return coords
-
-
-def test_kl_basis_examples():
-    g4 = DihedralGroup(4)
-    assert kl_basis_element(g4, g4.element("")) == {g4.element(""): 1}
-    assert kl_basis_element(g4, g4.element("s")) == {
-        g4.element(""): 1,
-        g4.element("s"): 1,
-    }
-    sts = g4.element("sts")
-    want = {g4.element(w): 1 for w in ("", "s", "t", "st", "ts", "sts")}
-    assert kl_basis_element(g4, sts) == want
-
-
-@pytest.mark.parametrize("n", range(2, 8))
-def test_kl_basis_matches_oracle(n):
+    kl(w) is the sum of the v below w in the subword Bruhat order; each
+    product kl(x)kl(y) is convolved through DihedralGroup.multiply and solved
+    back into the KL basis by a triangular sweep, most complex element first.
+    """
     group = DihedralGroup(n)
-    for w in group.elements():
-        assert kl_basis_element(group, w) == _oracle_kl(group, w)
+    elements = group.elements()
+    size = len(elements)
+    index = {el: i for i, el in enumerate(elements)}
+    times = [[index[group.multiply(u, v)] for v in elements] for u in elements]
+    kl = [
+        [index[v] for v in elements if group.bruhat_leq_subword(v, w)]
+        for w in elements
+    ]
+    by_length = sorted(range(size), key=lambda i: -elements[i].length)
+    table = []
+    for x in range(size):
+        row = []
+        for y in range(size):
+            remaining = [0] * size
+            for u in kl[x]:
+                for v in kl[y]:
+                    remaining[times[u][v]] += 1
+            coords = [0] * size
+            for i in by_length:
+                a = remaining[i]
+                if a:
+                    coords[i] = a
+                    for v in kl[i]:
+                        remaining[v] -= a
+            assert not any(remaining)
+            row.append(tuple(coords))
+        table.append(tuple(row))
+    return tuple(table)
 
 
-def test_to_kl_coords_examples():
-    g4 = DihedralGroup(4)
-    labels = [g4.label(el) for el in g4.elements()]
-    e = g4.element("")
-    coords = to_kl_coords(g4, {e: 1})
-    assert dict(zip(labels, coords)) == {**{l: 0 for l in labels}, "e": 1}
-    coords = to_kl_coords(g4, {e: 2, g4.element("s"): 2})
-    assert coords[labels.index("s")] == 2 and sum(coords) == 2
-    # kl(s) * kl(sts) expands to exactly 2 kl(sts) when n = 4
-    product = algebra_product(
-        g4, kl_basis_element(g4, g4.element("s")), kl_basis_element(g4, g4.element("sts"))
-    )
-    coords = to_kl_coords(g4, product)
-    assert dict(zip(labels, coords))["sts"] == 2
-    assert sum(coords) == 2
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_to_kl_coords_matches_oracle_on_products(n):
-    group = DihedralGroup(n)
-    for u in group.elements():
-        for v in group.elements():
-            product = algebra_product(
-                group, kl_basis_element(group, u), kl_basis_element(group, v)
-            )
-            coords = dict(zip(group.elements(), to_kl_coords(group, product)))
-            oracle = _oracle_kl_coords(group, product)
-            assert {k: v for k, v in coords.items() if v} == oracle
+@pytest.mark.parametrize("n", range(2, 17))
+def test_structure_constants_match_group_ring_convolution(n):
+    assert structure_constants(n).c == _oracle_table(n)
 
 
 def test_structure_constants_examples():
@@ -94,6 +56,10 @@ def test_structure_constants_examples():
         e = constants.index("e")
         for j in range(len(constants.labels)):
             assert constants.c[e][j][j] == 1 and sum(constants.c[e][j]) == 1
+    # kl(s) * kl(sts) is exactly 2 kl(sts) when n = 4, since sts = w0 there
+    constants = structure_constants(4)
+    got = constants.c[constants.index("s")][constants.index("w0")]
+    assert {constants.labels[z]: v for z, v in enumerate(got) if v} == {"w0": 2}
     # frozen n = 5 middle product, verified against the in-test oracle above:
     # kl(sts) * kl(sts) = 2 kl(s) + 2 kl(sts) + 2 kl(w0)
     constants = structure_constants(5)
