@@ -1,45 +1,145 @@
+import itertools
+
 import pytest
 
 from klcells.dihedral import DihedralGroup
 from klcells.klring import compute_cells, structure_constants
 
 
-def _oracle_table(n):
-    """The KL table by group-ring convolution, independent of the library's rule.
+def _oracle_kl(group, w):
+    """Independent KL element: enumerate subsequences of the reduced word."""
+    word = group.word(w).replace("e", "")
+    lower = set()
+    for mask in itertools.product((0, 1), repeat=len(word)):
+        sub = "".join(letter for letter, keep in zip(word, mask) if keep)
+        lower.add(group.element(sub))
+    return {v: 1 for v in lower}
 
-    kl(w) is the sum of the v below w in the subword Bruhat order; each
-    product kl(x)kl(y) is convolved through DihedralGroup.multiply and solved
-    back into the KL basis by a triangular sweep, most complex element first.
+
+def _bruhat_sum(group, w):
+    """kl(w) as the library's Bruhat order gives it: every v <= w, once."""
+    return {v: 1 for v in group.elements() if group.bruhat_leq(v, w)}
+
+
+class _GroupRing:
+    """ZD_2n on coefficient vectors indexed like group.elements().
+
+    kl(w) is the sum of the v below w in the subword Bruhat order; products
+    are convolved through DihedralGroup.multiply, and kl_coords solves a
+    vector back into the KL basis by a triangular sweep, most complex
+    element first.  Nothing here uses the library's multiplication rule.
     """
-    group = DihedralGroup(n)
-    elements = group.elements()
-    size = len(elements)
-    index = {el: i for i, el in enumerate(elements)}
-    times = [[index[group.multiply(u, v)] for v in elements] for u in elements]
-    kl = [
-        [index[v] for v in elements if group.bruhat_leq_subword(v, w)]
-        for w in elements
-    ]
-    by_length = sorted(range(size), key=lambda i: -elements[i].length)
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            remaining = [0] * size
-            for u in kl[x]:
-                for v in kl[y]:
-                    remaining[times[u][v]] += 1
-            coords = [0] * size
-            for i in by_length:
-                a = remaining[i]
-                if a:
-                    coords[i] = a
-                    for v in kl[i]:
-                        remaining[v] -= a
-            assert not any(remaining)
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    return tuple(table)
+
+    def __init__(self, n):
+        group = DihedralGroup(n)
+        self.group = group
+        self.elements = group.elements()
+        self.labels = [group.label(el) for el in self.elements]
+        self.index = {el: i for i, el in enumerate(self.elements)}
+        self.times = [
+            [self.index[group.multiply(u, v)] for v in self.elements]
+            for u in self.elements
+        ]
+        self.kl = [
+            [self.index[v] for v in self.elements if group.bruhat_leq_subword(v, w)]
+            for w in self.elements
+        ]
+        self.by_length = sorted(
+            range(len(self.elements)), key=lambda i: -self.elements[i].length
+        )
+
+    def vector(self, terms):
+        """The group-ring element sum a * word for the (word, a) in terms."""
+        out = [0] * len(self.elements)
+        for word, a in terms.items():
+            out[self.index[self.group.element(word)]] += a
+        return out
+
+    def kl_product(self, x, y):
+        """kl(x) * kl(y) in the group ring, for indices x and y."""
+        out = [0] * len(self.elements)
+        for u in self.kl[x]:
+            for v in self.kl[y]:
+                out[self.times[u][v]] += 1
+        return out
+
+    def expand(self, coords):
+        """sum_z coords[z] kl(z) in the group ring."""
+        out = [0] * len(self.elements)
+        for z, a in enumerate(coords):
+            for v in self.kl[z]:
+                out[v] += a
+        return out
+
+    def kl_coords(self, vector):
+        remaining = list(vector)
+        coords = [0] * len(self.elements)
+        for i in self.by_length:
+            a = remaining[i]
+            if a:
+                coords[i] = a
+                for v in self.kl[i]:
+                    remaining[v] -= a
+        assert not any(remaining)
+        return tuple(coords)
+
+    def named(self, coords):
+        return {self.labels[z]: a for z, a in enumerate(coords) if a}
+
+
+def _oracle_table(n):
+    """The KL table by group-ring convolution, independent of the library's rule."""
+    ring = _GroupRing(n)
+    size = len(ring.elements)
+    return tuple(
+        tuple(ring.kl_coords(ring.kl_product(x, y)) for y in range(size))
+        for x in range(size)
+    )
+
+
+def test_kl_basis_examples():
+    g4 = DihedralGroup(4)
+    assert _bruhat_sum(g4, g4.element("")) == {g4.element(""): 1}
+    assert _bruhat_sum(g4, g4.element("s")) == {
+        g4.element(""): 1,
+        g4.element("s"): 1,
+    }
+    sts = g4.element("sts")
+    want = {g4.element(w): 1 for w in ("", "s", "t", "st", "ts", "sts")}
+    assert _bruhat_sum(g4, sts) == want
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kl_basis_matches_oracle(n):
+    # the library's Bruhat order and the subword order the convolution
+    # oracle builds kl(w) from both give the subsequences of a reduced word
+    ring = _GroupRing(n)
+    for i, w in enumerate(ring.elements):
+        oracle = _oracle_kl(ring.group, w)
+        assert _bruhat_sum(ring.group, w) == oracle
+        assert {ring.elements[v]: 1 for v in ring.kl[i]} == oracle
+
+
+def test_to_kl_coords_examples():
+    ring = _GroupRing(4)
+    assert ring.named(ring.kl_coords(ring.vector({"": 1}))) == {"e": 1}
+    assert ring.named(ring.kl_coords(ring.vector({"": 2, "s": 2}))) == {"s": 2}
+    # kl(s) * kl(sts) expands to exactly 2 kl(sts) when n = 4
+    s, sts = ring.labels.index("s"), ring.labels.index("sts")
+    coords = ring.kl_coords(ring.kl_product(s, sts))
+    assert ring.named(coords) == {"sts": 2}
+    assert structure_constants(4).c[s][sts] == coords
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_to_kl_coords_matches_oracle_on_products(n):
+    # each row of the table, expanded back into the group ring, is the
+    # convolution itself: the direction the triangular solve does not check
+    ring = _GroupRing(n)
+    table = structure_constants(n).c
+    for x in range(len(ring.elements)):
+        for y in range(len(ring.elements)):
+            assert ring.expand(table[x][y]) == ring.kl_product(x, y)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -56,7 +156,7 @@ def test_structure_constants_examples():
         e = constants.index("e")
         for j in range(len(constants.labels)):
             assert constants.c[e][j][j] == 1 and sum(constants.c[e][j]) == 1
-    # kl(s) * kl(sts) is exactly 2 kl(sts) when n = 4, since sts = w0 there
+    # s is a left descent of w0 = stst, so kl(s) * kl(w0) = 2 kl(w0) when n = 4
     constants = structure_constants(4)
     got = constants.c[constants.index("s")][constants.index("w0")]
     assert {constants.labels[z]: v for z, v in enumerate(got) if v} == {"w0": 2}
