@@ -145,17 +145,25 @@ def verify(ring: BasedRing) -> RingReport:
                 out.append(RingViolation("left-identity", (j, z), "e*y != y"))
             if c[j][e][z] != want:
                 out.append(RingViolation("right-identity", (j, z), "x*e != x"))
+    nonzero = [
+        [[(v, a) for v, a in enumerate(row) if a] for row in plane] for plane in c
+    ]
     for x in range(size):
         for y in range(size):
             for z in range(size):
+                lhs = [0] * size
+                for u, a in nonzero[x][y]:
+                    for v, b in nonzero[u][z]:
+                        lhs[v] += a * b
+                rhs = [0] * size
+                for u, a in nonzero[y][z]:
+                    for v, b in nonzero[x][u]:
+                        rhs[v] += a * b
                 for v in range(size):
-                    lhs = sum(c[x][y][u] * c[u][z][v] for u in range(size))
-                    rhs = sum(c[y][z][u] * c[x][u][v] for u in range(size))
-                    if lhs != rhs:
+                    if lhs[v] != rhs[v]:
+                        message = f"{lhs[v]} != {rhs[v]}"
                         out.append(
-                            RingViolation(
-                                "associativity", (x, y, z, v), f"{lhs} != {rhs}"
-                            )
+                            RingViolation("associativity", (x, y, z, v), message)
                         )
     inv = ring.involution
     for x in range(size):

@@ -5,9 +5,10 @@ vector over the basis.  For the rings treated here every character is found
 exactly: fixing chi(e) = 1, each remaining basis element b satisfies the monic
 quadratic chi(b)^2 = c[b][b][b] chi(b) + (known lower terms), so the solver
 chains through the basis branching on exact quadratic roots.  Rings whose
-characters would need a higher-degree extension fall back to floating-point
-eigenvalue extraction and are flagged inexact; nothing downstream that decides
-anything accepts an inexact table.
+characters would need a higher-degree extension, or values from two different
+quadratic fields, fall back to floating-point eigenvalue extraction and are
+flagged inexact; nothing downstream that decides anything accepts an inexact
+table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import numpy as np
 
 from .basedring import BasedRing
 from .matrixmodule import MatrixModule, identity_matrix
-from .quadfield import NonRealRootsError, QuadNum, solve_quadratic_monic
+from .quadfield import (
+    FieldMismatchError,
+    NonRealRootsError,
+    QuadNum,
+    solve_quadratic_monic,
+)
 
 __all__ = [
     "CharacterTable",
@@ -190,13 +196,13 @@ def character_table(ring: BasedRing) -> CharacterTable:
             f"ring {ring.name or ring.labels} is not commutative"
         )
     try:
-        raw = _exact_rows(ring)
-    except _ExactlyUnsolvable:
+        verified = []
+        for row in _exact_rows(ring):
+            if _satisfies_exact(ring, row) and row not in verified:
+                verified.append(row)
+    except (_ExactlyUnsolvable, FieldMismatchError):
+        # the values leave a single real quadratic field
         return _numeric_table(ring)
-    verified = []
-    for row in raw:
-        if _satisfies_exact(ring, row) and row not in verified:
-            verified.append(row)
     if len(verified) != ring.size:
         raise CharacterError(
             f"found {len(verified)} characters for a basis of size {ring.size}; "

@@ -1,12 +1,15 @@
 """Exhaustive classification of transitive non-negative-integer matrix modules.
 
 The solver runs a bounded depth-first search over the entries of the
-non-identity matrices.  Because every quantity in sight is a non-negative
-integer, each partially filled product equation yields interval bounds on the
-remaining entries, and an equation reduced to a single linear unknown is
-solved outright; both prunings are sound, and every emitted module is
-re-verified by full matrix multiplication afterwards.  A naive staged
-enumerator with none of that machinery doubles as an independent oracle.
+non-identity matrices.  Its equations are the product relations plus one
+linear equation per pinned trace.  Because every quantity in sight is a
+non-negative integer, each partially filled equation yields interval bounds
+on the remaining entries, and an equation reduced to a single linear unknown
+is solved outright.  Each assignment checks the equations that mention the
+assigned entry in one pass, without iterating to a fixpoint.  Both prunings
+are sound, and every emitted module is re-verified by full matrix
+multiplication and its traces afterwards.  A naive staged enumerator with
+none of that machinery doubles as an independent oracle.
 
 Candidates for the bundled rings are annotated with their status in the
 classification of simple transitive actions: which ones are realized by cell
@@ -107,11 +110,15 @@ def rigid_generator(ring: BasedRing) -> int | None:
     return hits[0] if len(hits) == 1 else None
 
 
-def _rigidity_holds(ring: BasedRing, module: MatrixModule) -> bool:
+def _required_rigid_generator(ring: BasedRing) -> int:
     g = rigid_generator(ring)
     if g is None:
         raise ClassifierError("ring has no doubling generator; cannot apply s-rigidity")
-    mat = module.mats[g]
+    return g
+
+
+def _rigidity_holds(ring: BasedRing, module: MatrixModule) -> bool:
+    mat = module.mats[_required_rigid_generator(ring)]
     for i in range(module.rank):
         for j in range(module.rank):
             if i == j:
@@ -306,16 +313,20 @@ def _var_positions(rank: int) -> list[tuple[int, int]]:
 
 
 class _Search:
-    """Bounded DFS over matrix entries with domain propagation.
+    """Bounded DFS over matrix entries with one propagation pass per step.
 
-    Every unassigned entry carries a current upper bound.  After each
-    assignment the touched product equations are swept to a fixpoint: each
-    equation's feasible interval is recomputed from the bounds (every term is
-    a product of non-negative quantities), linear occurrences with a known
-    cofactor tighten the unknown's bound, and an equation left with a single
-    linear unknown is solved exactly over the non-negative integers.  Bounds
-    only shrink, so propagation terminates; an empty interval prunes the
-    branch.
+    Every unassigned entry carries a current upper bound.  The equations are
+    the product relations and, for each pinned trace off the identity, the
+    linear equation that the diagonal sums to it.  run() checks every
+    equation once; after that, each assignment checks the equations that
+    mention the assigned entry, once each, in index order, and prunes at the
+    first contradiction.  A check recomputes the equation's feasible interval
+    from the bounds (every term is a product of non-negative quantities),
+    lowers the bound of each linear unknown with a known positive cofactor,
+    and solves an equation left with a single linear unknown exactly over
+    the non-negative integers.  Lowered bounds are used by the equations
+    checked later in the same pass and are restored on backtracking; nothing
+    is re-queued.
     """
 
     def __init__(
@@ -332,10 +343,6 @@ class _Search:
         self.bound = bound
         self.rigid = rigid_constrained
         self.e = ring.identity
-        size = ring.size
-        self.trace_target = (
-            {ring.index(label): t for label, t in traces.items()} if traces else None
-        )
         order = _search_order(ring, rigid_constrained)
         self.vars: list[tuple[int, int, int]] = [
             (b, i, j) for b in order for i, j in _var_positions(rank)
@@ -351,11 +358,12 @@ class _Search:
             b, i, j = var
             if b == rigid_constrained:
                 self.upper[k] = 2 if i == j else 0
-            if i == j and self.trace_target is not None:
-                target = self.trace_target.get(b)
-                if target is not None:
-                    self.upper[k] = min(self.upper[k], target)
         self.equations = self._compile_equations()
+        for label, target in (traces or {}).items():
+            b = ring.index(label)
+            if b != self.e:
+                diagonal = tuple((-1, self.var_index[(b, k, k)]) for k in range(rank))
+                self.equations.append(((), diagonal, -target))
         self.eqs_by_var = self._index_equations()
         self.solutions: list[MatrixModule] = []
         self.bound_exhausted = False
@@ -410,9 +418,9 @@ class _Search:
                 by_var[k].append(idx)
         return by_var
 
-    def _check_equation(self, idx: int) -> list[int] | None:
-        """Evaluate one equation; returns the tightened variables (possibly
-        empty) or None on contradiction."""
+    def _check_equation(self, idx: int) -> bool:
+        """Check one equation against the current bounds, tightening them in
+        place; False on contradiction."""
         products, rhs, const = self.equations[idx]
         values = self.values
         upper = self.upper
@@ -446,8 +454,7 @@ class _Search:
             elif c < 0:
                 lo += c * upper[k]
         if lo > 0 or hi < 0:
-            return None
-        tightened = []
+            return False
         single = None
         nlin = 0
         for k, c in lin.items():
@@ -459,50 +466,20 @@ class _Search:
                 cap = (-lo) // c
                 if cap < upper[k]:
                     upper[k] = cap
-                    tightened.append(k)
         if slack == 0 and nlin == 1:
             k, c = single
             if values[k] is None:
                 # the equation pins v_k exactly; reject non-integral fits
                 if (-const) % c != 0:
-                    return None
+                    return False
                 forced = (-const) // c
                 if forced < 0 or forced > upper[k]:
-                    return None
-        return tightened
-
-    def _propagate(self, seed: Iterable[int]) -> bool:
-        """Work-list propagation to a fixpoint from the seed equations."""
-        queue = list(seed)
-        queued = set(queue)
-        while queue:
-            idx = queue.pop()
-            queued.discard(idx)
-            tightened = self._check_equation(idx)
-            if tightened is None:
-                return False
-            for k in tightened:
-                for other in self.eqs_by_var[k]:
-                    if other not in queued:
-                        queued.add(other)
-                        queue.append(other)
+                    return False
         return True
 
-    def _trace_ok(self, b: int) -> bool:
-        if self.trace_target is None:
-            return True
-        target = self.trace_target.get(b)
-        if target is None:
-            return True
-        total = 0
-        missing = False
-        for k in range(self.rank):
-            v = self.values[self.var_index[(b, k, k)]]
-            if v is None:
-                missing = True
-            else:
-                total += v
-        return total <= target if missing else total == target
+    def _propagate(self, seed: Iterable[int]) -> bool:
+        """One pass over the seed equations; False at the first contradiction."""
+        return all(self._check_equation(idx) for idx in seed)
 
     def run(self) -> None:
         if self._propagate(range(len(self.equations))):
@@ -526,8 +503,6 @@ class _Search:
             domain = [v for v in (0, 2) if v <= cap]
         for value in domain:
             self.values[k] = value
-            if i == j and not self._trace_ok(b):
-                continue
             if self._propagate(self.eqs_by_var[k]):
                 if value == self.bound:
                     self.bound_exhausted = True
@@ -577,11 +552,7 @@ def solve_matrix_modules(
     chosen = _resolve_filters(filters)
     rigid_constrained = None
     if any(f.rigidity for f in chosen):
-        rigid_constrained = rigid_generator(ring)
-        if rigid_constrained is None:
-            raise ClassifierError(
-                "ring has no doubling generator; cannot apply s-rigidity"
-            )
+        rigid_constrained = _required_rigid_generator(ring)
     if bound is None:
         bound = default_entry_bound(ring, rank, traces)
     # the diagonal symmetry break drops permuted duplicates, so it is only
@@ -651,9 +622,7 @@ def bruteforce_matrix_modules(
     chosen = _resolve_filters(filters)
     rigid_constrained = None
     if any(f.rigidity for f in chosen):
-        rigid_constrained = rigid_generator(ring)
-        if rigid_constrained is None:
-            raise ClassifierError("ring has no doubling generator")
+        rigid_constrained = _required_rigid_generator(ring)
     order = _search_order(ring, rigid_constrained)
     size = ring.size
     e = ring.identity

@@ -4,6 +4,7 @@ from klcells.basedring import (
     BasedRing,
     RingError,
     RingFormatError,
+    RingViolation,
     TruncationError,
     cells_of,
     ring_from_text,
@@ -66,18 +67,33 @@ def test_basis_size_formula(n):
     assert verify(ring).ok
 
 
-def test_verify_flags_corruption():
+def _q5_with_s_sts_decremented():
     ring = subquotient_qn(5)
     table = [[[list(row) for row in plane] for plane in ring.c][x] for x in range(3)]
     table[1][2][2] -= 1  # decrement one coefficient of s*sts
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    corrupt = BasedRing(ring.labels, frozen, ring.identity)
-    report = verify(corrupt)
+    return BasedRing(ring.labels, frozen, ring.identity)
+
+
+def test_verify_flags_corruption():
+    report = verify(_q5_with_s_sts_decremented())
     assert not report.ok
     assert any(v.axiom == "associativity" for v in report.violations)
     assert any(v.axiom == "anti-involution" for v in report.violations)
     assert all(v.witness for v in report.violations)
     assert "violation" in report.summary()
+
+
+def test_verify_reports_every_violation_in_order():
+    assert verify(_q5_with_s_sts_decremented()).violations == (
+        RingViolation("associativity", (1, 1, 2, 2), "2 != 1"),
+        RingViolation("associativity", (1, 2, 2, 1), "2 != 4"),
+        RingViolation("associativity", (2, 1, 2, 1), "4 != 2"),
+        RingViolation("associativity", (2, 1, 2, 2), "4 != 2"),
+        RingViolation("associativity", (2, 2, 2, 2), "6 != 8"),
+        RingViolation("anti-involution", (1, 2, 2), "1 != 2"),
+        RingViolation("anti-involution", (2, 1, 2), "2 != 1"),
+    )
 
 
 def test_verify_accepts_a_decrement_that_happens_to_stay_a_ring():

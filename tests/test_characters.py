@@ -87,6 +87,25 @@ def test_q7_falls_back_to_numeric_and_is_flagged():
     assert all(isinstance(v, float) for row in table.rows for v in row)
 
 
+def test_values_from_two_quadratic_fields_fall_back_to_numeric():
+    # x = ±√2, y = ±√3, z = xy: the exact solver would have to mix two fields
+    text = (
+        "labels e x y z\nidentity e\n"
+        "c e e e 1\nc e x x 1\nc e y y 1\nc e z z 1\n"
+        "c x e x 1\nc y e y 1\nc z e z 1\n"
+        "c x x e 2\nc y y e 3\nc z z e 6\n"
+        "c x y z 1\nc y x z 1\nc x z y 2\nc z x y 2\nc y z x 3\nc z y x 3\n"
+    )
+    table = character_table(ring_from_text(text))
+    assert not table.exact
+    assert table.size == 4
+    for row in table.rows:
+        assert row[0] == pytest.approx(1.0)
+        assert row[1] ** 2 == pytest.approx(2.0)
+        assert row[2] ** 2 == pytest.approx(3.0)
+        assert row[3] == pytest.approx(row[1] * row[2])
+
+
 def test_non_commutative_rejected():
     # a valid based "ring" shell that is not commutative: free-ish table
     labels = ("e", "a", "b")

@@ -278,6 +278,36 @@ def test_pruned_search_equals_bruteforce_with_rigidity():
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
 
 
+# every faithful profile of rank <= 2 for Q4, Q5 and Q6
+SMALL_FAITHFUL_PROFILES = [
+    (4, (0, 0, 1)),
+    (4, (0, 1, 1)),
+    (5, (0, 1, 1)),
+    (6, (0, 0, 0, 1)),
+    (6, (0, 0, 1, 1)),
+    (6, (0, 1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, profile",
+    SMALL_FAITHFUL_PROFILES,
+    ids=[f"Q{n}-{''.join(map(str, p))}" for n, p in SMALL_FAITHFUL_PROFILES],
+)
+def test_trace_pinned_search_equals_bruteforce(n, profile):
+    ring = subquotient_qn(n)
+    table = character_table(ring)
+    traces = profile_traces(table, profile)
+    rank = sum(profile)
+    fast = solve_matrix_modules(ring, rank, ["s-rigidity"], bound=8, traces=traces)
+    slow = [
+        m
+        for m in bruteforce_matrix_modules(ring, rank, 8, ["s-rigidity"])
+        if all(m.trace(label) == t for label, t in traces.items())
+    ]
+    assert [m.key() for m in fast.modules] == [m.key() for m in slow]
+
+
 # -- classification ----------------------------------------------------------------
 
 
@@ -321,6 +351,58 @@ def test_classify_q6_small_rank_is_unresolved():
     others = [s for f, s in statuses.items() if f != ((0,), (0,), (0,))]
     assert others and all(s == "unresolved" for s in others)
     assert report.matches_expected is None
+
+
+Q6_MAX_RANK_4_KEYS = (
+    (1, ((0,), (0,), (0,))),
+    (1, ((2,), (4,), (2,))),
+    (2, ((2, 0, 0, 2), (0, 1, 8, 2), (2, 0, 0, 2))),
+    (2, ((2, 0, 0, 2), (0, 2, 4, 2), (2, 0, 0, 2))),
+    (2, ((2, 0, 0, 2), (0, 4, 2, 2), (2, 0, 0, 2))),
+    (2, ((2, 0, 0, 2), (0, 8, 1, 2), (2, 0, 0, 2))),
+    (2, ((2, 0, 0, 2), (1, 1, 9, 1), (2, 0, 0, 2))),
+    (2, ((2, 0, 0, 2), (1, 3, 3, 1), (2, 0, 0, 2))),
+    (2, ((2, 0, 0, 2), (2, 1, 4, 2), (0, 1, 4, 0))),
+    (2, ((2, 0, 0, 2), (2, 2, 2, 2), (0, 2, 2, 0))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 0, 1, 0, 0, 1, 4, 4, 2), (0, 2, 0, 2, 0, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 0, 1, 0, 0, 2, 4, 2, 2), (0, 1, 0, 4, 0, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 0, 2, 0, 0, 2, 2, 2, 2), (0, 2, 0, 2, 0, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 0, 2, 0, 0, 4, 2, 1, 2), (0, 1, 0, 4, 0, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 0, 4, 0, 0, 4, 1, 1, 2), (0, 2, 0, 2, 0, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 1, 1, 4, 0, 2, 4, 2, 0), (2, 0, 0, 0, 2, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 1, 1, 4, 1, 1, 4, 1, 1), (2, 0, 0, 0, 0, 2, 0, 2, 0))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 1, 2, 4, 0, 4, 2, 1, 0), (2, 0, 0, 0, 2, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 2, 2, 2, 0, 2, 2, 2, 0), (2, 0, 0, 0, 2, 0, 0, 0, 2))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 2, 2, 2, 1, 1, 2, 1, 1), (2, 0, 0, 0, 0, 2, 0, 2, 0))),
+    (3, ((2, 0, 0, 0, 2, 0, 0, 0, 2), (0, 4, 4, 1, 1, 1, 1, 1, 1), (2, 0, 0, 0, 0, 2, 0, 2, 0))),
+    (4, ((2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 0, 2, 2, 2, 2, 0),
+         (0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2))),
+    (4, ((2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1, 2, 2, 1, 1),
+         (0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0))),
+    (4, ((2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (0, 0, 1, 1, 0, 0, 2, 2, 2, 1, 0, 2, 2, 1, 2, 0),
+         (0, 1, 0, 0, 4, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2))),
+    (4, ((2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (0, 0, 1, 1, 0, 0, 2, 2, 2, 1, 1, 1, 2, 1, 1, 1),
+         (0, 1, 0, 0, 4, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0))),
+    (4, ((2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (0, 0, 1, 2, 0, 0, 1, 2, 2, 2, 0, 4, 1, 1, 1, 0),
+         (0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2))),
+    (4, ((2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (0, 0, 2, 2, 0, 0, 2, 2, 1, 1, 0, 2, 1, 1, 2, 0),
+         (0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2))),
+    (4, ((2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (0, 0, 2, 2, 0, 0, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1),
+         (0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0))),
+)
+
+
+def test_classify_q6_up_to_rank_four_pins_the_candidates():
+    report = classify("Q6", max_rank=4)
+    assert tuple(c.module.key() for c in report.candidates) == Q6_MAX_RANK_4_KEYS
+    assert len(Q6_MAX_RANK_4_KEYS) == 28
 
 
 def test_classify_without_rigidity_is_strictly_larger():

@@ -272,11 +272,19 @@ def test_malformed_ring_file_exits_two(tmp_path, capsys):
 
 
 # rings that ring_from_text accepts but classify cannot search: non-commutative
-# (ZD_8), not split semisimple (x * x = 0), and an inexact character table (Q7)
+# (ZD_8), not split semisimple (x * x = 0), an inexact character table (Q7),
+# and characters whose values lie in Q(sqrt 2) and Q(sqrt 3) at once
 UNSUPPORTED_RINGS = {
     "non-commutative": ("ring", "--n", "4", "--full-kl", "--format", "ringfile"),
     "nilpotent": "labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\n",
     "inexact": ("ring", "--n", "7", "--qn", "--format", "ringfile"),
+    "mixed-field": (
+        "labels e x y z\nidentity e\n"
+        "c e e e 1\nc e x x 1\nc e y y 1\nc e z z 1\n"
+        "c x e x 1\nc y e y 1\nc z e z 1\n"
+        "c x x e 2\nc y y e 3\nc z z e 6\n"
+        "c x y z 1\nc y x z 1\nc x z y 2\nc z x y 2\nc y z x 3\nc z y x 3\n"
+    ),
 }
 
 
