@@ -8,8 +8,10 @@ on the remaining entries, and an equation reduced to a single linear unknown
 is solved outright.  Each assignment checks the equations that mention the
 assigned entry in one pass, without iterating to a fixpoint.  Both prunings
 are sound, and every emitted module is re-verified by full matrix
-multiplication and its traces afterwards.  A naive staged enumerator with
-none of that machinery doubles as an independent oracle.
+multiplication and its traces afterwards.  A naive enumerator with none of
+that machinery doubles as an independent oracle: it assigns the same entries
+one at a time over the whole range and evaluates each entry of each product
+relation exactly once, as soon as the last entry it reads is set.
 
 Candidates for the bundled rings are annotated with their status in the
 classification of simple transitive actions: which ones are realized by cell
@@ -36,7 +38,6 @@ from .characters import (
     special_character,
 )
 from .matrixmodule import (
-    Matrix,
     MatrixModule,
     canonical_module,
     identity_matrix,
@@ -585,94 +586,83 @@ def solve_matrix_modules(
 # -- independent naive enumerator -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _all_matrices(rank: int, bound: int) -> tuple[Matrix, ...]:
-    cells = rank * rank
-    return tuple(
-        tuple(flat[i * rank : (i + 1) * rank] for i in range(rank))
-        for flat in iproduct(range(bound + 1), repeat=cells)
-    )
-
-
-def _rigid_matrices(rank: int) -> tuple[Matrix, ...]:
-    out = []
-    for diag in iproduct((0, 2), repeat=rank):
-        out.append(
-            tuple(
-                tuple(diag[i] if i == j else 0 for j in range(rank))
-                for i in range(rank)
-            )
-        )
-    return tuple(out)
-
-
 def bruteforce_matrix_modules(
     ring: BasedRing,
     rank: int,
     bound: int,
     filters: Iterable[str | ModuleFilter] = (),
 ) -> tuple[MatrixModule, ...]:
-    """Exhaustive staged enumeration with no interval pruning (oracle).
+    """Exhaustive entry-by-entry generate-and-test with no pruning (oracle).
 
-    Matrices are enumerated one basis element at a time over the full entry
-    grid; after each stage only the product equations whose participants are
-    all chosen get checked.  Intended for small ranks and bounds as an
+    The entries of the non-identity matrices are assigned one at a time, in
+    the search's basis order and row-major within each matrix, each over
+    0..bound; under s-rigidity the doubling generator's diagonal entries range
+    over {0, 2} and its other entries are 0.  Entry (i, j) of every relation
+    M_x M_y = sum_z c[x][y][z] M_z with (x, y) != (e, e) is one equation, with
+    the identity's entries folded in as constants.  It is attached to the last
+    of its entries in assignment order and evaluated exactly when that entry
+    is set, so every equation is checked exactly once, on known values only:
+    nothing is bounded, capped or forced, and the enumeration is complete up
+    to the bound.  Leaves are tested for transitivity and the post filters and
+    deduped by canonical form.  Intended for small ranks and bounds as an
     independent cross-check of the pruned search.
     """
     chosen = _resolve_filters(filters)
-    rigid_constrained = None
+    rigid = None
     if any(f.rigidity for f in chosen):
-        rigid_constrained = _required_rigid_generator(ring)
-    order = _search_order(ring, rigid_constrained)
-    size = ring.size
+        rigid = _required_rigid_generator(ring)
+    order = _search_order(ring, rigid)
     e = ring.identity
-    ident = identity_matrix(rank)
+    cells = [(b, i, j) for b in order for i in range(rank) for j in range(rank)]
+    index = {cell: k for k, cell in enumerate(cells)}
+    domains = [
+        ((0, 2) if i == j else (0,)) if b == rigid else range(bound + 1)
+        for b, i, j in cells
+    ]
 
-    def determined_relations(stage: int) -> list[tuple[int, int]]:
-        known = set(order[: stage + 1]) | {e}
-        prev = set(order[:stage]) | {e}
-        out = []
-        for x in known:
-            for y in known:
-                if x == e and y == e:
-                    continue
-                support_known = all(
-                    ring.c[x][y][z] == 0 or z in known for z in range(size)
-                )
-                was_known = (
-                    x in prev
-                    and y in prev
-                    and all(ring.c[x][y][z] == 0 or z in prev for z in range(size))
-                )
-                if support_known and not was_known:
-                    out.append((x, y))
-        return out
+    # values holds every entry, then two fixed slots holding 0 and 1 that
+    # stand for the identity's entries
+    zero, one = len(cells), len(cells) + 1
+    values = [0] * len(cells) + [0, 1]
 
-    stage_relations = [determined_relations(stage) for stage in range(len(order))]
+    def slot(b: int, i: int, j: int) -> int:
+        if b == e:
+            return one if i == j else zero
+        return index[(b, i, j)]
 
-    def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-        return tuple(
-            tuple(sum(a[i][p] * b[p][j] for p in range(rank)) for j in range(rank))
-            for i in range(rank)
-        )
+    def equation(x: int, y: int, i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+        """Entry (i, j) of M_x M_y - sum_z c[x][y][z] M_z as terms (c, u, v)
+        meaning c * values[u] * values[v], the identity's zeros dropped."""
+        monomials = [(1, slot(x, i, p), slot(y, p, j)) for p in range(rank)]
+        monomials += [
+            (-coeff, slot(z, i, j), one)
+            for z, coeff in enumerate(ring.c[x][y])
+            if coeff
+        ]
+        return tuple(term for term in monomials if zero not in term[1:])
 
-    def relation_holds(mats: dict[int, Matrix], x: int, y: int) -> bool:
-        prod = mat_mul(mats[x], mats[y])
-        want = [[0] * rank for _ in range(rank)]
-        for z in range(size):
-            coeff = ring.c[x][y][z]
-            if coeff:
-                mz = mats[z]
-                for i in range(rank):
-                    for j in range(rank):
-                        want[i][j] += coeff * mz[i][j]
-        return prod == tuple(tuple(row) for row in want)
+    # checks[k]: the equations whose last entry in assignment order is k
+    checks: list[list[tuple[tuple[int, int, int], ...]]] = [[] for _ in cells]
+    for x, y in iproduct(range(ring.size), repeat=2):
+        if x == e and y == e:
+            continue
+        for i, j in iproduct(range(rank), repeat=2):
+            terms = equation(x, y, i, j)
+            last = max(k for _, u, v in terms for k in (u, v) if k < zero)
+            checks[last].append(terms)
 
     results: dict[tuple, MatrixModule] = {}
 
-    def stage(level: int, mats: dict[int, Matrix]) -> None:
-        if level == len(order):
-            module = module_from_mats(ring, rank, dict(mats))
+    def assign(k: int) -> None:
+        if k == len(cells):
+            mats = {
+                b: tuple(
+                    tuple(values[index[(b, i, j)]] for j in range(rank))
+                    for i in range(rank)
+                )
+                for b in order
+            }
+            module = module_from_mats(ring, rank, mats)
             if not is_transitive(module):
                 return
             if not all(f.post(ring, module) for f in chosen if f.post is not None):
@@ -680,19 +670,15 @@ def bruteforce_matrix_modules(
             canon = canonical_module(module)
             results.setdefault(canon.key(), canon)
             return
-        b = order[level]
-        grid = (
-            _rigid_matrices(rank)
-            if b == rigid_constrained
-            else _all_matrices(rank, bound)
-        )
-        for candidate in grid:
-            mats[b] = candidate
-            if all(relation_holds(mats, x, y) for x, y in stage_relations[level]):
-                stage(level + 1, mats)
-        del mats[b]
+        for value in domains[k]:
+            values[k] = value
+            if all(
+                sum(c * values[u] * values[v] for c, u, v in terms) == 0
+                for terms in checks[k]
+            ):
+                assign(k + 1)
 
-    stage(0, {e: ident})
+    assign(0)
     return tuple(sorted(results.values(), key=lambda m: m.key()))
 
 

@@ -33,7 +33,7 @@ from .classifier import (
     classify,
     named_filters,
 )
-from .klring import CellPartition, compute_cells, structure_constants
+from .klring import CellPartition, PositivityError, compute_cells, structure_constants
 from .matrixmodule import MatrixModule
 from .quadfield import QuadNum
 from .selfcheck import SMALLEST_MAX_N, run_suite
@@ -454,7 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RingFormatError, ClassifierError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (RingError, ValueError) as exc:
+    except (RingError, ValueError, PositivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE
 

@@ -2,8 +2,10 @@
 
 Each check returns a CheckResult; run_suite collects them all.  The checks
 favor independent recomputation over trusting the code paths they exercise:
-Bruhat comparisons are replayed against the subword oracle and the pruned
-matrix search against the staged naive enumerator; the KL ring goes through
+Bruhat comparisons are replayed against the subword oracle, and the pruned
+matrix search against the naive enumerator, which sets one entry at a time
+and evaluates each product-relation entry once its last entry is set, with
+no bounds derived from the equations; the KL ring goes through
 basedring.verify, the one checker of the based-ring axioms.  Checks that a
 constructor already makes (the axioms of Q_n and A_n, multiplicativity of the
 character rows) are not repeated.
@@ -408,7 +410,7 @@ def check_rank_two_candidate_sets() -> CheckResult:
 
 
 def check_search_oracle_equivalence(max_n: int = 8) -> CheckResult:
-    """Pruned DFS equals the staged naive enumerator at entry bound 8."""
+    """Pruned DFS equals the entry-by-entry naive enumerator at entry bound 8."""
     failures = []
     cases = [(subring_an(4), 1), (subring_an(4), 2)]
     for n in (4, 5, 6):

@@ -262,6 +262,8 @@ def test_canonicalization_is_lex_minimal_over_all_permutations():
         (lambda: subquotient_qn(5), 1),
         (lambda: subquotient_qn(6), 1),
         (lambda: subquotient_qn(4), 2),
+        (lambda: subquotient_qn(5), 2),
+        (lambda: subquotient_qn(6), 2),
     ],
 )
 def test_pruned_search_equals_bruteforce(make_ring, rank):
@@ -272,10 +274,48 @@ def test_pruned_search_equals_bruteforce(make_ring, rank):
 
 
 def test_pruned_search_equals_bruteforce_with_rigidity():
-    ring = subquotient_qn(5)
-    fast = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=8)
-    slow = bruteforce_matrix_modules(ring, 2, 8, ["s-rigidity"])
+    for n in (4, 5, 6):
+        ring = subquotient_qn(n)
+        fast = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=8)
+        slow = bruteforce_matrix_modules(ring, 2, 8, ["s-rigidity"])
+        assert [m.key() for m in fast.modules] == [m.key() for m in slow], n
+
+
+SMALL_RINGS = {
+    "A4": lambda: subring_an(4),
+    "Q4": lambda: subquotient_qn(4),
+    "Q5": lambda: subquotient_qn(5),
+    "Q6": lambda: subquotient_qn(6),
+}
+
+
+@pytest.mark.parametrize("name, count", [("A4", 0), ("Q4", 2), ("Q5", 4), ("Q6", 7)])
+def test_pruned_search_equals_bruteforce_at_rank_three(name, count):
+    ring = SMALL_RINGS[name]()
+    fast = solve_matrix_modules(ring, 3, bound=3)
+    slow = bruteforce_matrix_modules(ring, 3, 3)
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
+    assert len(slow) == count
+
+
+@pytest.mark.parametrize("name", ["A4", "Q4", "Q5"])
+def test_bruteforce_equals_plain_enumeration(name):
+    # every tuple of rank-2 matrices with entries <= 2, tested whole
+    ring = SMALL_RINGS[name]()
+    rank, bound = 2, 2
+    others = [b for b in range(ring.size) if b != ring.identity]
+    grid = [
+        ((a, b), (c, d))
+        for a, b, c, d in itertools.product(range(bound + 1), repeat=4)
+    ]
+    want = set()
+    for mats in itertools.product(grid, repeat=len(others)):
+        module = module_from_mats(ring, rank, dict(zip(others, mats)))
+        if satisfies_ring_relations(ring, module) and is_transitive(module):
+            want.add(canonical_module(module).key())
+    got = bruteforce_matrix_modules(ring, rank, bound)
+    assert [m.key() for m in got] == sorted(want)
+    assert got
 
 
 # every faithful profile of rank <= 2 for Q4, Q5 and Q6

@@ -301,6 +301,20 @@ def test_unsupported_ring_file_exits_two(kind, tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+def test_positivity_failure_exits_one_without_traceback(capsys, monkeypatch):
+    from klcells import cli
+    from klcells.klring import PositivityError
+
+    def broken(n):
+        raise PositivityError(f"negative structure constant at n={n}")
+
+    monkeypatch.setattr(cli, "structure_constants", broken)
+    code, out, err = run_cli(capsys, "cells", "--n", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: negative structure constant at n=5\n"
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
     assert code == 0
