@@ -240,10 +240,20 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
         raise DecompositionError("module shape does not match the ring")
     if module.mats[ring.identity] != identity_matrix(module.rank):
         raise DecompositionError("identity basis element must act as the identity")
+    return ModuleDecomposition(
+        _trace_multiplicities(table, [module.trace(b) for b in range(size)])
+    )
+
+
+def _trace_multiplicities(table: CharacterTable, traces: list[int]) -> tuple[int, ...]:
+    """The non-negative integers m_i with sum_i m_i chi_i(b) = traces[b] for
+    every basis element b, over an exact table; DecompositionError when there
+    are none."""
+    size = table.size
     # augmented system: rows indexed by basis element, columns by character
     aug = [
         [QuadNum.of(table.rows[i][b]) for i in range(size)]
-        + [QuadNum(Fraction(module.trace(b)))]
+        + [QuadNum(Fraction(traces[b]))]
         for b in range(size)
     ]
     solution = _solve_exact_linear(aug, size)
@@ -257,7 +267,7 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
                 "non-negative integer vector"
             )
         mults.append(value.as_integer())
-    return ModuleDecomposition(tuple(mults))
+    return tuple(mults)
 
 
 def _solve_exact_linear(aug: list[list[QuadNum]], size: int) -> list[QuadNum] | None:

@@ -1,17 +1,40 @@
 """Exhaustive classification of transitive non-negative-integer matrix modules.
 
-The solver runs a bounded depth-first search over the entries of the
-non-identity matrices.  Its equations are the product relations plus one
-linear equation per pinned trace.  Because every quantity in sight is a
-non-negative integer, each partially filled equation yields interval bounds
-on the remaining entries, and an equation reduced to a single linear unknown
-is solved outright.  Each assignment checks the equations that mention the
-assigned entry in one pass, without iterating to a fixpoint.  Both prunings
-are sound, and every emitted module is re-verified by full matrix
+The solver runs a depth-first search over the entries of the non-identity
+matrices, each entry capped from above.  Its equations are the product
+relations plus one linear equation per pinned trace.  Because every quantity
+in sight is a non-negative integer, each partially filled equation yields
+interval bounds on the remaining entries, and an equation reduced to a single
+linear unknown is solved outright.  Each assignment checks the equations that
+mention the assigned entry in one pass, without iterating to a fixpoint.  Both
+prunings are sound, and every emitted module is re-verified by full matrix
 multiplication and its traces afterwards.  A naive enumerator with none of
 that machinery doubles as an independent oracle: it assigns the same entries
 one at a time over the whole range and evaluates each entry of each product
 relation exactly once, as soon as the last entry it reads is set.
+
+Proven entry caps (Kildetoft & Mazorchuk, *Special modules over positively
+based algebras*; Mazorchuk & Miemietz, *Transitive 2-representations of
+finitary 2-categories*).  Take a transitive module of rank r over a
+commutative ring with an exact character table, whose trace decomposition
+contains the special character chi_s, under s-rigidity with the doubling
+generator g at trace 2r (so M_g = 2I).  Transitivity makes
+M_tot = sum_b M_b >= 1 entrywise, so M_tot has a simple Perron root with an
+eigenvector v > 0.  The M_b commute, so each preserves that line:
+M_b v = mu(b) v for a character mu among the constituents, with mu(b) >= 0.
+Every constituent's value chi(sum b) is an eigenvalue of M_tot, so
+|chi_s(sum b)| <= mu(sum b) <= |chi_s(sum b)|, and mu = chi_s because
+chi_s is the unique maximizer.  Write sigma = chi_s(sum b).  Row i of
+M_b v = chi_s(b) v gives M_b[i][i] <= chi_s(b) and
+M_b[i][j] <= chi_s(b) v_i / v_j.  For i = argmin v and k = argmax v, row i
+of M_tot v = sigma v has diagonal at least d = 3 (1 from e, 2 from g) and
+every other entry at least 1, so
+sigma v_i >= d v_i + v_k + (r - 2) v_i, i.e.
+v_max / v_min <= R_r = sigma - d - (r - 2).  Hence
+M_b[i][i] <= floor(chi_s(b)) and M_b[i][j] <= floor(chi_s(b) R_r), computed
+in exact QuadNum arithmetic (sigma = 4+sqrt(5) at Q5).  Searches outside
+these hypotheses (raw, unpinned, or without such a table) keep the heuristic
+default_entry_bound.
 
 Candidates for the bundled rings are annotated with their status in the
 classification of simple transitive actions: which ones are realized by cell
@@ -22,6 +45,7 @@ Those exclusions are data, not derivations, and the notes say so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +57,7 @@ from .characters import (
     CharacterError,
     CharacterTable,
     DecompositionError,
+    _trace_multiplicities,
     character_table,
     decompose,
     special_character,
@@ -273,14 +298,21 @@ def profile_traces(table: CharacterTable, profile: Sequence[int]) -> dict[str, i
 class SearchOutcome:
     """Solutions of one bounded search plus its completeness bookkeeping.
 
-    bound_exhausted is True when some branch assigned an entry equal to the
-    hard bound and stayed consistent, i.e. completeness past the bound is not
-    certified for that run.
+    capped is True when the proven caps' hypotheses held, so the entries were
+    limited by their caps (see the module docstring) and by an explicit bound
+    if one was given.  bound is the largest entry limit off the doubling
+    generator.
+    bound_exhausted is True when some consistent branch assigned an entry off
+    the doubling generator a value equal to a limit that is not a proven cap
+    (the heuristic bound, or an explicit bound below the cap), i.e. when
+    completeness past that limit is not certified for the run.  Reaching a
+    proven cap loses nothing and is not flagged.
     """
 
     modules: tuple[MatrixModule, ...]
     bound: int
     bound_exhausted: bool
+    capped: bool
 
 
 def default_entry_bound(
@@ -290,6 +322,39 @@ def default_entry_bound(
     largest = max(v for plane in ring.c for row in plane for v in row)
     budget = max(traces.values()) if traces else 0
     return max(budget, largest * rank) ** 2
+
+
+def _proven_caps(
+    ring: BasedRing, rank: int, traces: Mapping[str, int] | None, rigid: int | None
+) -> dict[int, tuple[int, int]] | None:
+    """(diagonal cap, off-diagonal cap) of every basis element off e and the
+    doubling generator, or None when the caps' hypotheses fail.
+
+    The hypotheses: s-rigidity (rigid is the doubling generator), every trace
+    pinned with the generator's at 2*rank, and an exact character table whose
+    decomposition of those traces has the special character as a constituent.
+    The caps are floor(chi_s(b)) and floor(chi_s(b) * R_rank) with
+    R_rank = sigma - 3 - (rank - 2); the module docstring derives them.
+    """
+    if rigid is None or traces is None or set(traces) != set(ring.labels):
+        return None
+    if traces[ring.labels[rigid]] != 2 * rank:
+        return None
+    try:
+        table = _table_for(ring)
+        special = special_character(table)
+        mults = _trace_multiplicities(table, [traces[label] for label in ring.labels])
+    except (CharacterError, DecompositionError):
+        return None
+    if not mults[special]:
+        return None
+    chi = table.rows[special]
+    ratio = sum(chi, _QZERO) - 3 - (rank - 2)
+    return {
+        b: (max(0, math.floor(chi[b])), max(0, math.floor(chi[b] * ratio)))
+        for b in range(ring.size)
+        if b not in (ring.identity, rigid)
+    }
 
 
 def _search_order(ring: BasedRing, rigid: int | None) -> list[int]:
@@ -316,7 +381,9 @@ def _var_positions(rank: int) -> list[tuple[int, int]]:
 class _Search:
     """Bounded DFS over matrix entries with one propagation pass per step.
 
-    Every unassigned entry carries a current upper bound.  The equations are
+    Every unassigned entry carries a current upper bound, starting from its
+    proven cap (capped at bound when bound is given) when caps are given, and
+    from bound otherwise.  The equations are
     the product relations and, for each pinned trace off the identity, the
     linear equation that the diagonal sums to it.  run() checks every
     equation once; after that, each assignment checks the equations that
@@ -334,14 +401,14 @@ class _Search:
         self,
         ring: BasedRing,
         rank: int,
-        bound: int,
+        bound: int | None,
+        caps: Mapping[int, tuple[int, int]] | None,
         traces: Mapping[str, int] | None,
         rigid_constrained: int | None,
         symmetry_break: bool = False,
     ) -> None:
         self.ring = ring
         self.rank = rank
-        self.bound = bound
         self.rigid = rigid_constrained
         self.e = ring.identity
         order = _search_order(ring, rigid_constrained)
@@ -354,11 +421,24 @@ class _Search:
         # non-increasing diagonal: every equivalence class keeps a witness
         self.sorted_diag_matrix = order[0] if symmetry_break else None
         self.values: list[int | None] = [None] * len(self.vars)
-        self.upper = [bound] * len(self.vars)
-        for var, k in self.var_index.items():
-            b, i, j = var
+        self.upper: list[int] = []
+        # flag_at[k]: the value of entry k that sets bound_exhausted, i.e. its
+        # limit when that limit is not a proven cap
+        self.flag_at: list[int | None] = []
+        for b, i, j in self.vars:
             if b == rigid_constrained:
-                self.upper[k] = 2 if i == j else 0
+                self.upper.append(2 if i == j else 0)
+                self.flag_at.append(None)
+            elif caps is not None and (bound is None or caps[b][i != j] <= bound):
+                self.upper.append(caps[b][i != j])
+                self.flag_at.append(None)
+            else:
+                self.upper.append(bound)
+                self.flag_at.append(bound)
+        self.bound = max(
+            (u for u, (b, _, _) in zip(self.upper, self.vars) if b != rigid_constrained),
+            default=bound,
+        )
         self.equations = self._compile_equations()
         for label, target in (traces or {}).items():
             b = ring.index(label)
@@ -505,7 +585,7 @@ class _Search:
         for value in domain:
             self.values[k] = value
             if self._propagate(self.eqs_by_var[k]):
-                if value == self.bound:
+                if value == self.flag_at[k]:
                     self.bound_exhausted = True
                 self._assign(index + 1)
             self.upper[:] = saved_upper
@@ -544,9 +624,11 @@ def solve_matrix_modules(
 
     filters name optional screens from named_filters(); transitivity is always
     applied.  traces, when given, pin the trace of every listed basis element
-    exactly (the per-profile trace budget).  bound caps every matrix entry;
-    the default is default_entry_bound, and the outcome records whether any
-    consistent branch pressed against the cap.
+    exactly (the per-profile trace budget).  When the proven caps' hypotheses
+    hold (_proven_caps), every entry is limited by its cap, and by bound too
+    when bound is given.  Otherwise bound limits every entry, defaulting to
+    default_entry_bound.  The outcome records whether any consistent branch
+    pressed against a limit that is not a proven cap.
     """
     if rank < 1:
         raise ClassifierError(f"rank must be positive, got {rank}")
@@ -554,11 +636,16 @@ def solve_matrix_modules(
     rigid_constrained = None
     if any(f.rigidity for f in chosen):
         rigid_constrained = _required_rigid_generator(ring)
-    if bound is None:
+    caps = _proven_caps(ring, rank, traces, rigid_constrained)
+    if bound is None and not caps:
+        # also reported as the bound when the doubling generator is the only
+        # non-identity basis element and no entry has a cap
         bound = default_entry_bound(ring, rank, traces)
     # the diagonal symmetry break drops permuted duplicates, so it is only
     # safe when the caller wants canonical deduped classes anyway
-    search = _Search(ring, rank, bound, traces, rigid_constrained, symmetry_break=dedupe)
+    search = _Search(
+        ring, rank, bound, caps, traces, rigid_constrained, symmetry_break=dedupe
+    )
     search.run()
     kept = []
     for module in search.solutions:
@@ -580,10 +667,37 @@ def solve_matrix_modules(
             seen.setdefault(canon.key(), canon)
         kept = list(seen.values())
     kept.sort(key=lambda m: m.key())
-    return SearchOutcome(tuple(kept), bound, search.bound_exhausted)
+    return SearchOutcome(
+        tuple(kept), search.bound, search.bound_exhausted, caps is not None
+    )
 
 
 # -- independent naive enumerator -------------------------------------------------
+
+
+def _oracle_equations(
+    ring: BasedRing, rank: int, index: Mapping[tuple[int, int, int], int]
+) -> dict[tuple[int, int, int, int], tuple[tuple[int, int, int], ...]]:
+    """Entry (i, j) of M_x M_y - sum_z c[x][y][z] M_z for every x, y != e.
+
+    Each equation is a tuple of terms (c, u, v) meaning c * values[u] *
+    values[v], where values[index[(b, i, j)]] is entry (i, j) of M_b and
+    values[len(index)] holds 1.  The relations with x = e or y = e read
+    M_y - M_y = 0 and are left out, so the identity enters only through
+    z = e on the diagonal.
+    """
+    one = len(index)
+    others = [b for b in range(ring.size) if b != ring.identity]
+    equations = {}
+    for x, y, i, j in iproduct(others, others, range(rank), range(rank)):
+        terms = [(1, index[(x, i, p)], index[(y, p, j)]) for p in range(rank)]
+        for z, coeff in enumerate(ring.c[x][y]):
+            if coeff and z != ring.identity:
+                terms.append((-coeff, index[(z, i, j)], one))
+            elif coeff and i == j:
+                terms.append((-coeff, one, one))
+        equations[(x, y, i, j)] = tuple(terms)
+    return equations
 
 
 def bruteforce_matrix_modules(
@@ -598,58 +712,35 @@ def bruteforce_matrix_modules(
     the search's basis order and row-major within each matrix, each over
     0..bound; under s-rigidity the doubling generator's diagonal entries range
     over {0, 2} and its other entries are 0.  Entry (i, j) of every relation
-    M_x M_y = sum_z c[x][y][z] M_z with (x, y) != (e, e) is one equation, with
-    the identity's entries folded in as constants.  It is attached to the last
-    of its entries in assignment order and evaluated exactly when that entry
-    is set, so every equation is checked exactly once, on known values only:
-    nothing is bounded, capped or forced, and the enumeration is complete up
-    to the bound.  Leaves are tested for transitivity and the post filters and
-    deduped by canonical form.  Intended for small ranks and bounds as an
-    independent cross-check of the pruned search.
+    M_x M_y = sum_z c[x][y][z] M_z with x, y != e is one equation
+    (_oracle_equations; the relations through e hold identically).  It is
+    attached to the last of its entries in assignment order and evaluated
+    exactly when that entry is set, so every equation is checked exactly
+    once, on known values only: nothing is bounded, capped or forced, and the
+    enumeration is complete up to the bound.  Leaves are tested for
+    transitivity and the post filters and deduped by canonical form.
+    Intended for small ranks and bounds as an independent cross-check of the
+    pruned search.
     """
     chosen = _resolve_filters(filters)
     rigid = None
     if any(f.rigidity for f in chosen):
         rigid = _required_rigid_generator(ring)
     order = _search_order(ring, rigid)
-    e = ring.identity
     cells = [(b, i, j) for b in order for i in range(rank) for j in range(rank)]
     index = {cell: k for k, cell in enumerate(cells)}
     domains = [
         ((0, 2) if i == j else (0,)) if b == rigid else range(bound + 1)
         for b, i, j in cells
     ]
-
-    # values holds every entry, then two fixed slots holding 0 and 1 that
-    # stand for the identity's entries
-    zero, one = len(cells), len(cells) + 1
-    values = [0] * len(cells) + [0, 1]
-
-    def slot(b: int, i: int, j: int) -> int:
-        if b == e:
-            return one if i == j else zero
-        return index[(b, i, j)]
-
-    def equation(x: int, y: int, i: int, j: int) -> tuple[tuple[int, int, int], ...]:
-        """Entry (i, j) of M_x M_y - sum_z c[x][y][z] M_z as terms (c, u, v)
-        meaning c * values[u] * values[v], the identity's zeros dropped."""
-        monomials = [(1, slot(x, i, p), slot(y, p, j)) for p in range(rank)]
-        monomials += [
-            (-coeff, slot(z, i, j), one)
-            for z, coeff in enumerate(ring.c[x][y])
-            if coeff
-        ]
-        return tuple(term for term in monomials if zero not in term[1:])
+    # every entry, then a fixed slot holding 1 for the identity's diagonal
+    values = [0] * len(cells) + [1]
 
     # checks[k]: the equations whose last entry in assignment order is k
     checks: list[list[tuple[tuple[int, int, int], ...]]] = [[] for _ in cells]
-    for x, y in iproduct(range(ring.size), repeat=2):
-        if x == e and y == e:
-            continue
-        for i, j in iproduct(range(rank), repeat=2):
-            terms = equation(x, y, i, j)
-            last = max(k for _, u, v in terms for k in (u, v) if k < zero)
-            checks[last].append(terms)
+    for terms in _oracle_equations(ring, rank, index).values():
+        last = max(k for _, u, v in terms for k in (u, v) if k < len(cells))
+        checks[last].append(terms)
 
     results: dict[tuple, MatrixModule] = {}
 
@@ -795,6 +886,7 @@ class ClassificationReport:
     bound_exhausted: bool
     candidates: tuple[Candidate, ...]
     matches_expected: bool | None
+    capped: bool  # every search ran under its proven entry caps
 
     @property
     def realized(self) -> tuple[Candidate, ...]:
@@ -833,7 +925,7 @@ def classify(
     else:
         ring = bundled_ring(ring_id)
     try:
-        table = character_table(ring)
+        table = _table_for(ring)  # the table the caps and filters read
     except CharacterError as exc:  # the ring is outside what the search supports
         raise ClassifierError(str(exc)) from exc
     if not table.exact:
@@ -864,12 +956,14 @@ def classify(
         found[zero.key()] = zero
     used_bound = bound if bound is not None else 0
     exhausted = False
+    capped = bool(jobs)
     for job_rank, job_traces in jobs:
         outcome = solve_matrix_modules(
             ring, job_rank, filter_names, bound=bound, traces=job_traces
         )
         used_bound = max(used_bound, outcome.bound)
         exhausted = exhausted or outcome.bound_exhausted
+        capped = capped and outcome.capped
         for module in outcome.modules:
             found.setdefault(module.key(), module)
 
@@ -916,4 +1010,5 @@ def classify(
         exhausted,
         tuple(candidates),
         matches,
+        capped,
     )

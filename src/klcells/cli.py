@@ -299,11 +299,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "  ".join(str(p) for p in report.profiles) or "(none)",
         )
         print("filters:", ", ".join(report.filters))
-        completeness = (
-            "a branch pressed against the bound; completeness not certified"
-            if report.bound_exhausted
-            else "no branch hit the bound"
-        )
+        if report.bound_exhausted:
+            completeness = "a branch pressed against the bound; completeness not certified"
+        elif report.capped:
+            completeness = "proven per-entry caps; no branch hit an unproven bound"
+        else:
+            completeness = "no branch hit the bound"
         print(f"entry bound: {report.bound} ({completeness})")
         print()
         labels = [

@@ -206,6 +206,19 @@ class QuadNum:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.d))
 
+    def __floor__(self) -> int:
+        """The largest integer n <= self, decided exactly (math.floor)."""
+        # b*sqrt(d) = ±sqrt(m); isqrt(floor(m)) is floor(sqrt(m)), so the
+        # estimate is off by at most one and exact comparisons correct it
+        m = self.b * self.b * self.d
+        root = math.isqrt(math.floor(m))
+        n = math.floor(self.a) + (root if self.b >= 0 else -root - 1)
+        while n > self:
+            n -= 1
+        while n + 1 <= self:
+            n += 1
+        return n
+
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from klcells.basedring import subquotient_qn, subring_an
+from klcells.basedring import ring_from_text, subquotient_qn, subring_an
 from klcells.characters import character_table, decompose
 from klcells.classifier import (
     ClassifierError,
+    _oracle_equations,
+    _proven_caps,
+    _Search,
     bruteforce_matrix_modules,
     classify,
     default_entry_bound,
@@ -156,6 +160,105 @@ def test_bound_override_can_lose_solutions_and_flags_nothing_below():
     assert len(narrow.modules) < 4  # entries 4 and 5 are out of reach
 
 
+# -- proven entry caps ------------------------------------------------------------
+
+
+# (n, profile, {label: (diagonal cap, off-diagonal cap)})
+CAP_CASES = [
+    (4, (0, 1, 1), {"sts": (2, 4)}),
+    (5, (0, 1, 1), {"sts": (3, 10)}),
+    (6, (0, 0, 1, 1), {"sts": (4, 24), "ststs": (2, 12)}),
+    (6, (0, 1, 1, 1), {"sts": (4, 20), "ststs": (2, 10)}),
+    (6, (0, 2, 1, 1), {"sts": (4, 16), "ststs": (2, 8)}),
+    (6, (0, 2, 2, 1), {"sts": (4, 12), "ststs": (2, 6)}),
+]
+
+
+@pytest.mark.parametrize(
+    "n, profile, want",
+    CAP_CASES,
+    ids=[f"Q{n}-r{sum(p)}" for n, p, _ in CAP_CASES],
+)
+def test_proven_caps_values(n, profile, want):
+    ring = subquotient_qn(n)
+    traces = profile_traces(character_table(ring), profile)
+    rank = sum(profile)
+    caps = _proven_caps(ring, rank, traces, rigid_generator(ring))
+    assert {ring.labels[b]: cap for b, cap in caps.items()} == want
+
+
+def test_q4_excluded_candidate_sits_on_its_cap():
+    ring = subquotient_qn(4)
+    traces = profile_traces(character_table(ring), (0, 1, 1))
+    outcome = solve_matrix_modules(ring, 2, ["s-rigidity"], traces=traces)
+    assert outcome.bound == 4
+    assert ((2, 0, 0, 2), (0, 1, 4, 0)) in flats(outcome)
+    assert not outcome.bound_exhausted  # reaching a proven cap is not flagged
+    # one below the cap loses it
+    narrow = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=3, traces=traces)
+    assert ((2, 0, 0, 2), (0, 1, 4, 0)) not in flats(narrow)
+    assert narrow.capped and narrow.bound == 3
+    # reaching an explicit bound below a cap is flagged
+    narrower = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=2, traces=traces)
+    assert narrower.bound_exhausted
+
+
+def test_caps_need_their_hypotheses():
+    ring = subquotient_qn(4)
+    traces = profile_traces(character_table(ring), (0, 1, 1))
+    rigid = rigid_generator(ring)
+    assert _proven_caps(ring, 2, traces, rigid) is not None
+    assert _proven_caps(ring, 2, traces, None) is None  # no s-rigidity
+    assert _proven_caps(ring, 2, None, rigid) is None  # traces not pinned
+    assert _proven_caps(ring, 2, {"e": 2, "s": 4}, rigid) is None  # one missing
+    assert _proven_caps(ring, 2, {**traces, "s": 2}, rigid) is None  # not 2*rank
+    # the traces of the character (1, 2, -2) alone: chi_s is no constituent
+    assert _proven_caps(ring, 1, {"e": 1, "s": 2, "sts": -2}, rigid) is None
+    # no integral decomposition
+    assert _proven_caps(ring, 1, {"e": 1, "s": 2, "sts": 1}, rigid) is None
+    # an inexact character table
+    q7 = subquotient_qn(7)
+    q7_traces = {label: 2 if label == "s" else 1 for label in q7.labels}
+    assert _proven_caps(q7, 1, q7_traces, rigid_generator(q7)) is None
+    # every search outside the hypotheses keeps the heuristic bound
+    for outcome, want in (
+        (solve_matrix_modules(ring, 2), default_entry_bound(ring, 2)),
+        (solve_matrix_modules(ring, 2, ["s-rigidity"]), default_entry_bound(ring, 2)),
+        (solve_matrix_modules(ring, 2, traces=traces), default_entry_bound(ring, 2, traces)),
+    ):
+        assert not outcome.capped
+        assert outcome.bound == want
+
+
+# every faithful profile of rank 2, the oracle run past the proven caps
+ABOVE_CAP_CASES = [
+    (4, (0, 1, 1), 5),
+    (5, (0, 1, 1), 11),
+    (6, (0, 0, 1, 1), 25),
+    (6, (0, 1, 0, 1), 25),
+]
+
+
+@pytest.mark.parametrize(
+    "n, profile, bound",
+    ABOVE_CAP_CASES,
+    ids=[f"Q{n}-{''.join(map(str, p))}" for n, p, _ in ABOVE_CAP_CASES],
+)
+def test_capped_search_equals_bruteforce_above_the_caps(n, profile, bound):
+    ring = subquotient_qn(n)
+    traces = profile_traces(character_table(ring), profile)
+    rank = sum(profile)
+    fast = solve_matrix_modules(ring, rank, ["s-rigidity"], traces=traces)
+    assert fast.capped and fast.bound == bound - 1  # the largest cap
+    assert not fast.bound_exhausted
+    slow = [
+        m
+        for m in bruteforce_matrix_modules(ring, rank, bound, ["s-rigidity"])
+        if all(m.trace(label) == t for label, t in traces.items())
+    ]
+    assert [m.key() for m in fast.modules] == [m.key() for m in slow]
+
+
 # -- filters ---------------------------------------------------------------------
 
 
@@ -279,6 +382,94 @@ def test_pruned_search_equals_bruteforce_with_rigidity():
         fast = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=8)
         slow = bruteforce_matrix_modules(ring, 2, 8, ["s-rigidity"])
         assert [m.key() for m in fast.modules] == [m.key() for m in slow], n
+
+
+def _residuals(ring, rank, mats):
+    """Entry (i, j) of M_x M_y - sum_z c[x][y][z] M_z for every x, y, by
+    direct multiplication."""
+    out = {}
+    for x, y, i, j in itertools.product(
+        range(ring.size), range(ring.size), range(rank), range(rank)
+    ):
+        value = sum(mats[x][i][p] * mats[y][p][j] for p in range(rank))
+        value -= sum(c * mats[z][i][j] for z, c in enumerate(ring.c[x][y]))
+        out[(x, y, i, j)] = value
+    return out
+
+
+# the Fibonacci ring, t*t = e + t: unlike A_n and Q_n, a product of
+# non-identity basis elements reaches the identity
+FIBONACCI_TEXT = "labels e t\nidentity e\nc e e e 1\nc e t t 1\nc t e t 1\nc t t e 1\nc t t t 1\n"
+
+
+def _compiler_ring(name):
+    return ring_from_text(FIBONACCI_TEXT) if name == "Fib" else SMALL_RINGS[name]()
+
+
+def _assignments(ring, name, rank):
+    """Every assignment with entries <= 1 (A4, Q4 and Q5 at rank 2, the
+    Fibonacci ring at ranks 2 and 3); seeded random ones with entries <= 8
+    for Q6 at ranks 2 and 3."""
+    others = [b for b in range(ring.size) if b != ring.identity]
+    cells = rank * rank * len(others)
+    if name == "Q6":
+        rng = random.Random(rank)
+        grid = [[rng.randint(0, 8) for _ in range(cells)] for _ in range(300)]
+    else:
+        grid = itertools.product(range(2), repeat=cells)
+    for flat in grid:
+        mats = {ring.identity: tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))}
+        for n, b in enumerate(others):
+            block = flat[n * rank * rank:(n + 1) * rank * rank]
+            mats[b] = tuple(tuple(block[i * rank:(i + 1) * rank]) for i in range(rank))
+        yield mats
+
+
+@pytest.mark.parametrize(
+    "name, rank",
+    [("A4", 2), ("Q4", 2), ("Q5", 2), ("Q6", 2), ("Q6", 3), ("Fib", 2), ("Fib", 3)],
+)
+def test_compiled_equations_equal_direct_multiplication(name, rank):
+    ring = _compiler_ring(name)
+    e = ring.identity
+    search = _Search(ring, rank, 1, None, None, None)
+    search_eqs = {}
+    for products, rhs, const in search._compile_equations():
+        # the first product term is entry (i, 0) of M_x times (0, j) of M_y
+        x, i, _ = search.vars[products[0][0]]
+        y, _, j = search.vars[products[0][1]]
+        search_eqs[(x, y, i, j)] = (products, rhs, const)
+    cells = sorted(search.var_index)
+    index = {cell: k for k, cell in enumerate(cells)}
+    oracle_eqs = _oracle_equations(ring, rank, index)
+    # both compile every entry of every relation with x, y != e, once
+    off_identity = {
+        (x, y, i, j)
+        for x, y, i, j in itertools.product(
+            range(ring.size), range(ring.size), range(rank), range(rank)
+        )
+        if e not in (x, y)
+    }
+    assert len(search_eqs) == len(search._compile_equations())
+    assert set(search_eqs) == set(oracle_eqs) == off_identity
+    checked = 0
+    for mats in _assignments(ring, name, rank):
+        direct = _residuals(ring, rank, mats)
+        values = [mats[b][i][j] for b, i, j in cells] + [1]
+        search_values = [mats[b][i][j] for b, i, j in search.vars]
+        for key, value in direct.items():
+            if e in key[:2]:
+                # M_e M_y - M_y and M_y M_e - M_y: what the compilers leave out
+                assert value == 0, key
+                continue
+            products, rhs, const = search_eqs[key]
+            compiled = const + sum(search_values[a] * search_values[b] for a, b in products)
+            compiled -= sum(c * search_values[k] for c, k in rhs)
+            assert compiled == value, ("search", key)
+            oracle = sum(c * values[u] * values[v] for c, u, v in oracle_eqs[key])
+            assert oracle == value, ("oracle", key)
+        checked += 1
+    assert checked >= 16
 
 
 SMALL_RINGS = {
@@ -443,6 +634,56 @@ def test_classify_q6_up_to_rank_four_pins_the_candidates():
     report = classify("Q6", max_rank=4)
     assert tuple(c.module.key() for c in report.candidates) == Q6_MAX_RANK_4_KEYS
     assert len(Q6_MAX_RANK_4_KEYS) == 28
+
+
+# the two modules of profile (0,2,2,1), found with the heuristic bound 100
+Q6_RANK_5_KEYS = (
+    (5, ((2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2),
+         (0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 2, 2, 2, 2, 0),
+         (0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2))),
+    (5, ((2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2),
+         (0, 0, 1, 1, 2, 0, 0, 1, 1, 2, 1, 1, 0, 0, 2, 1, 1, 0, 0, 2, 1, 1, 1, 1, 0),
+         (0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2))),
+)
+
+
+def test_classify_q6_up_to_rank_five_pins_the_candidates():
+    report = classify("Q6", max_rank=5)
+    keys = tuple(c.module.key() for c in report.candidates)
+    assert keys == Q6_MAX_RANK_4_KEYS + Q6_RANK_5_KEYS
+    assert report.capped and not report.bound_exhausted
+    assert report.bound == 24  # the rank-2 sts cap
+
+
+# the one module of profile (0,2,3,1), the only faithful profile of rank 6
+Q6_RANK_6_MODULE = (
+    (2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+     0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2),
+    (0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1,
+     1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0),
+    (0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0,
+     0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0),
+)
+
+
+def test_q6_rank_six_module_is_a_rigid_transitive_module():
+    ring = subquotient_qn(6)
+    table = character_table(ring)
+    mats = {
+        b: tuple(tuple(flat[6 * i:6 * i + 6]) for i in range(6))
+        for b, flat in zip((1, 2, 3), Q6_RANK_6_MODULE)
+    }
+    module = module_from_mats(ring, 6, mats)
+    assert satisfies_ring_relations(ring, module)
+    assert is_transitive(module)
+    assert named_filters()["s-rigidity"].post(ring, module)
+    traces = profile_traces(table, (0, 2, 3, 1))
+    assert {label: module.trace(label) for label in ring.labels} == traces
+    assert decompose(table, module).multiplicities == (0, 2, 3, 1)
+    assert canonical_module(module) == module
+    # every entry within the rank-6 caps: sts <= 4 / 8, ststs <= 2 / 4
+    caps = _proven_caps(ring, 6, traces, rigid_generator(ring))
+    assert caps == {2: (4, 8), 3: (2, 4)}
 
 
 def test_classify_without_rigidity_is_strictly_larger():

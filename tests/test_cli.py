@@ -161,6 +161,23 @@ def test_classify_q5_text(capsys):
     assert "status: excluded" in out
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("--n", "5"),
+         "entry bound: 10 (proven per-entry caps; no branch hit an unproven bound)"),
+        (("--n", "5", "--rank", "2"), "entry bound: 16 (no branch hit the bound)"),
+        (("--n", "4", "--no-filter", "s-rigidity"),
+         "entry bound: 16 (a branch pressed against the bound; completeness not certified)"),
+    ],
+    ids=["proven-caps", "heuristic", "heuristic-touched"],
+)
+def test_classify_entry_bound_line(capsys, argv, line):
+    code, out, _ = run_cli(capsys, "classify", *argv)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_classify_q4_structured(capsys):
     code, out, _ = run_cli(capsys, "classify", "--n", "4", "--format", "structured")
     assert code == 0

@@ -138,3 +138,22 @@ def test_integer_coercion_in_arithmetic():
     assert 1 - q(0, 1, 5) == q(1, -1, 5)
     assert q(1).is_integer and not q(Fraction(1, 2)).is_integer
     assert q(3).as_integer() == 3
+
+
+def test_floor_examples():
+    assert math.floor(q(1, 1, 5)) == 3  # 1+√5 ≈ 3.236
+    assert math.floor(q(6, 2, 5)) == 10  # (1+√5)² ≈ 10.472
+    assert math.floor(q(1, -1, 5)) == -2  # 1-√5 ≈ -1.236
+    assert math.floor(q(0, -1, 2)) == -2
+    assert math.floor(q(4)) == 4 and math.floor(q(-4)) == -4
+    assert math.floor(q(Fraction(-7, 2))) == -4
+    assert math.floor(q(Fraction(1, 2), Fraction(1, 2), 5)) == 1  # golden ratio
+
+
+@given(a=_rationals, b=_rationals, d=st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=150, deadline=None)
+def test_floor_brackets_the_value(a, b, d):
+    x = QuadNum(a, b, d)
+    n = math.floor(x)
+    assert isinstance(n, int)
+    assert q(n) <= x < q(n + 1)
