@@ -2,7 +2,7 @@
 
 Builds the integral group ring of D_2n in its Kazhdan-Lusztig basis, the
 subquotient rings Q_n and subrings A_n it induces, their exact character
-tables over real quadratic fields, and the exhaustive classification of
+tables over the real fields Q(2cos(2pi/n)), and the exhaustive classification of
 transitive non-negative-integer matrix modules over them.
 """
 
@@ -66,6 +66,7 @@ from .matrixmodule import (
     trivial_module,
 )
 from .quadfield import (
+    FieldElement,
     FieldMismatchError,
     NonRealRootsError,
     QuadNum,
@@ -88,6 +89,7 @@ __all__ = [
     "compute_cells",
     "structure_constants",
     # quadfield
+    "FieldElement",
     "FieldMismatchError",
     "NonRealRootsError",
     "QuadNum",

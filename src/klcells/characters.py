@@ -1,30 +1,35 @@
 """Characters of commutative positively based rings and trace decompositions.
 
 A character is a ring homomorphism to the scalars, recorded as its value
-vector over the basis.  For the rings treated here every character is found
-exactly: fixing chi(e) = 1, each remaining basis element b satisfies the monic
-quadratic chi(b)^2 = c[b][b][b] chi(b) + (known lower terms), so the solver
-chains through the basis branching on exact quadratic roots.  Rings whose
-characters would need a higher-degree extension, or values from two different
-quadratic fields, fall back to floating-point eigenvalue extraction and are
-flagged inexact; nothing downstream that decides anything accepts an inexact
-table.
+vector over the basis.  Every table is exact.  The rings Q_n get theirs from
+the closed form chi_0 = (1, 0, ..., 0) and, for j = 1 ... floor(n/2),
+chi_j(kl(s(ts)^k)) = 2 sin((2k+1) j pi/n) / sin(j pi/n)
+               = 2 + 2 (P_j + P_2j + ... + P_kj)(lambda),
+with lambda = 2cos(2pi/n) and the Chebyshev polynomials P_m of quadfield, so
+every value lies in Q(lambda); the rows are kept only after an exact
+multiplicativity check against the structure constants.  Any other ring goes
+through a chained quadratic solver: fixing chi(e) = 1, each remaining basis
+element b satisfies the monic quadratic
+chi(b)^2 = c[b][b][b] chi(b) + (known lower terms), so the solver chains
+through the basis branching on exact quadratic roots.  A ring that neither
+route covers (values of higher degree, or from two quadratic fields at once)
+raises CharacterError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
 
 from .basedring import BasedRing
 from .matrixmodule import MatrixModule, identity_matrix
 from .quadfield import (
+    FieldElement,
     FieldMismatchError,
     NonRealRootsError,
-    QuadNum,
     solve_quadratic_monic,
+    two_cos,
 )
 
 __all__ = [
@@ -39,8 +44,8 @@ __all__ = [
     "special_character",
 ]
 
-_ZERO = QuadNum(Fraction(0))
-_ONE = QuadNum(Fraction(1))
+_ZERO = FieldElement(0)
+_ONE = FieldElement(1)
 
 
 class CharacterError(ValueError):
@@ -61,16 +66,16 @@ class SpecialCharacterError(CharacterError):
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """All characters of a commutative based ring.
+    """All characters of a commutative based ring, exactly.
 
     rows[i] is the value vector of the i-th character over ring.labels,
-    sorted ascending by the value tuple for determinism.  exact is False only
-    when the numeric fallback produced the rows (values are then floats).
+    sorted ascending by the value tuple for determinism.
     """
 
     ring: BasedRing
-    rows: tuple[tuple, ...]
-    exact: bool
+    rows: tuple[tuple[FieldElement, ...], ...]
+
+    exact = True  # every table is exact; kept for callers that ask
 
     @property
     def size(self) -> int:
@@ -78,6 +83,29 @@ class CharacterTable:
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(f"V{i + 1}" for i in range(len(self.rows)))
+
+    @cached_property
+    def _inverse(self) -> list[list[FieldElement]] | None:
+        """The inverse of the square matrix (chi_i(b)), rows b and columns i,
+        by Gauss-Jordan elimination; None if it is singular."""
+        size = self.size
+        aug = [
+            [self.rows[i][b] for i in range(size)]
+            + [_ONE if k == b else _ZERO for k in range(size)]
+            for b in range(size)
+        ]
+        for col in range(size):
+            pivot = next((r for r in range(col, size) if aug[r][col] != _ZERO), None)
+            if pivot is None:
+                return None  # character rows should prevent this
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            inv = aug[col][col].inverse()
+            aug[col] = [v * inv for v in aug[col]]
+            for r in range(size):
+                if r != col and aug[r][col] != _ZERO:
+                    factor = aug[r][col]
+                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+        return [row[size:] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -91,16 +119,71 @@ class ModuleDecomposition:
         return sum(self.multiplicities)
 
 
+def _multiplicative(ring: BasedRing, row, xs) -> bool:
+    """row(x) row(y) = sum_z c[x][y][z] row(z) for every x in xs and every y."""
+    for x in xs:
+        for y in range(ring.size):
+            total = _ZERO
+            for z, c in enumerate(ring.c[x][y]):
+                if c:
+                    total = total + c * row[z]
+            if row[x] * row[y] != total:
+                return False
+    return True
+
+
+def _closed_form_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]] | None:
+    """The closed-form characters of Q_n, n in {2(size - 1), 2 size - 1}, when
+    they verify on this ring, read with its basis e, then b_0 = s,
+    b_1 = sts, ... in index order; None otherwise.
+
+    The check is multiplicativity against the generators s and sts only.
+    That suffices once sts * b_k has a non-zero b_{k+1} coefficient and none
+    above, for every k: then each b_{k+1} is a polynomial in s and sts, and a
+    linear form with chi(e) = 1 that is multiplicative against a generating
+    set is multiplicative against the products of its members, so on the
+    whole ring.
+    """
+    size, e = ring.size, ring.identity
+    basis = [b for b in range(size) if b != e]
+    sts = basis[1] if size > 2 else None
+    for k in range(size - 2):
+        if not ring.c[sts][basis[k]][basis[k + 1]] or any(
+            ring.c[sts][basis[k]][z] for z in basis[k + 2:]
+        ):
+            return None
+    for n in (2 * size - 2, 2 * size - 1):
+        if n < 3:
+            continue
+        lam = two_cos(n)
+        cheb = [FieldElement(2), lam]  # cheb[m] = P_m(lambda) = 2cos(2pi m/n)
+        for _ in range(2, n):
+            cheb.append(lam * cheb[-1] - cheb[-2])
+        rows = [[_ONE] + [_ZERO] * (size - 1)]
+        for j in range(1, n // 2 + 1):
+            values = [_ONE, FieldElement(2)]
+            for m in range(1, size - 1):
+                values.append(values[-1] + 2 * cheb[m * j % n])
+            rows.append(values)
+        order = [e, *basis]
+        rows = [tuple(row[order.index(b)] for b in range(size)) for row in rows]
+        if len(set(rows)) == size and all(
+            _multiplicative(ring, row, basis[:2]) for row in rows
+        ):
+            return rows
+    return None
+
+
 class _ExactlyUnsolvable(Exception):
     pass
 
 
-def _exact_rows(ring: BasedRing) -> list[tuple[QuadNum, ...]]:
+def _exact_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]]:
     size = ring.size
     e = ring.identity
-    rows: list[tuple[QuadNum, ...]] = []
+    rows: list[tuple[FieldElement, ...]] = []
 
-    def extend(values: dict[int, QuadNum]) -> None:
+    def extend(values: dict[int, FieldElement]) -> None:
         if len(values) == size:
             rows.append(tuple(values[i] for i in range(size)))
             return
@@ -136,73 +219,30 @@ def _exact_rows(ring: BasedRing) -> list[tuple[QuadNum, ...]]:
     return rows
 
 
-def _satisfies_exact(ring: BasedRing, row: tuple[QuadNum, ...]) -> bool:
-    size = ring.size
-    for x in range(size):
-        for y in range(size):
-            total = _ZERO
-            for z in range(size):
-                if ring.c[x][y][z]:
-                    total = total + ring.c[x][y][z] * row[z]
-            if row[x] * row[y] != total:
-                return False
-    return True
-
-
-def _numeric_rows(ring: BasedRing) -> list[tuple[float, ...]]:
-    """Characters via simultaneous diagonalization of the regular representation."""
-    size = ring.size
-    regs = []
-    for b in range(size):
-        mat = np.zeros((size, size))
-        for x in range(size):
-            for z in range(size):
-                mat[z, x] = ring.c[b][x][z]
-        regs.append(mat)
-    # a fixed generic combination separates the common eigenvectors
-    weights = [np.cos(1.7 * (i + 1)) + 2.0 for i in range(size)]
-    mix = sum(w * m for w, m in zip(weights, regs))
-    eigenvalues, vectors = np.linalg.eig(mix)
-    if np.max(np.abs(eigenvalues.imag)) > 1e-9:
-        raise CharacterError("non-real spectrum; no real character table")
-    rows = []
-    for j in range(size):
-        v = vectors[:, j].real
-        pivot = int(np.argmax(np.abs(v)))
-        row = tuple(float((m @ v)[pivot] / v[pivot]) for m in regs)
-        rows.append(row)
-    return rows
-
-
-def _satisfies_numeric(ring: BasedRing, row: tuple[float, ...], tol: float) -> bool:
-    size = ring.size
-    for x in range(size):
-        for y in range(size):
-            total = sum(ring.c[x][y][z] * row[z] for z in range(size))
-            if abs(row[x] * row[y] - total) > tol:
-                return False
-    return True
-
-
 def character_table(ring: BasedRing) -> CharacterTable:
-    """All characters of a commutative based ring, exactly where possible.
+    """All characters of a commutative based ring, exactly.
 
     Raises NonCommutativeError for non-commutative input and CharacterError
-    when the number of verified characters is not the basis size (non-split
-    or non-semisimple spectrum), rather than returning a partial table.
+    when neither the closed form nor the quadratic solver yields a verified
+    character per basis element (a non-split or non-semisimple spectrum, or
+    values beyond their reach), rather than returning a partial table.
     """
     if not ring.is_commutative():
         raise NonCommutativeError(
             f"ring {ring.name or ring.labels} is not commutative"
         )
-    try:
+    verified = _closed_form_rows(ring)
+    if verified is None:
         verified = []
-        for row in _exact_rows(ring):
-            if _satisfies_exact(ring, row) and row not in verified:
-                verified.append(row)
-    except (_ExactlyUnsolvable, FieldMismatchError):
-        # the values leave a single real quadratic field
-        return _numeric_table(ring)
+        try:
+            for row in _exact_rows(ring):
+                if _multiplicative(ring, row, range(ring.size)) and row not in verified:
+                    verified.append(row)
+        except (_ExactlyUnsolvable, FieldMismatchError) as exc:
+            raise CharacterError(
+                f"the characters of {ring.name or 'the ring'} are neither those "
+                "of a Q_n nor confined to one real quadratic field"
+            ) from exc
     if len(verified) != ring.size:
         raise CharacterError(
             f"found {len(verified)} characters for a basis of size {ring.size}; "
@@ -210,19 +250,7 @@ def character_table(ring: BasedRing) -> CharacterTable:
         )
     order = [i for i in range(ring.size) if i != ring.identity]
     verified.sort(key=lambda row: tuple(row[i] for i in order))
-    return CharacterTable(ring, tuple(verified), exact=True)
-
-
-def _numeric_table(ring: BasedRing) -> CharacterTable:
-    rows = _numeric_rows(ring)
-    verified = [row for row in rows if _satisfies_numeric(ring, row, 1e-6)]
-    if len(verified) != ring.size:
-        raise CharacterError(
-            f"numeric fallback verified {len(verified)} of {ring.size} characters"
-        )
-    order = [i for i in range(ring.size) if i != ring.identity]
-    verified.sort(key=lambda row: tuple(round(row[i], 9) for i in order))
-    return CharacterTable(ring, tuple(verified), exact=False)
+    return CharacterTable(ring, tuple(verified))
 
 
 def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecomposition:
@@ -230,10 +258,8 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
 
     The system is square (characters x basis elements) and the character rows
     are linearly independent, so the solution is unique when it exists; a
-    missing, non-integral or negative solution marks the module invalid.
+    non-integral or negative solution marks the module invalid.
     """
-    if not table.exact:
-        raise DecompositionError("decomposition requires an exact character table")
     ring = table.ring
     size = ring.size
     if module.rank < 1 or len(module.labels) != size:
@@ -247,18 +273,18 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
 
 def _trace_multiplicities(table: CharacterTable, traces: list[int]) -> tuple[int, ...]:
     """The non-negative integers m_i with sum_i m_i chi_i(b) = traces[b] for
-    every basis element b, over an exact table; DecompositionError when there
-    are none."""
-    size = table.size
-    # augmented system: rows indexed by basis element, columns by character
-    aug = [
-        [QuadNum.of(table.rows[i][b]) for i in range(size)]
-        + [QuadNum(Fraction(traces[b]))]
-        for b in range(size)
-    ]
-    solution = _solve_exact_linear(aug, size)
-    if solution is None:
+    every basis element b; DecompositionError when there are none.  The
+    table's inverse character matrix is computed once and reused."""
+    inverse = table._inverse
+    if inverse is None:
         raise DecompositionError("trace system is inconsistent for this module")
+    solution = []
+    for row in inverse:
+        value = _ZERO
+        for entry, trace in zip(row, traces):
+            if trace:
+                value = value + trace * entry
+        solution.append(value)
     mults = []
     for value in solution:
         if not value.is_integer or value.a < 0:
@@ -270,39 +296,12 @@ def _trace_multiplicities(table: CharacterTable, traces: list[int]) -> tuple[int
     return tuple(mults)
 
 
-def _solve_exact_linear(aug: list[list[QuadNum]], size: int) -> list[QuadNum] | None:
-    rows = len(aug)
-    pivot_rows: list[int] = []
-    row_used = [False] * rows
-    for col in range(size):
-        pivot = next(
-            (r for r in range(rows) if not row_used[r] and aug[r][col] != _ZERO),
-            None,
-        )
-        if pivot is None:
-            return None  # singular: character rows should prevent this
-        row_used[pivot] = True
-        pivot_rows.append(pivot)
-        inv = aug[pivot][col].inverse()
-        aug[pivot] = [v * inv for v in aug[pivot]]
-        for r in range(rows):
-            if r != pivot and aug[r][col] != _ZERO:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[pivot])]
-    for r in range(rows):
-        if not row_used[r] and aug[r][size] != _ZERO:
-            return None  # inconsistent
-    return [aug[pivot_rows[col]][size] for col in range(size)]
-
-
 def special_character(table: CharacterTable) -> int:
     """Index of the unique character maximizing |chi(sum of all basis elements)|.
 
     This is the Perron-Frobenius distinguished constituent; a tie would mean
     the ring is outside the supported setting and raises.
     """
-    if not table.exact:
-        raise SpecialCharacterError("special character needs an exact table")
     sums = []
     for row in table.rows:
         total = _ZERO

@@ -32,7 +32,7 @@ every other entry at least 1, so
 sigma v_i >= d v_i + v_k + (r - 2) v_i, i.e.
 v_max / v_min <= R_r = sigma - d - (r - 2).  Hence
 M_b[i][i] <= floor(chi_s(b)) and M_b[i][j] <= floor(chi_s(b) R_r), computed
-in exact QuadNum arithmetic (sigma = 4+sqrt(5) at Q5).  Searches outside
+in exact FieldElement arithmetic (sigma = 4+sqrt(5) at Q5).  Searches outside
 these hypotheses (raw, unpinned, or without such a table) keep the heuristic
 default_entry_bound.
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
@@ -71,9 +70,9 @@ from .matrixmodule import (
     satisfies_ring_relations,
     trivial_module,
 )
-from .quadfield import QuadNum
+from .quadfield import FieldElement
 
-_QZERO = QuadNum(Fraction(0))
+_QZERO = FieldElement(0)
 
 __all__ = [
     "ClassifierError",
@@ -223,7 +222,7 @@ def _resolve_filters(filters: Iterable[str | ModuleFilter]) -> list[ModuleFilter
 # -- rank screening -------------------------------------------------------------
 
 
-def _exact_trace(table: CharacterTable, profile: Sequence[int], b: int) -> QuadNum:
+def _exact_trace(table: CharacterTable, profile: Sequence[int], b: int) -> FieldElement:
     total = _QZERO
     for i in range(table.size):
         if profile[i]:
@@ -245,8 +244,6 @@ def feasible_rank_profiles(
     than 0, since a 0 there would zero out a whole row of the positive
     total-action matrix.
     """
-    if not table.exact:
-        raise ClassifierError("rank screening needs an exact character table")
     ring = table.ring
     size = ring.size
     special = special_character(table) if faithful else None
@@ -304,9 +301,13 @@ class SearchOutcome:
     generator.
     bound_exhausted is True when some consistent branch assigned an entry off
     the doubling generator a value equal to a limit that is not a proven cap
-    (the heuristic bound, or an explicit bound below the cap), i.e. when
-    completeness past that limit is not certified for the run.  Reaching a
-    proven cap loses nothing and is not flagged.
+    (the heuristic bound, or an explicit bound below the cap): modules past
+    that limit may then be missing.  False certifies nothing: a module with
+    an entry past the limit is often pruned earlier, by forcing or
+    integrality, without any branch reaching the limit (Q4, profile (0,1,1),
+    bound=3 loses (0,1,4,0) with the flag false).  Only capped certifies
+    completeness, and only when no explicit bound lies below a cap.
+    Reaching a proven cap loses nothing and is not flagged.
     """
 
     modules: tuple[MatrixModule, ...]
@@ -912,8 +913,8 @@ def classify(
     status data.  Disabling s-rigidity switches the
     searches to raw per-rank runs without trace pinning, which surfaces any
     extra algebraic solutions; a rank override forces a single raw search.
-    A ring without an exact full character table (non-commutative, not split
-    semisimple, or beyond the quadratic fields) raises ClassifierError.
+    A ring without a full character table (non-commutative, not split
+    semisimple, or neither a Q_n nor quadratic) raises ClassifierError.
     """
     disabled = set(disabled_filters)
     extras = [f for f in extra_filters if f not in disabled]
@@ -928,8 +929,6 @@ def classify(
         table = _table_for(ring)  # the table the caps and filters read
     except CharacterError as exc:  # the ring is outside what the search supports
         raise ClassifierError(str(exc)) from exc
-    if not table.exact:
-        raise ClassifierError("classification needs an exact character table")
     profiles = feasible_rank_profiles(table, faithful=True, max_rank=max_rank)
     filter_names = [
         name for name in ("s-rigidity", *extras) if name not in disabled

@@ -35,7 +35,7 @@ from .classifier import (
 )
 from .klring import CellPartition, PositivityError, compute_cells, structure_constants
 from .matrixmodule import MatrixModule
-from .quadfield import QuadNum
+from .quadfield import FieldElement
 from .selfcheck import SMALLEST_MAX_N, run_suite
 
 USAGE_ERROR = 2
@@ -86,15 +86,21 @@ def _multiplication_grid(labels: Sequence[str], product) -> str:
     return _render_grid(rows)
 
 
-def _value_payload(value) -> dict:
-    if isinstance(value, QuadNum):
+def _value_payload(value: FieldElement) -> dict:
+    if value.is_quadratic:
         return {
             "text": str(value),
             "a": str(value.a),
             "b": str(value.b),
             "d": value.d,
         }
-    return {"text": f"{value:.9g}", "approx": float(value)}
+    # coordinates in the power basis of the generator, the root of minpoly
+    # (constant term first) that the text names
+    return {
+        "text": str(value),
+        "coords": [str(c) for c in value.coords],
+        "minpoly": list(value.field.poly),
+    }
 
 
 def _matrix_text(mat: Sequence[Sequence[int]]) -> str:
@@ -237,10 +243,9 @@ def cmd_characters(args: argparse.Namespace) -> int:
     for b, label in enumerate(ring.labels):
         grid.append([label, *(str(row[b]) for row in table.rows)])
     print(_render_grid(grid))
-    if table.exact:
-        print(f"all values exact; special character: {names[special_character(table)]}")
-    else:
-        print("values are floating-point approximations (flagged inexact)")
+    if not all(value.is_quadratic for row in table.rows for value in row):
+        print(f"λ = 2cos(2π/{args.n})")
+    print(f"all values exact; special character: {names[special_character(table)]}")
     return 0
 
 

@@ -1,34 +1,47 @@
-"""Exact arithmetic in Q and in real quadratic fields Q(sqrt(d)).
+"""Exact arithmetic in Q and in real number fields Q(theta).
 
-A value is a pair a + b*sqrt(d) with rational a, b and a square-free integer
-d > 1; b == 0 encodes a plain rational (stored with d == 1) and is compatible
-with every field.  All comparisons are exact sign computations on rationals;
-floating point is available only for display and cross-checks and never enters
-a decision.
+A FieldElement is a polynomial in theta with rational coordinates, reduced by
+theta's minimal polynomial: a monic integer polynomial together with a
+rational interval that isolates the real root meant.  Plain rationals belong
+to every field.  Signs, order and floors are decided exactly: the value is
+evaluated at a dyadic approximation of theta, refined by bisecting the
+interval, until the error bound from the derivative leaves no doubt (Cohen,
+*A Course in Computational Algebraic Number Theory*).  Floats are for display
+and cross-checks only and never enter a decision.
+
+Two kinds of field occur.  QuadNum(a, b, d) is a + b*sqrt(d) in Q(sqrt(d))
+with d square-free, theta = sqrt(d).  two_cos(n) is 2cos(2pi/n), which
+generates Q(2cos(2pi/n)) of degree phi(n)/2; when that degree is 2 it is
+written in the sqrt(d) basis instead, so every value of degree at most 2
+renders as a+b√d.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Union
+from functools import lru_cache, total_ordering
+from itertools import zip_longest
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
 __all__ = [
+    "FieldElement",
+    "NumberField",
     "QuadNum",
     "FieldMismatchError",
     "NonRealRootsError",
     "compare",
     "solve_quadratic_monic",
     "square_free_decomposition",
+    "two_cos",
+    "two_cos_minpoly",
 ]
 
 
 class FieldMismatchError(ValueError):
-    """Raised when combining values from distinct quadratic fields."""
+    """Raised when combining values from distinct number fields."""
 
 
 class NonRealRootsError(ValueError):
@@ -56,146 +69,304 @@ def square_free_decomposition(k: int) -> tuple[int, int]:
     return m, d * k
 
 
-def _is_square_free(d: int) -> bool:
-    m, _ = square_free_decomposition(d)
-    return m == 1
+# -- polynomials: coefficient lists from the constant term up ------------------
+
+
+def _strip(coeffs: list) -> list:
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mul(x: Sequence, y: Sequence) -> list:
+    head = x[0]
+    out = [head * b for b in y] + [0] * (len(x) - 1)
+    for i in range(1, len(x)):
+        a = x[i]
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
+
+
+def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder; integers stay integers when den is monic."""
+    num, top = list(num), len(den) - 1
+    quot = [0] * max(len(num) - top, 1)
+    for k in range(len(num) - 1 - top, -1, -1):
+        c = num[k + top] if den[top] == 1 else Fraction(num[k + top]) / den[top]
+        quot[k] = c
+        if c:  # the slot k + top itself is eliminated and never read again
+            for i in range(top):
+                if den[i]:
+                    num[k + i] -= c * den[i]
+    return quot, _strip(num[:top] or [0])
+
+
+def _scaled_value(poly: Sequence[int], p: int, q: int) -> int:
+    """q**deg * poly(p/q) for integer coefficients (homogeneous Horner)."""
+    acc, scale = poly[-1], q
+    for c in reversed(poly[:-1]):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+class NumberField:
+    """Q(theta) for the root theta of the monic, irreducible integer
+    polynomial poly (degree >= 2, constant term first) inside the open
+    interval (lo, hi), which holds no other root.  name renders theta."""
+
+    __slots__ = ("poly", "name", "_lo", "_hi", "_lo_sign", "_bound", "_approx")
+
+    def __init__(self, poly: Sequence[int], lo: Rational, hi: Rational, name: str) -> None:
+        self.poly = tuple(poly)
+        self.name = name
+        self._lo, self._hi = Fraction(lo), Fraction(hi)
+        self._lo_sign = _sign(_scaled_value(self.poly, self._lo.numerator, self._lo.denominator))
+        # bounds |x| for every x within 1 of theta
+        self._bound = math.ceil(max(abs(self._lo), abs(self._hi))) + 1
+        self._approx: dict[int, int] = {}
+
+    def _approximation(self, k: int) -> int:
+        """An integer t with |theta - t/2**k| < 2**-k."""
+        if k not in self._approx:
+            width = Fraction(1, 1 << k)
+            while self._hi - self._lo > width:
+                mid = (self._lo + self._hi) / 2
+                side = _sign(_scaled_value(self.poly, mid.numerator, mid.denominator))
+                if side == 0:
+                    raise ArithmeticError(f"{self.poly} has the rational root {mid}")
+                if side == self._lo_sign:
+                    self._lo = mid
+                else:
+                    self._hi = mid
+            # theta lies in (t - 1, t + 1) / 2**k
+            self._approx[k] = math.floor(self._lo * (1 << k)) + 1
+        return self._approx[k]
+
+    def _enclose(self, coords: Sequence[Rational], k: int) -> tuple[int, int, int]:
+        """Integers (v, scale, err) with |f(theta) - v/scale| < err/scale,
+        where f has the given coordinates (at least two)."""
+        den = math.lcm(*(c.denominator for c in coords))
+        ints = [c.numerator * (den // c.denominator) for c in coords]
+        top = len(ints) - 1
+        value = _scaled_value(ints, self._approximation(k), 1 << k)
+        # mean value theorem: |den * f'| <= slope within 1 of theta
+        slope = sum(i * abs(c) * self._bound ** (i - 1) for i, c in enumerate(ints) if i)
+        return value, den << (k * top), slope << (k * (top - 1))
+
+    def _sign_of(self, coords: Sequence[Rational]) -> int:
+        k = 32
+        while True:  # ends: f(theta) != 0 since theta has degree > deg f
+            value, _, err = self._enclose(coords, k)
+            if abs(value) > err:
+                return _sign(value)
+            k *= 2
+
+    def _floor_of(self, coords: Sequence[Rational]) -> int:
+        k = 32
+        while True:  # ends: f(theta) is irrational, so no integer
+            value, scale, err = self._enclose(coords, k)
+            low, high = (value - err) // scale, (value + err) // scale
+            if low == high:
+                return low
+            k *= 2
+
+
+@lru_cache(maxsize=None)
+def _sqrt_field(d: int) -> NumberField:
+    root = math.isqrt(d)
+    return NumberField((-d, 0, 1), root, root + 1, f"√{d}")
+
+
+_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 @total_ordering
-@dataclass(frozen=True)
-class QuadNum:
-    """An exact real number a + b*sqrt(d) with a, b rational."""
+class FieldElement:
+    """An exact real number: a rational, or an element of a NumberField.
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: int = 1
+    The constructor, also exported as QuadNum, builds a + b*sqrt(d) with a, b
+    rational and d square-free when b != 0; arithmetic reaches every other
+    element.  coords are the coordinates in the power basis of the field's
+    theta, without trailing zeros, and field is None exactly for rationals.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b == 0:
-            object.__setattr__(self, "d", 1)
-        elif self.d <= 1:
-            raise ValueError(f"irrational part needs a field, got d={self.d}")
-        elif not _is_square_free(self.d):
-            raise ValueError(f"d must be square-free, got d={self.d}")
+    __slots__ = ("field", "coords")
+
+    def __init__(self, a: Rational = 0, b: Rational = 0, d: int = 1) -> None:
+        # integral coordinates are stored as int, which keeps arithmetic fast
+        a, b = (x.numerator if x.denominator == 1 else x for x in (Fraction(a), Fraction(b)))
+        if b == 0:
+            self.field, self.coords = None, (a,)
+            return
+        if d <= 1:
+            raise ValueError(f"irrational part needs a field, got d={d}")
+        if square_free_decomposition(d)[0] != 1:
+            raise ValueError(f"d must be square-free, got d={d}")
+        self.field, self.coords = _sqrt_field(d), (a, b)
 
     @classmethod
-    def of(cls, value: Rational | QuadNum) -> QuadNum:
-        if isinstance(value, QuadNum):
+    def _make(cls, field: NumberField | None, coords: list) -> FieldElement:
+        value = object.__new__(cls)
+        coords = _strip(coords)
+        value.field = field if len(coords) > 1 else None
+        value.coords = tuple(coords)
+        return value
+
+    @classmethod
+    def of(cls, value: Rational | FieldElement) -> FieldElement:
+        if isinstance(value, FieldElement):
             return value
-        return cls(Fraction(value))
+        return cls(value)
+
+    # -- views ----------------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.field is None
 
     @property
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self.field is None and self.coords[0].denominator == 1
 
     def as_integer(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return int(self.a)
+        return int(self.coords[0])
 
-    def conjugate(self) -> QuadNum:
-        return QuadNum(self.a, -self.b, self.d)
+    @property
+    def is_quadratic(self) -> bool:
+        """True when the value reads a + b*sqrt(d) (the QuadNum view)."""
+        return self.field is None or self.field.poly[1:] == (0, 1)
 
-    def sign(self) -> int:
-        """Exact sign under the real embedding with sqrt(d) > 0."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt(d) decided by squaring
-        lead = 1 if a > 0 else -1
-        diff = a * a - b * b * self.d
-        if diff == 0:
-            return 0
-        return lead if diff > 0 else -lead
+    def _quadratic(self) -> tuple[Fraction, Fraction, int]:
+        if not self.is_quadratic:
+            raise ValueError(f"{self} is not of the form a+b√d")
+        if self.field is None:
+            return Fraction(self.coords[0]), Fraction(0), 1
+        return Fraction(self.coords[0]), Fraction(self.coords[1]), -self.field.poly[0]
 
-    def _join(self, other: QuadNum) -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0 or other.d == self.d:
-            return self.d
+    a = property(lambda self: self._quadratic()[0])
+    b = property(lambda self: self._quadratic()[1])
+    d = property(lambda self: self._quadratic()[2])
+
+    def conjugate(self) -> FieldElement:
+        """a - b*sqrt(d), for values of the QuadNum view."""
+        a, b, _ = self._quadratic()
+        return FieldElement._make(self.field, [a, -b])
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def _join(self, other: FieldElement) -> NumberField | None:
+        if self.field is None or other.field is None or self.field is other.field:
+            return self.field or other.field
         raise FieldMismatchError(
-            f"cannot combine values from Q(√{self.d}) and Q(√{other.d})"
+            f"cannot combine values from Q({self.field.name}) and Q({other.field.name})"
         )
 
-    def _coerce(self, other: object) -> QuadNum | None:
-        if isinstance(other, QuadNum):
+    @staticmethod
+    def _coerce(other: object) -> FieldElement | None:
+        if isinstance(other, FieldElement):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadNum(Fraction(other))
+            return FieldElement._make(None, [other])
         return None
 
-    def __add__(self, other: object) -> QuadNum:
+    def __add__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        d = self._join(rhs)
-        return QuadNum(self.a + rhs.a, self.b + rhs.b, d if self.b + rhs.b else 1)
+        field = self._join(rhs)
+        return FieldElement._make(
+            field, [x + y for x, y in zip_longest(self.coords, rhs.coords, fillvalue=0)]
+        )
 
     __radd__ = __add__
 
-    def __neg__(self) -> QuadNum:
-        return QuadNum(-self.a, -self.b, self.d)
+    def __neg__(self) -> FieldElement:
+        return FieldElement._make(self.field, [-c for c in self.coords])
 
-    def __sub__(self, other: object) -> QuadNum:
+    def __sub__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
 
-    def __rsub__(self, other: object) -> QuadNum:
+    def __rsub__(self, other: object) -> FieldElement:
         return (-self) + other
 
-    def __mul__(self, other: object) -> QuadNum:
+    def __mul__(self, other: object) -> FieldElement:
+        if isinstance(other, (int, Fraction)):  # a scalar needs no reduction
+            return FieldElement._make(self.field, [c * other for c in self.coords])
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        d = self._join(rhs)
-        a = self.a * rhs.a + self.b * rhs.b * d
-        b = self.a * rhs.b + self.b * rhs.a
-        return QuadNum(a, b, d if b else 1)
+        field = self._join(rhs)
+        product = _poly_mul(self.coords, rhs.coords)
+        if field is not None:  # theta**top = -(poly[0] + poly[1] theta + ...)
+            poly = field.poly
+            top = len(poly) - 1
+            while len(product) > top:
+                c = product.pop()
+                if c:
+                    base = len(product) - top
+                    for i in range(top):
+                        if poly[i]:
+                            product[base + i] -= c * poly[i]
+        return FieldElement._make(field, product)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> QuadNum:
-        if self.a == 0 and self.b == 0:
+    def inverse(self) -> FieldElement:
+        if not any(self.coords):
             raise ZeroDivisionError("division by zero")
-        norm = self.a * self.a - self.b * self.b * self.d
-        # norm == 0 would force sqrt(d) rational, impossible for square-free d > 1
-        return QuadNum(self.a / norm, -self.b / norm, self.d)
+        if self.field is None:
+            return FieldElement._make(None, [1 / Fraction(self.coords[0])])
+        # extended Euclid over Q: r0 = s0 * self and r1 = s1 * self mod poly;
+        # the gcd is a non-zero constant because poly is irreducible
+        r0, s0, r1, s1 = list(self.field.poly), [0], list(self.coords), [1]
+        while len(r1) > 1:
+            quot, rem = _poly_divmod(r0, r1)
+            step = _poly_mul(quot, s1)
+            s0, s1 = s1, [x - y for x, y in zip_longest(s0, step, fillvalue=0)]
+            r0, r1 = r1, rem
+        return FieldElement._make(self.field, [Fraction(c) / r1[0] for c in s1])
 
-    def __truediv__(self, other: object) -> QuadNum:
+    def __truediv__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         self._join(rhs)
         return self * rhs.inverse()
 
-    def __rtruediv__(self, other: object) -> QuadNum:
+    def __rtruediv__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         return rhs * self.inverse()
 
-    def __abs__(self) -> QuadNum:
+    # -- order ----------------------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign under the real embedding that sends theta into its interval."""
+        if self.field is None:
+            return _sign(self.coords[0])
+        return self.field._sign_of(self.coords)
+
+    def __abs__(self) -> FieldElement:
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self.a == rhs.a and self.b == rhs.b and self.d == rhs.d
+        return self.field is rhs.field and self.coords == rhs.coords
 
     def __lt__(self, other: object) -> bool:
         rhs = self._coerce(other)
@@ -204,51 +375,59 @@ class QuadNum:
         return (self - rhs).sign() < 0
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
+        return hash(self.coords)
 
     def __floor__(self) -> int:
         """The largest integer n <= self, decided exactly (math.floor)."""
-        # b*sqrt(d) = ±sqrt(m); isqrt(floor(m)) is floor(sqrt(m)), so the
-        # estimate is off by at most one and exact comparisons correct it
-        m = self.b * self.b * self.d
-        root = math.isqrt(math.floor(m))
-        n = math.floor(self.a) + (root if self.b >= 0 else -root - 1)
-        while n > self:
-            n -= 1
-        while n + 1 <= self:
-            n += 1
-        return n
+        if self.field is None:
+            return math.floor(self.coords[0])
+        return self.field._floor_of(self.coords)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        theta = 0.0 if self.field is None else self.field._approximation(64) / (1 << 64)
+        value = 0.0
+        for c in reversed(self.coords):
+            value = value * theta + float(c)
+        return value
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        root = f"√{self.d}"
-        if self.b == 1:
-            tail = root
-        elif self.b == -1:
-            tail = f"-{root}"
-        elif self.b.denominator == 1:
-            tail = f"{self.b}{root}"
-        else:
-            tail = f"({self.b}){root}"
-        if self.a == 0:
-            return tail
-        sign = "+" if self.b > 0 else ""
-        return f"{self.a}{sign}{tail}"
+        if self.field is None:
+            return str(self.coords[0])
+        parts: list[str] = []
+        for i, c in enumerate(self.coords):
+            if not c:
+                continue
+            if i == 0:
+                parts.append(str(c))
+                continue
+            power = self.field.name + (str(i).translate(_SUPERSCRIPTS) if i > 1 else "")
+            if c == 1:
+                term = power
+            elif c == -1:
+                term = f"-{power}"
+            elif c.denominator == 1:
+                term = f"{c}{power}"
+            else:
+                term = f"({c}){power}"
+            parts.append(term if not parts or c < 0 else f"+{term}")
+        return "".join(parts)
 
     def __repr__(self) -> str:
-        return f"QuadNum({self.a!r}, {self.b!r}, {self.d})"
+        if self.is_quadratic:
+            a, b, d = self._quadratic()
+            return f"QuadNum({a!r}, {b!r}, {d})"
+        return f"FieldElement({self} in Q({self.field.name}))"
 
 
-def compare(x: QuadNum | Rational, y: QuadNum | Rational) -> int:
+QuadNum = FieldElement
+
+
+def compare(x: FieldElement | Rational, y: FieldElement | Rational) -> int:
     """Exact three-way comparison; -1, 0 or 1."""
-    return (QuadNum.of(x) - QuadNum.of(y)).sign()
+    return (FieldElement.of(x) - FieldElement.of(y)).sign()
 
 
-def solve_quadratic_monic(p: Rational, q: Rational) -> tuple[QuadNum, QuadNum]:
+def solve_quadratic_monic(p: Rational, q: Rational) -> tuple[FieldElement, FieldElement]:
     """Both roots of x**2 = p*x + q, exactly, smaller root first.
 
     Rational roots come back with b == 0; irrational roots come back as a
@@ -267,3 +446,60 @@ def solve_quadratic_monic(p: Rational, q: Rational) -> tuple[QuadNum, QuadNum]:
         return (QuadNum((p - root) * half), QuadNum((p + root) * half))
     coeff = Fraction(m, disc.denominator) * half
     return (QuadNum(p * half, -coeff, d), QuadNum(p * half, coeff, d))
+
+
+# -- the real cyclotomic fields Q(2cos(2pi/n)) ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def two_cos_minpoly(n: int) -> tuple[int, ...]:
+    """psi_n, the minimal polynomial of 2cos(2pi/n) over Q (constant term first).
+
+    With the Chebyshev polynomials P_0 = 2, P_1 = x, P_{m+1} = x P_m - P_{m-1},
+    P_m(2cos t) = 2cos(mt), so P_{floor(n/2)+1} - P_{ceil(n/2)-1} vanishes
+    exactly at the distinct values 2cos(2pi j/n), 0 <= j <= n/2, and is the
+    product of psi_d over the divisors d of n (psi_1 = x - 2, psi_2 = x + 2).
+    Dividing out psi_d for d < n is exact integer long division.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n <= 2:
+        return (-2, 1) if n == 1 else (2, 1)
+    cheb = [[2], [0, 1]]
+    for _ in range(n // 2):
+        step = [0] + cheb[-1]
+        for i, c in enumerate(cheb[-2]):
+            step[i] -= c
+        cheb.append(step)
+    high, low = cheb[n // 2 + 1], cheb[(n + 1) // 2 - 1]
+    poly = [c - (low[i] if i < len(low) else 0) for i, c in enumerate(high)]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _poly_divmod(poly, two_cos_minpoly(d))
+            if any(rem):
+                raise ArithmeticError(f"psi_{d} does not divide the product for n={n}")
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def two_cos(n: int) -> FieldElement:
+    """2cos(2pi/n) exactly, n >= 3: rational, a+b√d, or the generator λ of
+    Q(2cos(2pi/n)) when that field has degree 3 or more."""
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    poly = two_cos_minpoly(n)
+    if len(poly) == 2:
+        return FieldElement(-poly[0])
+    if len(poly) == 3:  # the larger root of x^2 + c1 x + c0
+        return solve_quadratic_monic(-poly[1], -poly[0])[1]
+    # 2cos(2pi/n) is the largest root and exceeds 2 - (2pi/n)^2 > lo; the
+    # Descartes rule on psi_n(x + lo) proves that no other root exceeds lo
+    lo = 2 - Fraction(44, 7 * n) ** 2
+    shifted = [Fraction(c) for c in poly]
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += lo * shifted[j + 1]
+    signs = [c > 0 for c in shifted if c]
+    if sum(x != y for x, y in zip(signs, signs[1:])) != 1:
+        raise ArithmeticError(f"({lo}, 2) does not isolate 2cos(2pi/{n})")
+    return FieldElement._make(NumberField(poly, lo, 2, "λ"), [0, 1])

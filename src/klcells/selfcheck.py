@@ -316,9 +316,6 @@ def check_characters() -> CheckResult:
     for name, want in _EXPECTED_CHARACTERS.items():
         ring = subquotient_qn(int(name[1:]))
         table = character_table(ring)
-        if not table.exact:
-            failures.append(f"{name}: table not exact")
-            continue
         rendered = tuple(tuple(str(v) for v in row) for row in table.rows)
         if rendered != want:
             failures.append(f"{name}: table {rendered} != {want}")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,14 +81,68 @@ def test_rows_satisfy_multiplicativity(n):
                 assert row[x] * row[y] == total
 
 
-def test_q7_falls_back_to_numeric_and_is_flagged():
+def test_q7_character_table_exactly():
+    # values in Q(λ), λ = 2cos(2π/7) with minimal polynomial x³+x²-2x-1
     table = character_table(subquotient_qn(7))
-    assert not table.exact
-    assert table.size == 4
-    assert all(isinstance(v, float) for row in table.rows for v in row)
+    assert table.exact
+    assert rendered(table) == (
+        ("1", "0", "0", "0"),
+        ("1", "2", "4-2λ-2λ²", "4-2λ²"),
+        ("1", "2", "-2+2λ²", "-2λ"),
+        ("1", "2", "2+2λ", "-2+2λ+2λ²"),
+    )
+    assert [[v.coords for v in row] for row in table.rows[1:]] == [
+        [(1,), (2,), (4, -2, -2), (4, 0, -2)],
+        [(1,), (2,), (-2, 0, 2), (0, -2)],
+        [(1,), (2,), (2, 2), (-2, 2, 2)],
+    ]
+    assert special_character(table) == 3
+    # the Galois automorphism λ -> λ²-2 = 2cos(4π/7) permutes the three
+    # faithful rows cyclically: V4 -> V3 -> V2 -> V4
+    lam = table.rows[3][2] / 2 - 1
+    image = lam * lam - 2
+
+    def conjugate(value):
+        total = q(0)
+        for c in reversed(value.coords):  # Horner at the image of λ
+            total = total * image + c
+        return total
+
+    def conjugate_row(row):
+        return tuple(conjugate(v) for v in row)
+
+    rows = table.rows
+    assert conjugate_row(rows[3]) == rows[2]
+    assert conjugate_row(rows[2]) == rows[1]
+    assert conjugate_row(rows[1]) == rows[3]
 
 
-def test_values_from_two_quadratic_fields_fall_back_to_numeric():
+@pytest.mark.parametrize("n", range(3, 17))
+def test_exact_tables_agree_with_the_float_formula(n):
+    # chi_j(kl(s(ts)^k)) = 2 sin((2k+1) j pi/n) / sin(j pi/n), chi_0 = (1, 0, ...)
+    size = n // 2 + 1
+    expected = [[1.0] + [0.0] * (size - 1)] + [
+        [1.0]
+        + [
+            2 * math.sin((2 * k + 1) * j * math.pi / n) / math.sin(j * math.pi / n)
+            for k in range(size - 1)
+        ]
+        for j in range(1, n // 2 + 1)
+    ]
+    table = character_table(subquotient_qn(n))
+    assert table.size == size
+    unmatched = list(range(size))
+    for row in table.rows:
+        values = [float(v) for v in row]
+        hits = [
+            i for i in unmatched
+            if all(abs(a - b) < 1e-9 for a, b in zip(values, expected[i]))
+        ]
+        assert len(hits) == 1, (n, values)
+        unmatched.remove(hits[0])
+
+
+def test_values_from_two_quadratic_fields_raise():
     # x = ±√2, y = ±√3, z = xy: the exact solver would have to mix two fields
     text = (
         "labels e x y z\nidentity e\n"
@@ -96,14 +151,8 @@ def test_values_from_two_quadratic_fields_fall_back_to_numeric():
         "c x x e 2\nc y y e 3\nc z z e 6\n"
         "c x y z 1\nc y x z 1\nc x z y 2\nc z x y 2\nc y z x 3\nc z y x 3\n"
     )
-    table = character_table(ring_from_text(text))
-    assert not table.exact
-    assert table.size == 4
-    for row in table.rows:
-        assert row[0] == pytest.approx(1.0)
-        assert row[1] ** 2 == pytest.approx(2.0)
-        assert row[2] ** 2 == pytest.approx(3.0)
-        assert row[3] == pytest.approx(row[1] * row[2])
+    with pytest.raises(CharacterError):
+        character_table(ring_from_text(text))
 
 
 def test_non_commutative_rejected():

@@ -216,7 +216,8 @@ def test_caps_need_their_hypotheses():
     assert _proven_caps(ring, 1, {"e": 1, "s": 2, "sts": -2}, rigid) is None
     # no integral decomposition
     assert _proven_caps(ring, 1, {"e": 1, "s": 2, "sts": 1}, rigid) is None
-    # an inexact character table
+    # Q7's exact table over Q(2cos(2pi/7)): these traces have no integral
+    # decomposition there (the m_i have irrational parts)
     q7 = subquotient_qn(7)
     q7_traces = {label: 2 if label == "s" else 1 for label in q7.labels}
     assert _proven_caps(q7, 1, q7_traces, rigid_generator(q7)) is None

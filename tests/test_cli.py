@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from klcells import classifier
 from klcells.basedring import ring_from_text
 from klcells.cli import _build_parser, main
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +119,38 @@ def test_characters_text_q5(capsys):
     assert code == 0
     assert "1-√5" in out and "1+√5" in out
     assert "special character: V3" in out
+
+
+def test_characters_text_q7_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "characters", "--n", "7")
+    assert code == 0
+    rows = {line.split("|")[0].strip(): [c.strip() for c in line.split("|")[1:]]
+            for line in out.splitlines() if "|" in line}
+    assert rows["sts"] == ["0", "4-2λ-2λ²", "-2+2λ²", "2+2λ"]
+    assert rows["ststs"] == ["0", "4-2λ²", "-2λ", "-2+2λ+2λ²"]
+    assert "λ = 2cos(2π/7)" in out
+    assert "all values exact; special character: V4" in out
+    _, out, _ = run_cli(capsys, "characters", "--n", "7", "--format", "structured")
+    payload = json.loads(out)["characters"]
+    assert payload["exact"] is True
+    assert payload["rows"][3]["values"][2] == {
+        "text": "2+2λ", "coords": ["2", "2"], "minpoly": [-1, -2, 1, 1],
+    }
+    assert payload["rows"][3]["values"][1] == {"text": "2", "a": "2", "b": "0", "d": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["from klcells.cli import main; main(['characters', '--n', '16'])"],
+], ids=["import", "characters-n16"])
+def test_numpy_is_never_imported(argv):
+    code = "import sys, klcells; " + "".join(f"{line}; " for line in argv)
+    code += "print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_characters_structured_q4(capsys):
@@ -289,12 +328,19 @@ def test_malformed_ring_file_exits_two(tmp_path, capsys):
 
 
 # rings that ring_from_text accepts but classify cannot search: non-commutative
-# (ZD_8), not split semisimple (x * x = 0), an inexact character table (Q7),
-# and characters whose values lie in Q(sqrt 2) and Q(sqrt 3) at once
+# (ZD_8), not split semisimple (x * x = 0), characters in a cubic field that
+# are not those of a Q_n (the fusion ring of the even part of SU(2)_5, whose
+# values lie in Q(2cos(2pi/7))), and characters whose values lie in Q(sqrt 2)
+# and Q(sqrt 3) at once
 UNSUPPORTED_RINGS = {
     "non-commutative": ("ring", "--n", "4", "--full-kl", "--format", "ringfile"),
     "nilpotent": "labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\n",
-    "inexact": ("ring", "--n", "7", "--qn", "--format", "ringfile"),
+    "cubic-not-qn": (
+        "labels e x y\nidentity e\n"
+        "c e e e 1\nc e x x 1\nc e y y 1\nc x e x 1\nc y e y 1\n"
+        "c x x e 1\nc x x x 1\nc x x y 1\nc x y x 1\nc x y y 1\n"
+        "c y x x 1\nc y x y 1\nc y y e 1\nc y y x 1\n"
+    ),
     "mixed-field": (
         "labels e x y z\nidentity e\n"
         "c e e e 1\nc e x x 1\nc e y y 1\nc e z z 1\n"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from klcells.quadfield import (
     compare,
     solve_quadratic_monic,
     square_free_decomposition,
+    two_cos,
+    two_cos_minpoly,
 )
 
 
@@ -157,3 +160,36 @@ def test_floor_brackets_the_value(a, b, d):
     n = math.floor(x)
     assert isinstance(n, int)
     assert q(n) <= x < q(n + 1)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_two_cos_minpoly_has_degree_half_phi(n):
+    poly = two_cos_minpoly(n)
+    phi = sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
+    assert len(poly) - 1 == phi // 2
+    assert poly[-1] == 1 and all(isinstance(c, int) for c in poly)
+    root = 2 * math.cos(2 * math.pi / n)
+    assert abs(sum(c * root**i for i, c in enumerate(poly))) < 1e-6 * 4 ** len(poly)
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_floor_and_sign_bracket_the_float_in_two_cos_fields(n):
+    lam = two_cos(n)
+    degree = len(two_cos_minpoly(n)) - 1
+    assert len(lam.coords) == 2 and not lam.is_quadratic
+    rng = random.Random(7 * n)
+    root = 2 * math.cos(2 * math.pi / n)
+    for _ in range(100):
+        coeffs = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(degree)]
+        x = q(0)
+        for c in reversed(coeffs):  # Horner in exact arithmetic
+            x = x * lam + c
+        approx = sum(float(c) * root**i for i, c in enumerate(coeffs))
+        assert abs(float(x) - approx) < 1e-9 * max(1.0, abs(approx))
+        if abs(approx) > 1e-6:
+            assert x.sign() == (1 if approx > 0 else -1)
+        floor = math.floor(x)
+        assert isinstance(floor, int)
+        if abs(approx - round(approx)) > 1e-6:
+            assert floor == math.floor(approx)
+        assert floor <= x < floor + 1
