@@ -134,43 +134,53 @@ def _multiplicative(ring: BasedRing, row, xs) -> bool:
 
 def _closed_form_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]] | None:
     """The closed-form characters of Q_n, n in {2(size - 1), 2 size - 1}, when
-    they verify on this ring, read with its basis e, then b_0 = s,
-    b_1 = sts, ... in index order; None otherwise.
+    they verify on this ring, read with its basis e, b_0 = s, b_1 = sts, ...
+    in the order the multiplication gives; None otherwise.  b_0 is the one
+    element with b_0 b_0 = 2 b_0; for each choice of sts (in index order),
+    b_{k+1} is the one element not yet read in sts * b_k, if that chain
+    covers the basis.  Q3 has no sts and goes to the quadratic solver.
 
     The check is multiplicativity against the generators s and sts only.
-    That suffices once sts * b_k has a non-zero b_{k+1} coefficient and none
-    above, for every k: then each b_{k+1} is a polynomial in s and sts, and a
-    linear form with chi(e) = 1 that is multiplicative against a generating
-    set is multiplicative against the products of its members, so on the
-    whole ring.
+    That suffices on such a chain: sts * b_k has a non-zero b_{k+1}
+    coefficient and none above, so each b_{k+1} is a polynomial in s and
+    sts, and a linear form with chi(e) = 1 that is multiplicative against a
+    generating set is multiplicative against the products of its members,
+    so on the whole ring.
     """
     size, e = ring.size, ring.identity
     basis = [b for b in range(size) if b != e]
-    sts = basis[1] if size > 2 else None
-    for k in range(size - 2):
-        if not ring.c[sts][basis[k]][basis[k + 1]] or any(
-            ring.c[sts][basis[k]][z] for z in basis[k + 2:]
-        ):
-            return None
-    for n in (2 * size - 2, 2 * size - 1):
-        if n < 3:
+    doubling = [
+        b for b in basis if ring.c[b][b] == tuple(2 * (z == b) for z in range(size))
+    ]
+    if len(doubling) != 1:
+        return None
+    s = doubling[0]
+    for sts in [b for b in basis if b != s]:
+        chain = [s]
+        while len(chain) < len(basis):
+            new = [z for z in basis if ring.c[sts][chain[-1]][z] and z not in chain]
+            if len(new) != 1:
+                break
+            chain += new
+        if len(chain) < len(basis):
             continue
-        lam = two_cos(n)
-        cheb = [FieldElement(2), lam]  # cheb[m] = P_m(lambda) = 2cos(2pi m/n)
-        for _ in range(2, n):
-            cheb.append(lam * cheb[-1] - cheb[-2])
-        rows = [[_ONE] + [_ZERO] * (size - 1)]
-        for j in range(1, n // 2 + 1):
-            values = [_ONE, FieldElement(2)]
-            for m in range(1, size - 1):
-                values.append(values[-1] + 2 * cheb[m * j % n])
-            rows.append(values)
-        order = [e, *basis]
-        rows = [tuple(row[order.index(b)] for b in range(size)) for row in rows]
-        if len(set(rows)) == size and all(
-            _multiplicative(ring, row, basis[:2]) for row in rows
-        ):
-            return rows
+        order = [e, *chain]
+        for n in (2 * size - 2, 2 * size - 1):
+            lam = two_cos(n)
+            cheb = [FieldElement(2), lam]  # cheb[m] = P_m(lambda) = 2cos(2pi m/n)
+            for _ in range(2, n):
+                cheb.append(lam * cheb[-1] - cheb[-2])
+            rows = [[_ONE] + [_ZERO] * (size - 1)]
+            for j in range(1, n // 2 + 1):
+                values = [_ONE, FieldElement(2)]
+                for m in range(1, size - 1):
+                    values.append(values[-1] + 2 * cheb[m * j % n])
+                rows.append(values)
+            rows = [tuple(row[order.index(b)] for b in range(size)) for row in rows]
+            if len(set(rows)) == size and all(
+                _multiplicative(ring, row, (s, sts)) for row in rows
+            ):
+                return rows
     return None
 
 

@@ -297,7 +297,9 @@ class SearchOutcome:
 
     capped is True when the proven caps' hypotheses held, so the entries were
     limited by their caps (see the module docstring) and by an explicit bound
-    if one was given.  bound is the largest entry limit off the doubling
+    if one was given.  complete is True when, in addition, no explicit bound
+    lies below a cap: every entry was limited by its proven cap alone, so no
+    module is missing.  bound is the largest entry limit off the doubling
     generator.
     bound_exhausted is True when some consistent branch assigned an entry off
     the doubling generator a value equal to a limit that is not a proven cap
@@ -305,15 +307,21 @@ class SearchOutcome:
     that limit may then be missing.  False certifies nothing: a module with
     an entry past the limit is often pruned earlier, by forcing or
     integrality, without any branch reaching the limit (Q4, profile (0,1,1),
-    bound=3 loses (0,1,4,0) with the flag false).  Only capped certifies
-    completeness, and only when no explicit bound lies below a cap.
-    Reaching a proven cap loses nothing and is not flagged.
+    bound=3 loses (0,1,4,0) with the flag false).  Only complete certifies
+    completeness.  Reaching a proven cap loses nothing and is not flagged.
+    The symmetry break (dedupe=True) keeps the flag of every module the
+    search admits: permuting rows and columns keeps each entry in its matrix
+    and on or off the diagonal, so at the same limit, and the orbit's
+    lex-leader is reached through branches the break never cuts.  It drops
+    only flags raised on branches that lead to no module (Q4, rank 3,
+    s-rigidity, bound 3, 6 or 8 finds nothing and flags only without it).
     """
 
     modules: tuple[MatrixModule, ...]
     bound: int
     bound_exhausted: bool
     capped: bool
+    complete: bool
 
 
 def default_entry_bound(
@@ -396,6 +404,18 @@ class _Search:
     the non-negative integers.  Lowered bounds are used by the equations
     checked later in the same pass and are restored on backtracking; nothing
     is re-queued.
+
+    With symmetry_break, only lex-leaders under row transpositions are kept
+    (Crawford, Ginsberg, Luks & Roy, *Symmetry-breaking predicates for
+    search problems*): read in variable order, the assignment must be
+    lexicographically >= its image under every t = (a c), which sends entry
+    (b, i, j) to (b, t(i), t(j)), rows and columns alike.  Each t walks the
+    entry pairs (k, p), k < p, that it swaps: while every earlier pair is
+    equal, v_p <= v_k bounds v_p, and the first unequal pair settles t.
+    The equations, caps, rigidity domain and traces are invariant under
+    simultaneous permutation, so the lex-largest member of every orbit
+    satisfies them and is never cut: the break is sound for any set of
+    permutations, and it subsumes a non-increasing first diagonal.
     """
 
     def __init__(
@@ -417,10 +437,20 @@ class _Search:
             (b, i, j) for b in order for i, j in _var_positions(rank)
         ]
         self.var_index = {var: k for k, var in enumerate(self.vars)}
-        # simultaneous row/column permutations act on candidates, so in
-        # canonical mode the first searched matrix may be required to carry a
-        # non-increasing diagonal: every equivalence class keeps a witness
-        self.sorted_diag_matrix = order[0] if symmetry_break else None
+        # lex_pairs[t]: the entry pairs (k, p), k < p, that t = (a c) swaps;
+        # lex_front[t]: its first pair not known equal (the end once settled)
+        self.lex_pairs: list[list[tuple[int, int]]] = []
+        if symmetry_break:
+            for a in range(rank):
+                for c in range(a + 1, rank):
+                    swap = {a: c, c: a}
+                    pairs = []
+                    for k, (b, i, j) in enumerate(self.vars):
+                        p = self.var_index[(b, swap.get(i, i), swap.get(j, j))]
+                        if p > k:
+                            pairs.append((k, p))
+                    self.lex_pairs.append(pairs)
+        self.lex_front = [0] * len(self.lex_pairs)
         self.values: list[int | None] = [None] * len(self.vars)
         self.upper: list[int] = []
         # flag_at[k]: the value of entry k that sets bound_exhausted, i.e. its
@@ -575,22 +605,43 @@ class _Search:
         k = self.var_index[var]
         b, i, j = var
         saved_upper = list(self.upper)
+        saved_front = list(self.lex_front)
         cap = self.upper[k]
-        if b == self.sorted_diag_matrix and i == j and i > 0:
-            prev = self.values[self.var_index[(b, i - 1, i - 1)]]
-            if prev is not None:
-                cap = min(cap, prev)
         domain: Iterable[int] = range(cap + 1)
         if b == self.rigid and i == j:
             domain = [v for v in (0, 2) if v <= cap]
         for value in domain:
             self.values[k] = value
-            if self._propagate(self.eqs_by_var[k]):
+            if self._lex_ok(k) and self._propagate(self.eqs_by_var[k]):
                 if value == self.flag_at[k]:
                     self.bound_exhausted = True
                 self._assign(index + 1)
             self.upper[:] = saved_upper
+            self.lex_front[:] = saved_front
         self.values[k] = None
+
+    def _lex_ok(self, k: int) -> bool:
+        """Move every lex frontier past the pairs that entry k completes;
+        False when some transposition's image is now lexicographically
+        larger.  A frontier left at a pair (m, p) with v_m set bounds v_p."""
+        values = self.values
+        upper = self.upper
+        for t, pairs in enumerate(self.lex_pairs):
+            front = self.lex_front[t]
+            while front < len(pairs) and pairs[front][1] <= k:
+                m, p = pairs[front]
+                if values[m] == values[p]:
+                    front += 1
+                elif values[m] < values[p]:
+                    return False
+                else:
+                    front = len(pairs)  # settled: the assignment is larger
+            self.lex_front[t] = front
+            if front < len(pairs):
+                m, p = pairs[front]
+                if m <= k and values[m] < upper[p]:
+                    upper[p] = values[m]
+        return True
 
     def _emit(self) -> None:
         rank = self.rank
@@ -642,8 +693,9 @@ def solve_matrix_modules(
         # also reported as the bound when the doubling generator is the only
         # non-identity basis element and no entry has a cap
         bound = default_entry_bound(ring, rank, traces)
-    # the diagonal symmetry break drops permuted duplicates, so it is only
-    # safe when the caller wants canonical deduped classes anyway
+    # the lex-leader symmetry break keeps one member of each orbit under
+    # row and column permutations, so it is only safe when the caller wants
+    # canonical deduped classes anyway
     search = _Search(
         ring, rank, bound, caps, traces, rigid_constrained, symmetry_break=dedupe
     )
@@ -669,7 +721,11 @@ def solve_matrix_modules(
         kept = list(seen.values())
     kept.sort(key=lambda m: m.key())
     return SearchOutcome(
-        tuple(kept), search.bound, search.bound_exhausted, caps is not None
+        tuple(kept),
+        search.bound,
+        search.bound_exhausted,
+        caps is not None,
+        caps is not None and all(f is None for f in search.flag_at),
     )
 
 
@@ -888,6 +944,7 @@ class ClassificationReport:
     candidates: tuple[Candidate, ...]
     matches_expected: bool | None
     capped: bool  # every search ran under its proven entry caps
+    complete: bool  # ... and no explicit bound lay below any of them
 
     @property
     def realized(self) -> tuple[Candidate, ...]:
@@ -955,7 +1012,7 @@ def classify(
         found[zero.key()] = zero
     used_bound = bound if bound is not None else 0
     exhausted = False
-    capped = bool(jobs)
+    capped = complete = bool(jobs)
     for job_rank, job_traces in jobs:
         outcome = solve_matrix_modules(
             ring, job_rank, filter_names, bound=bound, traces=job_traces
@@ -963,6 +1020,7 @@ def classify(
         used_bound = max(used_bound, outcome.bound)
         exhausted = exhausted or outcome.bound_exhausted
         capped = capped and outcome.capped
+        complete = complete and outcome.complete
         for module in outcome.modules:
             found.setdefault(module.key(), module)
 
@@ -1010,4 +1068,5 @@ def classify(
         tuple(candidates),
         matches,
         capped,
+        complete,
     )

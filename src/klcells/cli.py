@@ -306,8 +306,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print("filters:", ", ".join(report.filters))
         if report.bound_exhausted:
             completeness = "a branch pressed against the bound; completeness not certified"
-        elif report.capped:
+        elif report.complete:
             completeness = "proven per-entry caps; no branch hit an unproven bound"
+        elif report.capped:
+            completeness = "the bound lies below a proven cap; completeness not certified"
         else:
             completeness = "no branch hit the bound"
         print(f"entry bound: {report.bound} ({completeness})")

@@ -194,10 +194,16 @@ def test_q4_excluded_candidate_sits_on_its_cap():
     assert outcome.bound == 4
     assert ((2, 0, 0, 2), (0, 1, 4, 0)) in flats(outcome)
     assert not outcome.bound_exhausted  # reaching a proven cap is not flagged
-    # one below the cap loses it
+    assert outcome.complete
+    # one below the cap loses it, and the outcome says it is not complete
     narrow = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=3, traces=traces)
     assert ((2, 0, 0, 2), (0, 1, 4, 0)) not in flats(narrow)
     assert narrow.capped and narrow.bound == 3
+    assert not narrow.complete and not narrow.bound_exhausted
+    # a bound at or above every cap lowers none
+    assert solve_matrix_modules(
+        ring, 2, ["s-rigidity"], bound=4, traces=traces
+    ).complete
     # reaching an explicit bound below a cap is flagged
     narrower = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=2, traces=traces)
     assert narrower.bound_exhausted
@@ -510,6 +516,58 @@ def test_bruteforce_equals_plain_enumeration(name):
     assert got
 
 
+def _faithful_cases(max_rank):
+    for n in (4, 5, 6):
+        table = character_table(subquotient_qn(n))
+        for profile in feasible_rank_profiles(table, faithful=True, max_rank=max_rank):
+            yield f"Q{n}", profile, None
+
+
+# every faithful profile of Q4-Q6 up to rank 4 (s-rigidity, pinned traces),
+# and raw searches (no filter, no traces): Q4 and Q5 at rank 3, and the
+# Fibonacci ring at rank 2, whose one searched matrix has no doubling
+# diagonal to settle every transposition at its first pair
+SYMMETRY_CASES = [*_faithful_cases(4)] + [
+    (name, 3, bound) for name in ("Q4", "Q5") for bound in (2, 3)
+] + [("Fib", 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "name, shape, bound",
+    SYMMETRY_CASES,
+    ids=[
+        f"{name}-raw-r{shape}-b{bound}" if bound else f"{name}-{''.join(map(str, shape))}"
+        for name, shape, bound in SYMMETRY_CASES
+    ],
+)
+def test_symmetry_break_keeps_one_module_of_every_orbit(name, shape, bound):
+    # the lex-leader break against the unbroken search, canonicalized
+    ring = _compiler_ring(name)
+    if bound is None:
+        args = (ring, sum(shape), ["s-rigidity"])
+        kwargs = {"traces": profile_traces(character_table(ring), shape)}
+    else:
+        args, kwargs = (ring, shape), {"bound": bound}
+    broken = solve_matrix_modules(*args, **kwargs)
+    full = solve_matrix_modules(*args, dedupe=False, **kwargs)
+    assert [m.key() for m in broken.modules] == sorted(
+        {canonical_module(m).key() for m in full.modules}
+    )
+    assert broken.modules
+
+
+@pytest.mark.parametrize("bound", [3, 6, 8])
+def test_symmetry_break_drops_the_flag_of_dead_end_branches(bound):
+    # Q4 has no s-rigid module of rank 3; only branches that lead nowhere
+    # reach the bound, and the break cuts the ones that are not lex-leaders
+    ring = subquotient_qn(4)
+    broken = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=bound)
+    full = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=bound, dedupe=False)
+    assert broken.modules == full.modules == ()
+    assert not broken.bound_exhausted
+    assert full.bound_exhausted
+
+
 # every faithful profile of rank <= 2 for Q4, Q5 and Q6
 SMALL_FAITHFUL_PROFILES = [
     (4, (0, 0, 1)),
@@ -685,6 +743,17 @@ def test_q6_rank_six_module_is_a_rigid_transitive_module():
     # every entry within the rank-6 caps: sts <= 4 / 8, ststs <= 2 / 4
     caps = _proven_caps(ring, 6, traces, rigid_generator(ring))
     assert caps == {2: (4, 8), 3: (2, 4)}
+    outcome = solve_matrix_modules(ring, 6, ["s-rigidity"], traces=traces)
+    assert outcome.modules == (module,)
+    assert outcome.complete and not outcome.bound_exhausted
+
+
+def test_classify_q6_default_pins_the_candidates():
+    report = classify("Q6")
+    keys = tuple(c.module.key() for c in report.candidates)
+    assert keys == Q6_MAX_RANK_4_KEYS + Q6_RANK_5_KEYS + ((6, Q6_RANK_6_MODULE),)
+    assert len(keys) == 31
+    assert report.complete and not report.bound_exhausted
 
 
 def test_classify_without_rigidity_is_strictly_larger():

@@ -9,6 +9,7 @@ import pytest
 from klcells import classifier
 from klcells.basedring import ring_from_text
 from klcells.cli import _build_parser, main
+from klcells.matrixmodule import canonical_module, module_from_mats
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,6 +115,62 @@ def test_ring_file_round_trip(tmp_path, capsys):
     ]
 
 
+def _reordered_ring_text(text, labels):
+    """The same ring file with its basis listed in the order labels."""
+    lines = text.splitlines()
+    old = next(line.split()[1:] for line in lines if line.startswith("labels "))
+    images = next(line.split()[1:] for line in lines if line.startswith("involution "))
+    inverse = dict(zip(old, images))
+    out = []
+    for line in lines:
+        if line.startswith("labels "):
+            line = "labels " + " ".join(labels)
+        elif line.startswith("involution "):
+            line = "involution " + " ".join(inverse[label] for label in labels)
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def _candidate_classes(payload, ring):
+    """The candidates of a structured classify payload as canonical keys over
+    the basis order of ring, whatever the payload's own order."""
+    classes = set()
+    for candidate in payload["candidates"]:
+        rank = candidate["rank"]
+        mats = {
+            ring.index(label): tuple(
+                tuple(flat[rank * i:rank * i + rank]) for i in range(rank)
+            )
+            for label, flat in candidate["matrices"]
+        }
+        classes.add(canonical_module(module_from_mats(ring, rank, mats)).key())
+    return classes
+
+
+@pytest.mark.parametrize(
+    "n, labels, count",
+    [(5, ("e", "sts", "s"), 5), (7, ("e", "sts", "s", "ststs"), 19)],
+    ids=["Q5", "Q7"],
+)
+def test_ring_file_in_another_basis_order_classifies(n, labels, count, tmp_path, capsys):
+    code, text, _ = run_cli(capsys, "ring", "--n", str(n), "--qn", "--format", "ringfile")
+    assert code == 0
+    ring = ring_from_text(text)
+    payloads = []
+    for name, source in (("plain", text), ("reordered", _reordered_ring_text(text, labels))):
+        path = tmp_path / f"{name}.ring"
+        path.write_text(source, encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "classify", "--ring-file", str(path), "--format", "structured"
+        )
+        assert code == 0
+        payloads.append(json.loads(out))
+    plain, reordered = payloads
+    assert reordered["ring"]["labels"] == list(labels)
+    assert len(plain["candidates"]) == len(reordered["candidates"]) == count
+    assert _candidate_classes(plain, ring) == _candidate_classes(reordered, ring)
+
+
 def test_characters_text_q5(capsys):
     code, out, _ = run_cli(capsys, "characters", "--n", "5")
     assert code == 0
@@ -208,13 +265,29 @@ def test_classify_q5_text(capsys):
         (("--n", "5", "--rank", "2"), "entry bound: 16 (no branch hit the bound)"),
         (("--n", "4", "--no-filter", "s-rigidity"),
          "entry bound: 16 (a branch pressed against the bound; completeness not certified)"),
+        # the bound lies below the sts cap 4 and loses (0,1,4,0) unflagged
+        (("--n", "4", "--bound", "3"),
+         "entry bound: 3 (the bound lies below a proven cap; completeness not certified)"),
+        (("--n", "5", "--bound", "3"),
+         "entry bound: 3 (the bound lies below a proven cap; completeness not certified)"),
+        (("--n", "5", "--bound", "10"),
+         "entry bound: 10 (proven per-entry caps; no branch hit an unproven bound)"),
     ],
-    ids=["proven-caps", "heuristic", "heuristic-touched"],
+    ids=["proven-caps", "heuristic", "heuristic-touched", "below-cap-q4",
+         "below-cap-q5", "at-cap"],
 )
 def test_classify_entry_bound_line(capsys, argv, line):
     code, out, _ = run_cli(capsys, "classify", *argv)
     assert code == 0
     assert line in out.splitlines()
+
+
+def test_classify_q6_default_rank_smoke(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--n", "6")
+    assert code == 0
+    lines = out.splitlines()
+    assert "entry bound: 24 (proven per-entry caps; no branch hit an unproven bound)" in lines
+    assert sum(line.startswith("rank ") for line in lines) == 31
 
 
 def test_classify_q4_structured(capsys):
