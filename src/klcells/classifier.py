@@ -771,9 +771,10 @@ def bruteforce_matrix_modules(
     over {0, 2} and its other entries are 0.  Entry (i, j) of every relation
     M_x M_y = sum_z c[x][y][z] M_z with x, y != e is one equation
     (_oracle_equations; the relations through e hold identically).  It is
-    attached to the last of its entries in assignment order and evaluated
-    exactly when that entry is set, so every equation is checked exactly
-    once, on known values only: nothing is bounded, capped or forced, and the
+    attached to the last of its entries in assignment order and summed in
+    full, term by term, exactly when that entry is set, so every equation is
+    checked exactly once, on known values only; a value is kept when all of
+    them sum to 0.  Nothing is bounded, capped or forced, and the
     enumeration is complete up to the bound.  Leaves are tested for
     transitivity and the post filters and deduped by canonical form.
     Intended for small ranks and bounds as an independent cross-check of the
@@ -818,12 +819,16 @@ def bruteforce_matrix_modules(
             canon = canonical_module(module)
             results.setdefault(canon.key(), canon)
             return
+        here = checks[k]
         for value in domains[k]:
             values[k] = value
-            if all(
-                sum(c * values[u] * values[v] for c, u, v in terms) == 0
-                for terms in checks[k]
-            ):
+            for terms in here:
+                total = 0
+                for c, u, v in terms:
+                    total += c * values[u] * values[v]
+                if total:
+                    break
+            else:
                 assign(k + 1)
 
     assign(0)

@@ -355,7 +355,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "meta": _meta("verify", max_n=args.max_n),
                 "ok": report.ok,
                 "checks": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail}
+                    {"name": r.name, "ok": r.ok, "cases": r.cases, "detail": r.detail}
                     for r in report.results
                 ],
             }

@@ -2,9 +2,11 @@
 
 Every non-trivial element is an alternating word in s and t, pinned down by its
 first letter and its length, except that the two words of length n coincide in
-the longest element w0.  Elements are stored in that two-parameter normal form;
-group arithmetic routes through the rotation/reflection model (a residue mod n
-plus a flip flag) and converts back at the boundary.
+the longest element w0.  Elements are stored in that two-parameter normal form,
+as a named tuple, so hashing and equality run in C.  Group arithmetic routes
+through the rotation/reflection model (a residue mod n plus a flip flag):
+multiply reads two tables built once per n from that model, one sending each
+element to its (rotation, flip) pair and one sending each pair back.
 
 The Bruhat order is decided by length alone: u <= v iff u == v or
 l(u) < l(v), since every shorter element is a product of a subword of each
@@ -14,17 +16,15 @@ oracle that the tests and the verify suite compare bruhat_leq with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 GENERATORS = ("s", "t")
 
 __all__ = ["DihedralElement", "DihedralGroup", "GENERATORS"]
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(NamedTuple):
     """Normal form of a dihedral group element.
 
     ``start`` is the first letter of the alternating word and is None for the
@@ -64,6 +64,7 @@ class DihedralGroup:
         if n < 2:
             raise ValueError(f"dihedral exponent must be at least 2, got {n}")
         self.n = n
+        self._pair_of, self._of_pair = _product_tables(self)
 
     def __repr__(self) -> str:
         return f"DihedralGroup({self.n})"
@@ -147,10 +148,10 @@ class DihedralGroup:
         return el
 
     def multiply(self, u: DihedralElement, v: DihedralElement) -> DihedralElement:
-        ku, fu = self._to_pair(u)
-        kv, fv = self._to_pair(v)
-        k = ku + (kv if fu == 0 else -kv)
-        return self._from_pair(k, fu ^ fv)
+        """u*v, for elements of this group (KeyError for any other value)."""
+        ku, fu = self._pair_of[u]
+        kv, fv = self._pair_of[v]
+        return self._of_pair[fu ^ fv][(ku - kv if fu else ku + kv) % self.n]
 
     def inverse(self, el: DihedralElement) -> DihedralElement:
         # the inverse of an alternating word is its reversal
@@ -208,6 +209,21 @@ class DihedralGroup:
     def bruhat_leq(self, u: DihedralElement, v: DihedralElement) -> bool:
         """Bruhat order by the dihedral length rule: u == v or l(u) < l(v)."""
         return u == v or u.length < v.length
+
+
+@lru_cache(maxsize=None)
+def _product_tables(
+    group: DihedralGroup,
+) -> tuple[dict[DihedralElement, tuple[int, int]], tuple[tuple[DihedralElement, ...], ...]]:
+    """Element -> (rotation, flip), and the elements indexed by [flip][rotation].
+
+    Keyed by the group, which hashes by n, so every DihedralGroup(n) shares them.
+    """
+    pair_of = {el: group._to_pair(el) for el in group.elements()}
+    of_pair = tuple(
+        tuple(group._from_pair(k, flip) for k in range(group.n)) for flip in (0, 1)
+    )
+    return pair_of, of_pair
 
 
 @lru_cache(maxsize=None)

@@ -3,11 +3,14 @@
 A FieldElement is a polynomial in theta with rational coordinates, reduced by
 theta's minimal polynomial: a monic integer polynomial together with a
 rational interval that isolates the real root meant.  Plain rationals belong
-to every field.  Signs, order and floors are decided exactly: the value is
-evaluated at a dyadic approximation of theta, refined by bisecting the
-interval, until the error bound from the derivative leaves no doubt (Cohen,
-*A Course in Computational Algebraic Number Theory*).  Floats are for display
-and cross-checks only and never enter a decision.
+to every field.  The coordinates are stored as integer numerators over one
+positive common denominator, reduced by their gcd, so that +, x, the
+reduction by the minimal polynomial, signs and floors run on plain ints.
+Signs, order and floors are decided exactly: the value is evaluated at a
+dyadic approximation of theta, refined by bisecting the interval, until the
+error bound from the derivative leaves no doubt (Cohen, *A Course in
+Computational Algebraic Number Theory*).  Floats are for display and
+cross-checks only and never enter a decision.
 
 Two kinds of field occur.  QuadNum(a, b, d) is a + b*sqrt(d) in Q(sqrt(d))
 with d square-free, theta = sqrt(d).  two_cos(n) is 2cos(2pi/n), which
@@ -89,6 +92,12 @@ def _poly_mul(x: Sequence, y: Sequence) -> list:
     return out
 
 
+def _over_common_denominator(coords: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integer numerators and their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
 def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
     """Quotient and remainder; integers stay integers when den is monic."""
     num, top = list(num), len(den) - 1
@@ -149,29 +158,29 @@ class NumberField:
             self._approx[k] = math.floor(self._lo * (1 << k)) + 1
         return self._approx[k]
 
-    def _enclose(self, coords: Sequence[Rational], k: int) -> tuple[int, int, int]:
+    def _enclose(self, ints: Sequence[int], k: int) -> tuple[int, int, int]:
         """Integers (v, scale, err) with |f(theta) - v/scale| < err/scale,
-        where f has the given coordinates (at least two)."""
-        den = math.lcm(*(c.denominator for c in coords))
-        ints = [c.numerator * (den // c.denominator) for c in coords]
+        where f has the given integer coordinates (at least two)."""
         top = len(ints) - 1
         value = _scaled_value(ints, self._approximation(k), 1 << k)
-        # mean value theorem: |den * f'| <= slope within 1 of theta
+        # mean value theorem: |f'| <= slope within 1 of theta
         slope = sum(i * abs(c) * self._bound ** (i - 1) for i, c in enumerate(ints) if i)
-        return value, den << (k * top), slope << (k * (top - 1))
+        return value, 1 << (k * top), slope << (k * (top - 1))
 
-    def _sign_of(self, coords: Sequence[Rational]) -> int:
+    def _sign_of(self, ints: Sequence[int]) -> int:
         k = 32
         while True:  # ends: f(theta) != 0 since theta has degree > deg f
-            value, _, err = self._enclose(coords, k)
+            value, _, err = self._enclose(ints, k)
             if abs(value) > err:
                 return _sign(value)
             k *= 2
 
-    def _floor_of(self, coords: Sequence[Rational]) -> int:
+    def _floor_of(self, ints: Sequence[int], den: int) -> int:
+        """floor(f(theta) / den) for den > 0."""
         k = 32
         while True:  # ends: f(theta) is irrational, so no integer
-            value, scale, err = self._enclose(coords, k)
+            value, scale, err = self._enclose(ints, k)
+            scale *= den
             low, high = (value - err) // scale, (value + err) // scale
             if low == high:
                 return low
@@ -180,6 +189,9 @@ class NumberField:
 
 @lru_cache(maxsize=None)
 def _sqrt_field(d: int) -> NumberField:
+    """Q(sqrt(d)) for a square-free d > 1, one instance per d."""
+    if square_free_decomposition(d)[0] != 1:
+        raise ValueError(f"d must be square-free, got d={d}")
     root = math.isqrt(d)
     return NumberField((-d, 0, 1), root, root + 1, f"√{d}")
 
@@ -193,30 +205,38 @@ class FieldElement:
 
     The constructor, also exported as QuadNum, builds a + b*sqrt(d) with a, b
     rational and d square-free when b != 0; arithmetic reaches every other
-    element.  coords are the coordinates in the power basis of the field's
-    theta, without trailing zeros, and field is None exactly for rationals.
+    element.  The value is sum(num[i] * theta**i) / den with integers num
+    (no trailing zeros) and den > 0 sharing no common factor, so equal values
+    have equal fields, num and den; field is None exactly for rationals.
     """
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, a: Rational = 0, b: Rational = 0, d: int = 1) -> None:
-        # integral coordinates are stored as int, which keeps arithmetic fast
-        a, b = (x.numerator if x.denominator == 1 else x for x in (Fraction(a), Fraction(b)))
+        a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b))
         if b == 0:
-            self.field, self.coords = None, (a,)
-            return
-        if d <= 1:
+            self.field, coords = None, (a,)
+        elif d <= 1:
             raise ValueError(f"irrational part needs a field, got d={d}")
-        if square_free_decomposition(d)[0] != 1:
-            raise ValueError(f"d must be square-free, got d={d}")
-        self.field, self.coords = _sqrt_field(d), (a, b)
+        else:
+            self.field, coords = _sqrt_field(d), (a, b)
+        num, self.den = _over_common_denominator(coords)
+        self.num = tuple(num)
 
     @classmethod
-    def _make(cls, field: NumberField | None, coords: list) -> FieldElement:
+    def _make(cls, field: NumberField | None, num: list[int], den: int = 1) -> FieldElement:
+        """The value num/den, reduced to the stored form; den != 0."""
+        num = _strip(num)
+        if den != 1:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         value = object.__new__(cls)
-        coords = _strip(coords)
-        value.field = field if len(coords) > 1 else None
-        value.coords = tuple(coords)
+        value.field = field if len(num) > 1 else None
+        value.num, value.den = tuple(num), den
         return value
 
     @classmethod
@@ -228,29 +248,42 @@ class FieldElement:
     # -- views ----------------------------------------------------------------
 
     @property
+    def coords(self) -> tuple[Rational, ...]:
+        """Coordinates in the power basis of theta, without trailing zeros:
+        an int where the coordinate is integral, a Fraction otherwise."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.num)
+
+    @property
     def is_rational(self) -> bool:
         return self.field is None
 
     @property
     def is_integer(self) -> bool:
-        return self.field is None and self.coords[0].denominator == 1
+        return self.field is None and self.den == 1
 
     def as_integer(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return int(self.coords[0])
+        return self.num[0]
 
     @property
     def is_quadratic(self) -> bool:
         """True when the value reads a + b*sqrt(d) (the QuadNum view)."""
         return self.field is None or self.field.poly[1:] == (0, 1)
 
-    def _quadratic(self) -> tuple[Fraction, Fraction, int]:
+    def _require_quadratic(self) -> None:
         if not self.is_quadratic:
             raise ValueError(f"{self} is not of the form a+b√d")
+
+    def _quadratic(self) -> tuple[Fraction, Fraction, int]:
+        self._require_quadratic()
+        a = Fraction(self.num[0], self.den)
         if self.field is None:
-            return Fraction(self.coords[0]), Fraction(0), 1
-        return Fraction(self.coords[0]), Fraction(self.coords[1]), -self.field.poly[0]
+            return a, Fraction(0), 1
+        return a, Fraction(self.num[1], self.den), -self.field.poly[0]
 
     a = property(lambda self: self._quadratic()[0])
     b = property(lambda self: self._quadratic()[1])
@@ -258,8 +291,9 @@ class FieldElement:
 
     def conjugate(self) -> FieldElement:
         """a - b*sqrt(d), for values of the QuadNum view."""
-        a, b, _ = self._quadratic()
-        return FieldElement._make(self.field, [a, -b])
+        self._require_quadratic()
+        num = [self.num[0], *(-c for c in self.num[1:])]
+        return FieldElement._make(self.field, num, self.den)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -274,8 +308,10 @@ class FieldElement:
     def _coerce(other: object) -> FieldElement | None:
         if isinstance(other, FieldElement):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return FieldElement._make(None, [other])
+        if isinstance(other, Fraction):
+            return FieldElement._make(None, [other.numerator], other.denominator)
         return None
 
     def __add__(self, other: object) -> FieldElement:
@@ -283,14 +319,14 @@ class FieldElement:
         if rhs is None:
             return NotImplemented
         field = self._join(rhs)
-        return FieldElement._make(
-            field, [x + y for x, y in zip_longest(self.coords, rhs.coords, fillvalue=0)]
-        )
+        da, db = self.den, rhs.den
+        num = [x * db + y * da for x, y in zip_longest(self.num, rhs.num, fillvalue=0)]
+        return FieldElement._make(field, num, da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> FieldElement:
-        return FieldElement._make(self.field, [-c for c in self.coords])
+        return FieldElement._make(self.field, [-c for c in self.num], self.den)
 
     def __sub__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)
@@ -302,13 +338,13 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other: object) -> FieldElement:
-        if isinstance(other, (int, Fraction)):  # a scalar needs no reduction
-            return FieldElement._make(self.field, [c * other for c in self.coords])
+        if isinstance(other, int):  # a scalar needs no reduction
+            return FieldElement._make(self.field, [c * other for c in self.num], self.den)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         field = self._join(rhs)
-        product = _poly_mul(self.coords, rhs.coords)
+        product = _poly_mul(self.num, rhs.num)
         if field is not None:  # theta**top = -(poly[0] + poly[1] theta + ...)
             poly = field.poly
             top = len(poly) - 1
@@ -319,24 +355,25 @@ class FieldElement:
                     for i in range(top):
                         if poly[i]:
                             product[base + i] -= c * poly[i]
-        return FieldElement._make(field, product)
+        return FieldElement._make(field, product, self.den * rhs.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
-        if not any(self.coords):
+        if not any(self.num):
             raise ZeroDivisionError("division by zero")
         if self.field is None:
-            return FieldElement._make(None, [1 / Fraction(self.coords[0])])
-        # extended Euclid over Q: r0 = s0 * self and r1 = s1 * self mod poly;
-        # the gcd is a non-zero constant because poly is irreducible
-        r0, s0, r1, s1 = list(self.field.poly), [0], list(self.coords), [1]
+            return FieldElement._make(None, [self.den], self.num[0])
+        # extended Euclid over Q: r0 = s0 * f and r1 = s1 * f mod poly, where
+        # f = den * self; the gcd is a non-zero constant as poly is irreducible
+        r0, s0, r1, s1 = list(self.field.poly), [0], list(self.num), [1]
         while len(r1) > 1:
             quot, rem = _poly_divmod(r0, r1)
             step = _poly_mul(quot, s1)
             s0, s1 = s1, [x - y for x, y in zip_longest(s0, step, fillvalue=0)]
             r0, r1 = r1, rem
-        return FieldElement._make(self.field, [Fraction(c) / r1[0] for c in s1])
+        num, den = _over_common_denominator([Fraction(c) * self.den / r1[0] for c in s1])
+        return FieldElement._make(self.field, num, den)
 
     def __truediv__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)
@@ -356,8 +393,8 @@ class FieldElement:
     def sign(self) -> int:
         """Exact sign under the real embedding that sends theta into its interval."""
         if self.field is None:
-            return _sign(self.coords[0])
-        return self.field._sign_of(self.coords)
+            return _sign(self.num[0])
+        return self.field._sign_of(self.num)
 
     def __abs__(self) -> FieldElement:
         return -self if self.sign() < 0 else self
@@ -366,7 +403,7 @@ class FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self.field is rhs.field and self.coords == rhs.coords
+        return self.field is rhs.field and self.num == rhs.num and self.den == rhs.den
 
     def __lt__(self, other: object) -> bool:
         rhs = self._coerce(other)
@@ -375,26 +412,27 @@ class FieldElement:
         return (self - rhs).sign() < 0
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __floor__(self) -> int:
         """The largest integer n <= self, decided exactly (math.floor)."""
         if self.field is None:
-            return math.floor(self.coords[0])
-        return self.field._floor_of(self.coords)
+            return self.num[0] // self.den
+        return self.field._floor_of(self.num, self.den)
 
     def __float__(self) -> float:
         theta = 0.0 if self.field is None else self.field._approximation(64) / (1 << 64)
         value = 0.0
-        for c in reversed(self.coords):
-            value = value * theta + float(c)
+        for c in reversed(self.num):
+            value = value * theta + c / self.den
         return value
 
     def __str__(self) -> str:
+        coords = self.coords
         if self.field is None:
-            return str(self.coords[0])
+            return str(coords[0])
         parts: list[str] = []
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(coords):
             if not c:
                 continue
             if i == 0:

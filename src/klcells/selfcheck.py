@@ -8,7 +8,9 @@ and evaluates each product-relation entry once its last entry is set, with
 no bounds derived from the equations; the KL ring goes through
 basedring.verify, the one checker of the based-ring axioms.  Checks that a
 constructor already makes (the axioms of Q_n and A_n, multiplicativity of the
-character rows) are not repeated.
+character rows) are not repeated.  Each result counts the cases its check
+exercised (triples, pairs, rings, searches, ...), so a run that checks less
+shows it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ SMALLEST_MAX_N = 3
 class CheckResult:
     name: str
     ok: bool
+    cases: int
     detail: str = ""
 
 
@@ -51,7 +54,7 @@ class SuiteReport:
         for r in self.results:
             mark = "PASS" if r.ok else "FAIL"
             suffix = f": {r.detail}" if (r.detail and not r.ok) else ""
-            out.append(f"{mark} {r.name}{suffix}")
+            out.append(f"{mark} {r.name} ({r.cases} cases){suffix}")
         status = "ok" if self.ok else "FAILED"
         out.append(
             f"{sum(r.ok for r in self.results)}/{len(self.results)} checks passed "
@@ -60,18 +63,23 @@ class SuiteReport:
         return out
 
 
-def _result(name: str, failures: list[str]) -> CheckResult:
+def _result(name: str, failures: list[str], cases: int) -> CheckResult:
     if failures:
-        return CheckResult(name, False, "; ".join(failures[:4]))
-    return CheckResult(name, True)
+        return CheckResult(name, False, cases, "; ".join(failures[:4]))
+    return CheckResult(name, True, cases)
 
 
 def check_dihedral_arithmetic(max_n: int) -> CheckResult:
-    """Associativity on all triples, inverses, and length census, per n."""
+    """Associativity on all triples, inverses, and length census, per n.
+
+    Cases: the (2n)**3 triples and 2n inverses of every n.
+    """
     failures = []
+    cases = 0
     for n in range(2, max_n + 1):
         group = DihedralGroup(n)
         els = group.elements()
+        cases += len(els) ** 3 + len(els)
         for u in els:
             if not group.multiply(u, group.inverse(u)).is_identity:
                 failures.append(f"n={n}: {u} times its inverse is not e")
@@ -88,26 +96,29 @@ def check_dihedral_arithmetic(max_n: int) -> CheckResult:
         expect = {0: 1, n: 1, **{k: 2 for k in range(1, n)}}
         if census != expect:
             failures.append(f"n={n}: length census {census}")
-    return _result("dihedral arithmetic (associativity, inverses, census)", failures)
+    return _result("dihedral arithmetic (associativity, inverses, census)", failures, cases)
 
 
 def check_bruhat_oracle(max_n: int) -> CheckResult:
     """bruhat_leq agrees with the brute-force subword oracle on all pairs."""
     failures = []
+    cases = 0
     for n in range(2, max_n + 1):
         group = DihedralGroup(n)
         els = group.elements()
+        cases += len(els) ** 2
         for u in els:
             for v in els:
                 if group.bruhat_leq(u, v) != group.bruhat_leq_subword(u, v):
                     failures.append(f"n={n}: mismatch at ({u}, {v})")
-    return _result("Bruhat order vs subword oracle", failures)
+    return _result("Bruhat order vs subword oracle", failures, cases)
 
 
 def check_kl_ring_axioms(max_n: int) -> CheckResult:
     """ZD_2n, with inversion as its involution, passes basedring.verify."""
     failures = []
-    for n in range(2, min(max_n, 8) + 1):
+    exponents = range(2, min(max_n, 8) + 1)
+    for n in exponents:
         report = ring_verify(full_kl_ring(n))
         if not report.ok:
             failures.append(f"n={n}: {report.summary()}")
@@ -115,13 +126,15 @@ def check_kl_ring_axioms(max_n: int) -> CheckResult:
         "KL ring axioms: positivity, identity, associativity, anti-involution "
         "(n <= 8)",
         failures,
+        len(exponents),
     )
 
 
 def check_cells_closed_form(max_n: int) -> CheckResult:
     """Cell partitions match the closed-form dihedral description."""
     failures = []
-    for n in range(3, max_n + 1):
+    exponents = range(3, max_n + 1)
+    for n in exponents:
         group = DihedralGroup(n)
         constants = structure_constants(n)
         cells = compute_cells(constants.labels, constants.c)
@@ -191,7 +204,9 @@ def check_cells_closed_form(max_n: int) -> CheckResult:
             failures.append(f"n={n}: left order misses {want - cells.left_leq}")
         if (ls, lt) in cells.left_leq or (lt, ls) in cells.left_leq:
             failures.append(f"n={n}: L_s and L_t should be incomparable")
-    return _result("cell partitions match the closed-form description", failures)
+    return _result(
+        "cell partitions match the closed-form description", failures, len(exponents)
+    )
 
 
 def check_subquotient_rings(max_n: int) -> CheckResult:
@@ -200,7 +215,8 @@ def check_subquotient_rings(max_n: int) -> CheckResult:
     Both constructors already refuse a ring that fails verify.
     """
     failures = []
-    for n in range(3, max_n + 1):
+    exponents = range(3, max_n + 1)
+    for n in exponents:
         ring = subquotient_qn(n)
         want_size = 1 + (n - 1 + 1) // 2
         if ring.size != want_size:
@@ -210,7 +226,7 @@ def check_subquotient_rings(max_n: int) -> CheckResult:
             failures.append(f"n={n}: A_n table depends on n")
     if subquotient_qn(3).c != subring_an(3).c:
         failures.append("Q_3 does not coincide with A_3")
-    return _result("subquotient rings Q_n and subrings A_n", failures)
+    return _result("subquotient rings Q_n and subrings A_n", failures, len(exponents))
 
 
 _EXPECTED_TABLES = {
@@ -253,18 +269,23 @@ def check_reference_tables() -> CheckResult:
             }
             if got != want:
                 failures.append(f"{name}: {lx}*{ly} = {got}, expected {want}")
-    return _result("reference multiplication tables (Q4, Q5, Q6)", failures)
+    return _result(
+        "reference multiplication tables (Q4, Q5, Q6)",
+        failures,
+        sum(len(table) for table in _EXPECTED_TABLES.values()),
+    )
 
 
 def check_quadfield() -> CheckResult:
     """Field axioms and ordering on deterministic pseudo-random values."""
     failures = []
+    rounds = 200
     rng = random.Random(20250808)
 
     def fraction() -> Fraction:
         return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
 
-    for _ in range(200):
+    for _ in range(rounds):
         d = rng.choice([2, 3, 5, 7, 10])
         x = QuadNum(fraction(), fraction(), d)
         y = QuadNum(fraction(), fraction(), d)
@@ -284,7 +305,7 @@ def check_quadfield() -> CheckResult:
         got = compare(x, y)
         if abs(float(x) - float(y)) > 1e-9 and got != want:
             failures.append(f"ordering of {x} and {y} disagrees with floats")
-    return _result("quadratic field arithmetic axioms", failures)
+    return _result("quadratic field arithmetic axioms", failures, rounds)
 
 
 _EXPECTED_CHARACTERS = {
@@ -326,55 +347,61 @@ def check_characters() -> CheckResult:
         failures.append("A_n: unexpected character table")
     if special_character(an) != 1:
         failures.append("A_n: special character should be the doubling one")
-    return _result("character tables and special characters", failures)
+    return _result(
+        "character tables and special characters", failures, len(_EXPECTED_CHARACTERS) + 1
+    )
 
 
 def check_cell_module_decompositions() -> CheckResult:
     """Known cell-module matrices decompose with the documented multiplicities."""
-    failures = []
     q4 = subquotient_qn(4)
     t4 = character_table(q4)
     top = module_from_mats(
         q4, 2, {q4.index("s"): ((2, 0), (0, 2)), q4.index("sts"): ((0, 2), (2, 0))}
     )
-    if decompose(t4, top).multiplicities != (0, 1, 1):
-        failures.append("Q4 top-cell module should decompose as (0, 1, 1)")
     extra = module_from_mats(q4, 1, {q4.index("s"): ((2,),), q4.index("sts"): ((2,),)})
-    if decompose(t4, extra).multiplicities != (0, 0, 1):
-        failures.append("Q4 rank-one module should decompose as (0, 0, 1)")
     q5 = subquotient_qn(5)
     t5 = character_table(q5)
     top5 = module_from_mats(
         q5, 2, {q5.index("s"): ((2, 0), (0, 2)), q5.index("sts"): ((0, 2), (2, 2))}
     )
-    if decompose(t5, top5).multiplicities != (0, 1, 1):
-        failures.append("Q5 top-cell module should decompose as (0, 1, 1)")
+    cases = [
+        (t4, top, (0, 1, 1), "Q4 top-cell module should decompose as (0, 1, 1)"),
+        (t4, extra, (0, 0, 1), "Q4 rank-one module should decompose as (0, 0, 1)"),
+        (t5, top5, (0, 1, 1), "Q5 top-cell module should decompose as (0, 1, 1)"),
+    ]
     for ring, table in ((q4, t4), (q5, t5)):
-        mults = decompose(table, trivial_module(ring)).multiplicities
-        if mults != (1, 0, 0):
-            failures.append(f"{ring.name}: zero module should be the trivial character")
-    return _result("trace decompositions of the known modules", failures)
+        cases.append((table, trivial_module(ring), (1, 0, 0),
+                      f"{ring.name}: zero module should be the trivial character"))
+    failures = [
+        message for table, module, want, message in cases
+        if decompose(table, module).multiplicities != want
+    ]
+    return _result("trace decompositions of the known modules", failures, len(cases))
 
 
 def check_rank_profiles() -> CheckResult:
-    failures = []
     t5 = character_table(subquotient_qn(5))
-    if classifier.feasible_rank_profiles(t5, faithful=True) != ((0, 1, 1),):
-        failures.append("Q5 faithful profiles should be exactly {(0,1,1)}")
     t4 = character_table(subquotient_qn(4))
-    if classifier.feasible_rank_profiles(t4, faithful=True) != ((0, 0, 1), (0, 1, 1)):
-        failures.append("Q4 faithful profiles should be {(0,0,1),(0,1,1)}")
     relaxed = classifier.feasible_rank_profiles(t4, faithful=False, max_rank=4)
-    if any((k, 0, 0) not in relaxed for k in range(1, 5)):
-        failures.append("non-faithful profiles must include the pure trivial ones")
-    return _result("feasible rank profiles", failures)
+    cases = (
+        (classifier.feasible_rank_profiles(t5, faithful=True) == ((0, 1, 1),),
+         "Q5 faithful profiles should be exactly {(0,1,1)}"),
+        (classifier.feasible_rank_profiles(t4, faithful=True) == ((0, 0, 1), (0, 1, 1)),
+         "Q4 faithful profiles should be {(0,0,1),(0,1,1)}"),
+        (all((k, 0, 0) in relaxed for k in range(1, 5)),
+         "non-faithful profiles must include the pure trivial ones"),
+    )
+    failures = [message for ok, message in cases if not ok]
+    return _result("feasible rank profiles", failures, len(cases))
 
 
 def check_rank_two_candidate_sets() -> CheckResult:
     """The rigidity-filtered rank-2 searches over Q4 and Q5 reproduce the
     rank-2 entries of classifier.EXPECTED_CANDIDATES."""
     failures = []
-    for ring_id in ("Q4", "Q5"):
+    ring_ids = ("Q4", "Q5")
+    for ring_id in ring_ids:
         want = tuple(
             flat for rank, flat in classifier.EXPECTED_CANDIDATES[ring_id] if rank == 2
         )
@@ -403,7 +430,8 @@ def check_rank_two_candidate_sets() -> CheckResult:
             want_raw.add((a, b, 4 // b, d))
     if flats != want_raw:
         failures.append(f"Q5 raw solution set mismatch: {sorted(flats)}")
-    return _result("rank-two candidate sets under s-rigidity", failures)
+    # cases: one search per ring and the raw solution set
+    return _result("rank-two candidate sets under s-rigidity", failures, len(ring_ids) + 1)
 
 
 def check_search_oracle_equivalence(max_n: int = 8) -> CheckResult:
@@ -422,7 +450,7 @@ def check_search_oracle_equivalence(max_n: int = 8) -> CheckResult:
                 f"{ring.name} rank {rank}: pruned {len(fast.modules)} vs "
                 f"naive {len(slow)}"
             )
-    return _result("pruned search equals naive enumeration (bound 8)", failures)
+    return _result("pruned search equals naive enumeration (bound 8)", failures, len(cases))
 
 
 def check_canonicalization() -> CheckResult:
@@ -435,7 +463,9 @@ def check_canonicalization() -> CheckResult:
             failures.append(f"canonicalization not idempotent on {module.flat()}")
         if canon.key() > module.key():
             failures.append(f"canonical form is not minimal for {module.flat()}")
-    return _result("canonicalization idempotence and minimality", failures)
+    return _result(
+        "canonicalization idempotence and minimality", failures, len(outcome.modules)
+    )
 
 
 def check_classification_regression() -> CheckResult:
@@ -457,7 +487,9 @@ def check_classification_regression() -> CheckResult:
                 failures.append(f"{ring_id}: status mismatch at {key}")
         if report.bound_exhausted:
             failures.append(f"{ring_id}: default search hit its entry bound")
-    return _result("classification regression (Q3, Q4, Q5)", failures)
+    return _result(
+        "classification regression (Q3, Q4, Q5)", failures, len(classifier.REALIZED_COUNTS)
+    )
 
 
 def run_suite(max_n: int = 8) -> SuiteReport:

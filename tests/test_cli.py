@@ -456,6 +456,7 @@ def test_verify_quick(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+    assert "PASS quadratic field arithmetic axioms (200 cases)\n" in out
 
 
 def test_verify_detects_corrupted_annotations(capsys, monkeypatch):
@@ -475,6 +476,8 @@ def test_verify_structured(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(check["ok"] for check in payload["checks"])
+    assert all(check["cases"] > 0 for check in payload["checks"])
+    assert payload["checks"][0]["cases"] == sum((2 * n) ** 3 + 2 * n for n in (2, 3))
 
 
 def test_version_flag(capsys):

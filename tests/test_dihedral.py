@@ -153,3 +153,51 @@ def test_check_validates_hand_built_elements():
         g4.check(DihedralElement(None, 3))
     with pytest.raises(ValueError):
         g4.check(DihedralElement("x", 1))
+
+
+def _alternating(start: str, length: int) -> str:
+    other = "t" if start == "s" else "s"
+    return ((start + other) * length)[:length]
+
+
+def _rewrite_product(n: int, u: DihedralElement, v: DihedralElement) -> DihedralElement:
+    """u*v by string rewriting alone: write out both alternating words, cancel
+    ss and tt, and fold an alternating word longer than n by the braid
+    relation (its first n letters become the other alternating word of length
+    n, which is (st)^n = e), until the word is reduced."""
+    word = "".join(_alternating(el.start or "s", el.length) for el in (u, v))
+    while True:
+        if "ss" in word or "tt" in word:
+            word = word.replace("ss", "").replace("tt", "")
+        elif len(word) > n:
+            word = _alternating("t" if word[0] == "s" else "s", n) + word[n:]
+        else:
+            break
+    if len(word) in (0, n):
+        return DihedralElement(None, len(word))
+    return DihedralElement(word[0], len(word))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_multiply_matches_rewriting_oracle(n):
+    group = DihedralGroup(n)
+    els = group.elements()
+    for u in els:
+        for v in els:
+            assert group.multiply(u, v) == _rewrite_product(n, u, v), (u, v)
+
+
+def test_element_repr_equality_and_hash():
+    built = DihedralElement("s", 3)
+    assert repr(built) == "DihedralElement(start='s', length=3)"
+    assert repr(DihedralElement(None, 0)) == "DihedralElement(start=None, length=0)"
+    g5 = DihedralGroup(5)
+    reduced = g5.element("tsststs")  # t(ss)tsts, then (tt)sts
+    product = g5.multiply(g5.element("st"), g5.element("s"))
+    for other in (reduced, product, DihedralGroup(5).element("sts")):
+        assert other == built and hash(other) == hash(built)
+        assert {built: "sts"}[other] == "sts"
+    assert built != DihedralElement("t", 3)
+    assert (built.start, built.length, built.kind) == ("s", 3, "word")
+    longest = DihedralElement(None, 5)
+    assert longest.is_longest and longest.kind == "longest" and not longest.is_identity

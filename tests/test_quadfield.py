@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klcells import quadfield
 from klcells.quadfield import (
     FieldMismatchError,
     NonRealRootsError,
@@ -33,10 +35,23 @@ def test_square_free_decomposition():
 
 def test_constructor_normalizes_and_validates():
     assert q(3, 0, 5).d == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^d must be square-free, got d=12$"):
         QuadNum(Fraction(1), Fraction(1), 12)  # not square-free
     with pytest.raises(ValueError):
         QuadNum(Fraction(1), Fraction(1), 1)  # irrational part needs d > 1
+
+
+def test_square_free_check_runs_once_per_d(monkeypatch):
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return square_free_decomposition(k)
+
+    monkeypatch.setattr(quadfield, "square_free_decomposition", counting)
+    for a in range(5):
+        QuadNum(a, 1, 1001)  # 7 * 11 * 13, a d no other test uses
+    assert calls == [1001]
 
 
 def test_difference_of_squares():
@@ -193,3 +208,153 @@ def test_floor_and_sign_bracket_the_float_in_two_cos_fields(n):
         if abs(approx - round(approx)) > 1e-6:
             assert floor == math.floor(approx)
         assert floor <= x < floor + 1
+
+
+# -- an in-test reference: Fraction coordinates reduced by the minimal polynomial
+
+
+def _ref_strip(coords):
+    coords = list(coords)
+    while len(coords) > 1 and coords[-1] == 0:
+        coords.pop()
+    return coords
+
+
+def _ref_mul(x, y, poly):
+    """x*y for coordinate lists, reduced by the monic polynomial poly."""
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    deg = len(poly) - 1
+    for k in range(len(out) - 1, deg - 1, -1):
+        c, out[k] = out[k], 0
+        for i in range(deg):
+            out[k - deg + i] -= c * poly[i]
+    return _ref_strip(out[:deg])
+
+
+def _ref_inverse(x, poly):
+    """y with x*y = 1, by Gauss-Jordan on the matrix of multiplication by x."""
+    deg = len(poly) - 1
+    basis = [[Fraction(int(i == j)) for i in range(deg)] for j in range(deg)]
+    cols = [_ref_mul(x, e, poly) + [0] * deg for e in basis]
+    rows = [[cols[j][i] for j in range(deg)] + [Fraction(int(i == 0))] for i in range(deg)]
+    for c in range(deg):
+        pivot = next(r for r in range(c, deg) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(deg):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return _ref_strip([row[-1] for row in rows])
+
+
+def _ref_value_interval(x, poly, lo, hi):
+    """x evaluated at both ends of a tiny interval around theta, by bisection
+    on poly from the isolating interval (lo, hi)."""
+    def at(coeffs, t):
+        return sum(Fraction(c) * t**i for i, c in enumerate(coeffs))
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    lo_sign = at(poly, lo) > 0
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        if (at(poly, mid) > 0) == lo_sign:
+            lo = mid
+        else:
+            hi = mid
+    return at(x, lo), at(x, hi)
+
+
+def _fields():
+    """(name, generator, minimal polynomial, isolating interval) per field."""
+    out = []
+    for d in (2, 5):
+        root = math.isqrt(d)
+        out.append((f"sqrt{d}", QuadNum(0, 1, d), (-d, 0, 1), (root, root + 1)))
+    for n in (7, 16):
+        approx = Fraction(2 * math.cos(2 * math.pi / n))
+        eps = Fraction(1, 10**6)
+        out.append((f"lambda{n}", two_cos(n), two_cos_minpoly(n), (approx - eps, approx + eps)))
+    return out
+
+
+@pytest.mark.parametrize("field", _fields(), ids=lambda f: f[0])
+def test_arithmetic_matches_fraction_reference(field):
+    name, gen, poly, (lo, hi) = field
+    deg = len(poly) - 1
+    rng = random.Random(f"reference-{name}")
+
+    def sample():
+        coords = []
+        for _ in range(deg):
+            kind = rng.random()
+            if kind < 0.2:
+                coords.append(Fraction(0))
+            elif kind < 0.5:
+                coords.append(Fraction(rng.randint(-9, 9)))
+            else:
+                coords.append(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+        if rng.random() < 0.15:  # a rational value
+            coords[1:] = [Fraction(0)] * (deg - 1)
+        return build(coords), _ref_strip(coords)
+
+    def build(coords):
+        value = q(0)
+        for c in reversed(coords):
+            value = value * gen + c
+        return value
+
+    def check(value, ref):
+        assert list(value.coords) == ref
+        for c, r in zip(value.coords, ref):
+            assert type(c) is (int if r.denominator == 1 else Fraction)
+        assert value.is_rational == (len(ref) == 1)
+        # equal to, and hashing like, the same value built by Horner's rule
+        rebuilt = build(ref)
+        assert value == rebuilt and hash(value) == hash(rebuilt)
+
+    for _ in range(40):
+        (x, rx), (y, ry) = sample(), sample()
+        check(x, rx)
+        pairs = list(zip_longest(rx, ry, fillvalue=Fraction(0)))
+        check(x + y, _ref_strip(a + b for a, b in pairs))
+        check(x - y, _ref_strip(a - b for a, b in pairs))
+        check(x * y, _ref_mul(rx, ry, poly))
+        assert (x == y) == (rx == ry)
+        same = (x + y) - y
+        assert same == x and hash(same) == hash(x)
+        if any(rx):
+            check(x.inverse(), _ref_inverse(rx, poly))
+            low, high = _ref_value_interval(rx, poly, lo, hi)
+            assert low != 0 and (low > 0) == (high > 0)
+            assert x.sign() == (1 if low > 0 else -1)
+            if math.floor(low) == math.floor(high):
+                assert math.floor(x) == math.floor(low)
+        else:
+            assert x.sign() == 0 and math.floor(x) == 0
+
+
+def test_values_built_two_ways_are_equal_and_hash_equal():
+    pairs = [
+        (QuadNum(Fraction(2, 4), Fraction(3, 6), 5), QuadNum(Fraction(1, 2), Fraction(1, 2), 5)),
+        (QuadNum(Fraction(6, 3), Fraction(-4, 2), 2), QuadNum(2, -2, 2)),
+        (q(1, 1, 5) * q(1, -1, 5), q(-4)),
+        (q(1, 1, 5) * q(Fraction(1, 2)), q(Fraction(1, 2), Fraction(1, 2), 5)),
+        (q(Fraction(1, 3), 1, 5) + q(Fraction(2, 3), -1, 5), q(1)),
+        (q(3, 1, 5).inverse() * q(3, 1, 5), q(1)),
+    ]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)
+        assert left.coords == right.coords
+
+
+def test_coords_hold_int_for_integral_coordinates():
+    value = QuadNum(Fraction(4, 2), Fraction(1, 2), 5)
+    assert value.coords == (2, Fraction(1, 2))
+    assert type(value.coords[0]) is int and type(value.coords[1]) is Fraction
+    assert all(type(c) is int for c in q(6, 2, 5).coords)
+    assert type(q(Fraction(8, 4)).coords[0]) is int
+    assert str(value) == "2+(1/2)√5"
+    assert repr(value) == "QuadNum(Fraction(2, 1), Fraction(1, 2), 5)"

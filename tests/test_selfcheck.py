@@ -45,3 +45,19 @@ def test_individual_checks_report_names():
     assert result.ok and result.name
     result = selfcheck.check_reference_tables()
     assert result.ok
+
+
+def test_case_counts_of_the_costliest_checks_at_max_n_eight():
+    # closed formulas, so a faster verify cannot be a thinner one
+    dihedral = selfcheck.check_dihedral_arithmetic(8)
+    assert dihedral.cases == sum((2 * n) ** 3 + 2 * n for n in range(2, 9)) == 10430
+    assert selfcheck.check_quadfield().cases == 200
+    # A4, Q4, Q5 and Q6, each at ranks 1 and 2
+    assert selfcheck.check_search_oracle_equivalence(8).cases == 4 * 2
+
+
+def test_every_check_reports_its_cases():
+    report = selfcheck.run_suite(max_n=3)
+    assert all(r.cases > 0 for r in report.results)
+    for line, r in zip(report.lines(), report.results):
+        assert line == f"PASS {r.name} ({r.cases} cases)"
