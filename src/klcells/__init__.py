@@ -43,7 +43,6 @@ from .classifier import (
     bruteforce_matrix_modules,
     bundled_ring,
     classify,
-    default_entry_bound,
     feasible_rank_profiles,
     named_filters,
     rigid_generator,
@@ -136,7 +135,6 @@ __all__ = [
     "bruteforce_matrix_modules",
     "bundled_ring",
     "classify",
-    "default_entry_bound",
     "feasible_rank_profiles",
     "named_filters",
     "rigid_generator",

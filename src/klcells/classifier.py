@@ -16,25 +16,23 @@ relation exactly once, as soon as the last entry it reads is set.
 Proven entry caps (Kildetoft & Mazorchuk, *Special modules over positively
 based algebras*; Mazorchuk & Miemietz, *Transitive 2-representations of
 finitary 2-categories*).  Take a transitive module of rank r over a
-commutative ring with an exact character table, whose trace decomposition
-contains the special character chi_s, under s-rigidity with the doubling
-generator g at trace 2r (so M_g = 2I).  Transitivity makes
-M_tot = sum_b M_b >= 1 entrywise, so M_tot has a simple Perron root with an
-eigenvector v > 0.  The M_b commute, so each preserves that line:
-M_b v = mu(b) v for a character mu among the constituents, with mu(b) >= 0.
-Every constituent's value chi(sum b) is an eigenvalue of M_tot, so
-|chi_s(sum b)| <= mu(sum b) <= |chi_s(sum b)|, and mu = chi_s because
-chi_s is the unique maximizer.  Write sigma = chi_s(sum b).  Row i of
-M_b v = chi_s(b) v gives M_b[i][i] <= chi_s(b) and
-M_b[i][j] <= chi_s(b) v_i / v_j.  For i = argmin v and k = argmax v, row i
-of M_tot v = sigma v has diagonal at least d = 3 (1 from e, 2 from g) and
-every other entry at least 1, so
-sigma v_i >= d v_i + v_k + (r - 2) v_i, i.e.
-v_max / v_min <= R_r = sigma - d - (r - 2).  Hence
-M_b[i][i] <= floor(chi_s(b)) and M_b[i][j] <= floor(chi_s(b) R_r), computed
-in exact FieldElement arithmetic (sigma = 4+sqrt(5) at Q5).  Searches outside
-these hypotheses (raw, unpinned, or without such a table) keep the heuristic
-default_entry_bound.
+commutative ring with an exact character table.  Transitivity makes
+M_tot = sum_b M_b >= 1 entrywise, so M_tot has a simple Perron root rho with
+an eigenvector v > 0.  The M_b commute, so each preserves that line:
+M_b v = mu(b) v for a character mu that is non-negative on the basis.  Every
+constituent's chi(sum b) is an eigenvalue of M_tot, so when the traces are
+pinned, mu is a constituent with mu(sum b) = rho = max |chi(sum b)|.  Row i
+of M_b v = mu(b) v gives M_b[i][i] <= mu(b) and
+M_b[i][j] <= mu(b) v_i / v_j.  The diagonal of M_tot is at least d = 1 (from
+e), or d = 3 when the doubling generator g is pinned at trace 2r: g*g = 2g
+gives M_g eigenvalues 0 and 2 and no Jordan block, so M_g = 2I.  For
+i = argmin v and k = argmax v, row i of M_tot v = rho v then gives
+rho v_i >= d v_i + v_k + (r - 2) v_i, i.e. v_max / v_min <= R =
+rho - d - (r - 2), and R >= 1 is the rank cap r <= floor(rho) - d + 1 (at
+r = 1, rho = M_tot >= d).  Hence M_b[i][i] <= floor(mu(b)) and
+M_b[i][j] <= floor(mu(b) R), maximized over every mu left, in exact
+FieldElement arithmetic (rho = 4+sqrt(5) at Q5).  With no mu left, no
+transitive module exists and every cap is 0.
 
 Candidates for the bundled rings are annotated with their status in the
 classification of simple transitive actions: which ones are realized by cell
@@ -48,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -83,7 +82,6 @@ __all__ = [
     "named_filters",
     "rigid_generator",
     "feasible_rank_profiles",
-    "default_entry_bound",
     "solve_matrix_modules",
     "bruteforce_matrix_modules",
     "bundled_ring",
@@ -93,9 +91,6 @@ __all__ = [
     "EXPECTED_CANDIDATES",
     "REALIZED_COUNTS",
 ]
-
-DEFAULT_MAX_RANK = 6
-
 
 class ClassifierError(ValueError):
     pass
@@ -231,9 +226,10 @@ def _exact_trace(table: CharacterTable, profile: Sequence[int], b: int) -> Field
 
 
 def feasible_rank_profiles(
-    table: CharacterTable, faithful: bool, max_rank: int = DEFAULT_MAX_RANK
+    table: CharacterTable, faithful: bool, max_rank: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """Multiplicity vectors whose trace data a candidate module could carry.
+    """Multiplicity vectors of rank at most max_rank whose trace data a
+    candidate module could carry; max_rank defaults to the rank cap.
 
     Every profile must give each basis element a non-negative integer trace
     (irrational parts have to cancel through conjugate pairing, checked by
@@ -248,29 +244,27 @@ def feasible_rank_profiles(
     size = ring.size
     special = special_character(table) if faithful else None
     rigid = rigid_generator(ring)
+    if max_rank is None:
+        max_rank = _perron_limits(table, 1, None, faithful and rigid is not None)[0]
     profiles = []
-    for m in iproduct(range(max_rank + 1), repeat=table.size):
-        rank = sum(m)
-        if not 1 <= rank <= max_rank:
-            continue
-        if faithful and special is not None and m[special] != 1:
-            continue
-        traces = []
-        ok = True
-        for b in range(size):
-            value = _exact_trace(table, m, b)
-            if not value.is_integer or value.a < 0:
-                ok = False
-                break
-            traces.append(value.as_integer())
-        if not ok:
-            continue
-        if faithful:
-            if all(traces[b] == 0 for b in range(size) if b != ring.identity):
+    for rank in range(1, max_rank + 1):
+        for picks in combinations_with_replacement(range(size), rank):
+            m = tuple(picks.count(i) for i in range(size))
+            if special is not None and m[special] != 1:
                 continue
-            if rigid is not None and traces[rigid] != 2 * rank:
+            if faithful and rigid is not None and _exact_trace(table, m, rigid) != 2 * rank:
                 continue
-        profiles.append(tuple(m))
+            traces = []
+            for b in range(size):
+                value = _exact_trace(table, m, b)
+                if not value.is_integer or value.a < 0:
+                    break
+                traces.append(value)
+            if len(traces) < size:
+                continue
+            if faithful and all(traces[b] == 0 for b in range(size) if b != ring.identity):
+                continue
+            profiles.append(m)
     profiles.sort(key=lambda m: (sum(m), m))
     return tuple(profiles)
 
@@ -295,20 +289,18 @@ def profile_traces(table: CharacterTable, profile: Sequence[int]) -> dict[str, i
 class SearchOutcome:
     """Solutions of one bounded search plus its completeness bookkeeping.
 
-    capped is True when the proven caps' hypotheses held, so the entries were
-    limited by their caps (see the module docstring) and by an explicit bound
-    if one was given.  complete is True when, in addition, no explicit bound
-    lies below a cap: every entry was limited by its proven cap alone, so no
-    module is missing.  bound is the largest entry limit off the doubling
-    generator.
+    bound is the largest entry limit off the doubling generator (0 when there
+    is no such entry).  complete is True when every entry was limited by its
+    proven cap alone (see the module docstring), no explicit bound lying
+    below one, so no module is missing.
     bound_exhausted is True when some consistent branch assigned an entry off
     the doubling generator a value equal to a limit that is not a proven cap
-    (the heuristic bound, or an explicit bound below the cap): modules past
-    that limit may then be missing.  False certifies nothing: a module with
-    an entry past the limit is often pruned earlier, by forcing or
-    integrality, without any branch reaching the limit (Q4, profile (0,1,1),
-    bound=3 loses (0,1,4,0) with the flag false).  Only complete certifies
-    completeness.  Reaching a proven cap loses nothing and is not flagged.
+    (an explicit bound below the cap): modules past that limit may then be
+    missing.  False certifies nothing: a module with an entry past the limit
+    is often pruned earlier, by forcing or integrality, without any branch
+    reaching the limit (Q4, profile (0,1,1), bound=3 loses (0,1,4,0) with
+    the flag false).  Only complete certifies completeness.  Reaching a
+    proven cap loses nothing and is not flagged.
     The symmetry break (dedupe=True) keeps the flag of every module the
     search admits: permuting rows and columns keeps each entry in its matrix
     and on or off the diagonal, so at the same limit, and the orbit's
@@ -320,50 +312,42 @@ class SearchOutcome:
     modules: tuple[MatrixModule, ...]
     bound: int
     bound_exhausted: bool
-    capped: bool
     complete: bool
 
 
-def default_entry_bound(
-    ring: BasedRing, rank: int, traces: Mapping[str, int] | None = None
-) -> int:
-    """max(trace budget, largest structure constant * rank) squared."""
-    largest = max(v for plane in ring.c for row in plane for v in row)
-    budget = max(traces.values()) if traces else 0
-    return max(budget, largest * rank) ** 2
+def _perron_limits(
+    table: CharacterTable,
+    rank: int,
+    traces: Mapping[str, int] | None,
+    doubled: bool,
+) -> tuple[int, dict[int, tuple[int, int]]]:
+    """The rank cap and the (diagonal, off-diagonal) entry caps at this rank
+    of every basis element off e, as the module docstring derives them.
 
-
-def _proven_caps(
-    ring: BasedRing, rank: int, traces: Mapping[str, int] | None, rigid: int | None
-) -> dict[int, tuple[int, int]] | None:
-    """(diagonal cap, off-diagonal cap) of every basis element off e and the
-    doubling generator, or None when the caps' hypotheses fail.
-
-    The hypotheses: s-rigidity (rigid is the doubling generator), every trace
-    pinned with the generator's at 2*rank, and an exact character table whose
-    decomposition of those traces has the special character as a constituent.
-    The caps are floor(chi_s(b)) and floor(chi_s(b) * R_rank) with
-    R_rank = sigma - 3 - (rank - 2); the module docstring derives them.
+    mu ranges over the non-negative rows; when traces pins every basis
+    element, over the constituents of largest |chi(sum b)| only.  doubled
+    (the doubling generator acts as 2I) sets d = 3.  A mu with R < 1 at this
+    rank adds no entry cap.
     """
-    if rigid is None or traces is None or set(traces) != set(ring.labels):
-        return None
-    if traces[ring.labels[rigid]] != 2 * rank:
-        return None
-    try:
-        table = _table_for(ring)
-        special = special_character(table)
-        mults = _trace_multiplicities(table, [traces[label] for label in ring.labels])
-    except (CharacterError, DecompositionError):
-        return None
-    if not mults[special]:
-        return None
-    chi = table.rows[special]
-    ratio = sum(chi, _QZERO) - 3 - (rank - 2)
-    return {
-        b: (max(0, math.floor(chi[b])), max(0, math.floor(chi[b] * ratio)))
-        for b in range(ring.size)
-        if b not in (ring.identity, rigid)
-    }
+    ring = table.ring
+    d = 3 if doubled else 1
+    sums = [sum(row) for row in table.rows]
+    mus = [i for i, row in enumerate(table.rows) if all(v >= 0 for v in row)]
+    if traces is not None and set(traces) == set(ring.labels):
+        try:
+            mults = _trace_multiplicities(table, [traces[label] for label in ring.labels])
+        except DecompositionError:
+            mults = (0,) * table.size
+        top = max((abs(sums[i]) for i in range(table.size) if mults[i]), default=None)
+        mus = [i for i in mus if mults[i] and sums[i] == top]
+    caps = {b: (0, 0) for b in range(ring.size) if b != ring.identity}
+    for i in mus:
+        ratio = sums[i] - d - (rank - 2)
+        if ratio >= 1:
+            for b, (diagonal, off) in caps.items():
+                mu = table.rows[i][b]
+                caps[b] = (max(diagonal, math.floor(mu)), max(off, math.floor(mu * ratio)))
+    return max((math.floor(sums[i]) - d + 1 for i in mus), default=0), caps
 
 
 def _search_order(ring: BasedRing, rigid: int | None) -> list[int]:
@@ -468,7 +452,7 @@ class _Search:
                 self.flag_at.append(bound)
         self.bound = max(
             (u for u, (b, _, _) in zip(self.upper, self.vars) if b != rigid_constrained),
-            default=bound,
+            default=0,
         )
         self.equations = self._compile_equations()
         for label, target in (traces or {}).items():
@@ -676,11 +660,11 @@ def solve_matrix_modules(
 
     filters name optional screens from named_filters(); transitivity is always
     applied.  traces, when given, pin the trace of every listed basis element
-    exactly (the per-profile trace budget).  When the proven caps' hypotheses
-    hold (_proven_caps), every entry is limited by its cap, and by bound too
-    when bound is given.  Otherwise bound limits every entry, defaulting to
-    default_entry_bound.  The outcome records whether any consistent branch
-    pressed against a limit that is not a proven cap.
+    exactly (the per-profile trace budget).  Every entry is limited by its
+    proven cap (_perron_limits), and by bound too when bound is given.  A
+    ring without an exact character table has no caps and needs a bound.
+    The outcome records whether any consistent branch pressed against a
+    limit that is not a proven cap.
     """
     if rank < 1:
         raise ClassifierError(f"rank must be positive, got {rank}")
@@ -688,11 +672,16 @@ def solve_matrix_modules(
     rigid_constrained = None
     if any(f.rigidity for f in chosen):
         rigid_constrained = _required_rigid_generator(ring)
-    caps = _proven_caps(ring, rank, traces, rigid_constrained)
-    if bound is None and not caps:
-        # also reported as the bound when the doubling generator is the only
-        # non-identity basis element and no entry has a cap
-        bound = default_entry_bound(ring, rank, traces)
+    try:
+        table = _table_for(ring)
+    except CharacterError as exc:
+        if bound is None:
+            raise ClassifierError(f"{exc}; an explicit bound is needed") from exc
+        caps = None
+    else:
+        g = rigid_generator(ring)
+        doubled = g is not None and (traces or {}).get(ring.labels[g]) == 2 * rank
+        caps = _perron_limits(table, rank, traces, doubled)[1]
     # the lex-leader symmetry break keeps one member of each orbit under
     # row and column permutations, so it is only safe when the caller wants
     # canonical deduped classes anyway
@@ -724,7 +713,6 @@ def solve_matrix_modules(
         tuple(kept),
         search.bound,
         search.bound_exhausted,
-        caps is not None,
         caps is not None and all(f is None for f in search.flag_at),
     )
 
@@ -948,8 +936,7 @@ class ClassificationReport:
     bound_exhausted: bool
     candidates: tuple[Candidate, ...]
     matches_expected: bool | None
-    capped: bool  # every search ran under its proven entry caps
-    complete: bool  # ... and no explicit bound lay below any of them
+    complete: bool  # no explicit bound lay below any proven entry cap
 
     @property
     def realized(self) -> tuple[Candidate, ...]:
@@ -962,7 +949,7 @@ def classify(
     ring: BasedRing | None = None,
     rank: int | None = None,
     bound: int | None = None,
-    max_rank: int = DEFAULT_MAX_RANK,
+    max_rank: int | None = None,
     disabled_filters: Iterable[str] = (),
     extra_filters: Iterable[str] = (),
 ) -> ClassificationReport:
@@ -975,7 +962,8 @@ def classify(
     status data.  Disabling s-rigidity switches the
     searches to raw per-rank runs without trace pinning, which surfaces any
     extra algebraic solutions; a rank override forces a single raw search.
-    A ring without a full character table (non-commutative, not split
+    Profiles are screened up to the rank cap, or up to max_rank when that is
+    lower.  A ring without a full character table (non-commutative, not split
     semisimple, or neither a Q_n nor quadratic) raises ClassifierError.
     """
     disabled = set(disabled_filters)
@@ -991,7 +979,9 @@ def classify(
         table = _table_for(ring)  # the table the caps and filters read
     except CharacterError as exc:  # the ring is outside what the search supports
         raise ClassifierError(str(exc)) from exc
-    profiles = feasible_rank_profiles(table, faithful=True, max_rank=max_rank)
+    rank_cap = _perron_limits(table, 1, None, rigid_generator(ring) is not None)[0]
+    limit = rank_cap if max_rank is None else min(max_rank, rank_cap)
+    profiles = feasible_rank_profiles(table, faithful=True, max_rank=limit)
     filter_names = [
         name for name in ("s-rigidity", *extras) if name not in disabled
     ]
@@ -1015,17 +1005,11 @@ def classify(
         # the one transitive non-faithful candidate, always rank one
         zero = canonical_module(trivial_module(ring))
         found[zero.key()] = zero
-    used_bound = bound if bound is not None else 0
-    exhausted = False
-    capped = complete = bool(jobs)
-    for job_rank, job_traces in jobs:
-        outcome = solve_matrix_modules(
-            ring, job_rank, filter_names, bound=bound, traces=job_traces
-        )
-        used_bound = max(used_bound, outcome.bound)
-        exhausted = exhausted or outcome.bound_exhausted
-        capped = capped and outcome.capped
-        complete = complete and outcome.complete
+    outcomes = [
+        solve_matrix_modules(ring, r, filter_names, bound=bound, traces=t)
+        for r, t in jobs
+    ]
+    for outcome in outcomes:
         for module in outcome.modules:
             found.setdefault(module.key(), module)
 
@@ -1056,7 +1040,7 @@ def classify(
     default_run = (
         rank is None
         and bound is None
-        and max_rank == DEFAULT_MAX_RANK
+        and limit == rank_cap
         and rigidity_on
         and not extras
     )
@@ -1068,10 +1052,9 @@ def classify(
         ring,
         profiles,
         tuple(["transitive", *filter_names]),
-        used_bound,
-        exhausted,
+        max((o.bound for o in outcomes), default=0),
+        any(o.bound_exhausted for o in outcomes),
         tuple(candidates),
         matches,
-        capped,
-        complete,
+        all(o.complete for o in outcomes),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -27,7 +28,6 @@ from .basedring import (
 )
 from .characters import CharacterTable, character_table, special_character
 from .classifier import (
-    DEFAULT_MAX_RANK,
     ClassificationReport,
     ClassifierError,
     classify,
@@ -308,10 +308,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             completeness = "a branch pressed against the bound; completeness not certified"
         elif report.complete:
             completeness = "proven per-entry caps; no branch hit an unproven bound"
-        elif report.capped:
-            completeness = "the bound lies below a proven cap; completeness not certified"
         else:
-            completeness = "no branch hit the bound"
+            completeness = "the bound lies below a proven cap; completeness not certified"
         print(f"entry bound: {report.bound} ({completeness})")
         print()
         labels = [
@@ -428,8 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cls.add_argument("--bound", type=int, help="override the entry bound")
     cls.add_argument(
-        "--max-rank", type=int, default=DEFAULT_MAX_RANK,
-        help="rank cap for profile screening",
+        "--max-rank", type=int,
+        help="rank cap for profile screening (default and ceiling: the derived cap)",
     )
     add_common(cls)
     cls.set_defaults(func=cmd_classify)
@@ -451,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "classify":
         if bool(args.ring_file) == (args.n is not None):
             parser.error("classify needs exactly one of --n or --ring-file")
-        if args.max_rank < 1:
+        if args.max_rank is not None and args.max_rank < 1:
             parser.error("--max-rank must be at least 1")
         if args.bound is not None and args.bound < 0:
             parser.error("--bound must be non-negative")
@@ -468,7 +466,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send the interpreter's final flush to
+        # devnull so that it cannot fail again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CHECK_FAILURE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -412,6 +412,8 @@ class FieldElement:
         return (self - rhs).sign() < 0
 
     def __hash__(self) -> int:
+        if self.field is None:  # a rational hashes like the equal int or Fraction
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
     def __floor__(self) -> int:

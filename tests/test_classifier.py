@@ -8,11 +8,10 @@ from klcells.characters import character_table, decompose
 from klcells.classifier import (
     ClassifierError,
     _oracle_equations,
-    _proven_caps,
+    _perron_limits,
     _Search,
     bruteforce_matrix_modules,
     classify,
-    default_entry_bound,
     feasible_rank_profiles,
     named_filters,
     profile_traces,
@@ -146,13 +145,6 @@ def test_traces_pin_the_search():
         assert module.trace("s") == 4 and module.trace("sts") == 2
 
 
-def test_default_entry_bound_formula():
-    ring = subquotient_qn(5)
-    assert default_entry_bound(ring, 2) == 16  # (largest constant * rank)^2
-    assert default_entry_bound(ring, 2, {"e": 2, "s": 4, "sts": 2}) == 16
-    assert default_entry_bound(ring, 1, {"s": 9}) == 81  # trace budget wins
-
-
 def test_bound_override_can_lose_solutions_and_flags_nothing_below():
     ring = subquotient_qn(5)
     narrow = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=3)
@@ -181,10 +173,42 @@ CAP_CASES = [
 )
 def test_proven_caps_values(n, profile, want):
     ring = subquotient_qn(n)
-    traces = profile_traces(character_table(ring), profile)
-    rank = sum(profile)
-    caps = _proven_caps(ring, rank, traces, rigid_generator(ring))
+    table = character_table(ring)
+    traces = profile_traces(table, profile)
+    caps = _perron_limits(table, sum(profile), traces, True)[1]
+    rigid = rigid_generator(ring)
+    assert {ring.labels[b]: cap for b, cap in caps.items() if b != rigid} == want
+
+
+# raw rank-2 caps: no pinned traces, so mu is any non-negative row and d = 1
+RAW_CAP_CASES = [
+    (4, {"s": (2, 8), "sts": (2, 8)}),
+    (5, {"s": (2, 10), "sts": (3, 16)}),
+    (6, {"s": (2, 16), "sts": (4, 32), "ststs": (2, 16)}),
+]
+
+
+@pytest.mark.parametrize("n, want", RAW_CAP_CASES, ids=[f"Q{n}" for n, _ in RAW_CAP_CASES])
+def test_raw_caps_values(n, want):
+    ring = subquotient_qn(n)
+    caps = _perron_limits(character_table(ring), 2, None, False)[1]
     assert {ring.labels[b]: cap for b, cap in caps.items()} == want
+    # the search reports the largest of them as its bound, and touches none
+    outcome = solve_matrix_modules(ring, 2)
+    assert outcome.bound == max(off for _, off in want.values())
+    assert outcome.complete and not outcome.bound_exhausted
+
+
+@pytest.mark.parametrize(
+    "n, want", [(3, 1), (4, 3), (5, 4), (6, 7), (7, 9), (8, 12)]
+)
+def test_rank_cap_values(n, want):
+    # floor(sigma) - 3 + 1 for faithful s-rigid profiles
+    table = character_table(subquotient_qn(n))
+    assert _perron_limits(table, 1, None, True)[0] == want
+    profiles = feasible_rank_profiles(table, faithful=True)
+    assert profiles == feasible_rank_profiles(table, faithful=True, max_rank=want)
+    assert max(sum(p) for p in profiles) <= want
 
 
 def test_q4_excluded_candidate_sits_on_its_cap():
@@ -198,7 +222,7 @@ def test_q4_excluded_candidate_sits_on_its_cap():
     # one below the cap loses it, and the outcome says it is not complete
     narrow = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=3, traces=traces)
     assert ((2, 0, 0, 2), (0, 1, 4, 0)) not in flats(narrow)
-    assert narrow.capped and narrow.bound == 3
+    assert narrow.bound == 3
     assert not narrow.complete and not narrow.bound_exhausted
     # a bound at or above every cap lowers none
     assert solve_matrix_modules(
@@ -211,30 +235,49 @@ def test_q4_excluded_candidate_sits_on_its_cap():
 
 def test_caps_need_their_hypotheses():
     ring = subquotient_qn(4)
-    traces = profile_traces(character_table(ring), (0, 1, 1))
-    rigid = rigid_generator(ring)
-    assert _proven_caps(ring, 2, traces, rigid) is not None
-    assert _proven_caps(ring, 2, traces, None) is None  # no s-rigidity
-    assert _proven_caps(ring, 2, None, rigid) is None  # traces not pinned
-    assert _proven_caps(ring, 2, {"e": 2, "s": 4}, rigid) is None  # one missing
-    assert _proven_caps(ring, 2, {**traces, "s": 2}, rigid) is None  # not 2*rank
-    # the traces of the character (1, 2, -2) alone: chi_s is no constituent
-    assert _proven_caps(ring, 1, {"e": 1, "s": 2, "sts": -2}, rigid) is None
+    table = character_table(ring)
+    traces = profile_traces(table, (0, 1, 1))
+
+    def sts_caps(rank, pinned, doubled):
+        return _perron_limits(table, rank, pinned, doubled)[1][2]
+
+    assert sts_caps(2, traces, True) == (2, 4)  # chi_s and d = 3
+    assert sts_caps(2, None, True) == (2, 4)  # any non-negative row, d = 3
+    assert sts_caps(2, traces, False) == (2, 8)  # chi_s, d = 1
+    assert sts_caps(2, None, False) == (2, 8)
+    # a partial trace pin leaves mu free
+    assert sts_caps(2, {"e": 2, "s": 4}, True) == (2, 4)
+    # the traces of the character (1, 2, -2) alone: it is negative on sts,
+    # so no Perron character is left and no transitive module exists
+    assert _perron_limits(table, 1, {"e": 1, "s": 2, "sts": -2}, False)[1] == {
+        1: (0, 0), 2: (0, 0)
+    }
     # no integral decomposition
-    assert _proven_caps(ring, 1, {"e": 1, "s": 2, "sts": 1}, rigid) is None
+    assert sts_caps(1, {"e": 1, "s": 2, "sts": 1}, False) == (0, 0)
+    # R < 1: past the rank cap 3 (d = 3) or 5 (d = 1) no mu survives
+    assert sts_caps(3, None, True) == (2, 2) and sts_caps(4, None, True) == (0, 0)
+    assert sts_caps(5, None, False) == (2, 2) and sts_caps(6, None, False) == (0, 0)
     # Q7's exact table over Q(2cos(2pi/7)): these traces have no integral
     # decomposition there (the m_i have irrational parts)
     q7 = subquotient_qn(7)
     q7_traces = {label: 2 if label == "s" else 1 for label in q7.labels}
-    assert _proven_caps(q7, 1, q7_traces, rigid_generator(q7)) is None
-    # every search outside the hypotheses keeps the heuristic bound
-    for outcome, want in (
-        (solve_matrix_modules(ring, 2), default_entry_bound(ring, 2)),
-        (solve_matrix_modules(ring, 2, ["s-rigidity"]), default_entry_bound(ring, 2)),
-        (solve_matrix_modules(ring, 2, traces=traces), default_entry_bound(ring, 2, traces)),
+    caps = _perron_limits(character_table(q7), 1, q7_traces, False)[1]
+    assert set(caps.values()) == {(0, 0)}
+    # the trace pin alone sets d = 3, with or without the s-rigidity filter
+    for outcome in (
+        solve_matrix_modules(ring, 2, traces=traces),
+        solve_matrix_modules(ring, 2, ["s-rigidity"], traces=traces),
     ):
-        assert not outcome.capped
-        assert outcome.bound == want
+        assert outcome.bound == 4 and outcome.complete
+    # unpinned: d = 1, and s gets caps when it is not constrained
+    assert solve_matrix_modules(ring, 2, ["s-rigidity"]).bound == 8
+    # a ring without an exact character table has no caps and needs a bound
+    nilpotent = ring_from_text("labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\n")
+    with pytest.raises(ClassifierError):
+        solve_matrix_modules(nilpotent, 1)
+    outcome = solve_matrix_modules(nilpotent, 1, bound=2)
+    assert outcome.bound == 2 and not outcome.complete
+    assert flats(outcome) == [((0,),)]
 
 
 # every faithful profile of rank 2, the oracle run past the proven caps
@@ -256,13 +299,39 @@ def test_capped_search_equals_bruteforce_above_the_caps(n, profile, bound):
     traces = profile_traces(character_table(ring), profile)
     rank = sum(profile)
     fast = solve_matrix_modules(ring, rank, ["s-rigidity"], traces=traces)
-    assert fast.capped and fast.bound == bound - 1  # the largest cap
+    assert fast.complete and fast.bound == bound - 1  # the largest cap
     assert not fast.bound_exhausted
     slow = [
         m
         for m in bruteforce_matrix_modules(ring, rank, bound, ["s-rigidity"])
         if all(m.trace(label) == t for label, t in traces.items())
     ]
+    assert [m.key() for m in fast.modules] == [m.key() for m in slow]
+
+
+# rank 2 without pinned traces, the oracle run one past the largest proven cap
+UNPINNED_ABOVE_CAP_CASES = [
+    ("A4", (), 4),
+    ("A4", ("s-rigidity",), 0),  # s-rigidity fixes every entry
+    ("Q4", (), 8),
+    ("Q4", ("s-rigidity",), 8),
+    ("Q5", (), 16),
+    ("Q5", ("s-rigidity",), 16),
+    ("Q6", ("s-rigidity",), 32),
+]
+
+
+@pytest.mark.parametrize(
+    "name, filters, cap",
+    UNPINNED_ABOVE_CAP_CASES,
+    ids=[f"{name}-{'rigid' if f else 'raw'}" for name, f, _ in UNPINNED_ABOVE_CAP_CASES],
+)
+def test_unpinned_search_equals_bruteforce_above_the_caps(name, filters, cap):
+    ring = SMALL_RINGS[name]()
+    fast = solve_matrix_modules(ring, 2, filters)
+    assert fast.complete and not fast.bound_exhausted
+    assert fast.bound == cap
+    slow = bruteforce_matrix_modules(ring, 2, cap + 1, filters)
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
 
 
@@ -556,10 +625,11 @@ def test_symmetry_break_keeps_one_module_of_every_orbit(name, shape, bound):
     assert broken.modules
 
 
-@pytest.mark.parametrize("bound", [3, 6, 8])
+@pytest.mark.parametrize("bound", [3, 5])
 def test_symmetry_break_drops_the_flag_of_dead_end_branches(bound):
     # Q4 has no s-rigid module of rank 3; only branches that lead nowhere
     # reach the bound, and the break cuts the ones that are not lex-leaders
+    # (the bounds lie below the proven rank-3 cap 6, which is never flagged)
     ring = subquotient_qn(4)
     broken = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=bound)
     full = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=bound, dedupe=False)
@@ -710,7 +780,7 @@ def test_classify_q6_up_to_rank_five_pins_the_candidates():
     report = classify("Q6", max_rank=5)
     keys = tuple(c.module.key() for c in report.candidates)
     assert keys == Q6_MAX_RANK_4_KEYS + Q6_RANK_5_KEYS
-    assert report.capped and not report.bound_exhausted
+    assert report.complete and not report.bound_exhausted
     assert report.bound == 24  # the rank-2 sts cap
 
 
@@ -741,8 +811,8 @@ def test_q6_rank_six_module_is_a_rigid_transitive_module():
     assert decompose(table, module).multiplicities == (0, 2, 3, 1)
     assert canonical_module(module) == module
     # every entry within the rank-6 caps: sts <= 4 / 8, ststs <= 2 / 4
-    caps = _proven_caps(ring, 6, traces, rigid_generator(ring))
-    assert caps == {2: (4, 8), 3: (2, 4)}
+    caps = _perron_limits(table, 6, traces, True)[1]
+    assert caps == {1: (2, 4), 2: (4, 8), 3: (2, 4)}
     outcome = solve_matrix_modules(ring, 6, ["s-rigidity"], traces=traces)
     assert outcome.modules == (module,)
     assert outcome.complete and not outcome.bound_exhausted

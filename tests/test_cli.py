@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -210,6 +211,21 @@ def test_numpy_is_never_imported(argv):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_closed_stdout_exits_one_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "klcells", "cells", "--n", "8", "--format", "structured"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_characters_structured_q4(capsys):
     code, out, _ = run_cli(capsys, "characters", "--n", "4", "--format", "structured")
     payload = json.loads(out)
@@ -262,9 +278,16 @@ def test_classify_q5_text(capsys):
     [
         (("--n", "5"),
          "entry bound: 10 (proven per-entry caps; no branch hit an unproven bound)"),
-        (("--n", "5", "--rank", "2"), "entry bound: 16 (no branch hit the bound)"),
+        # raw searches run under the caps of every non-negative character
+        (("--n", "5", "--rank", "2"),
+         "entry bound: 16 (proven per-entry caps; no branch hit an unproven bound)"),
         (("--n", "4", "--no-filter", "s-rigidity"),
-         "entry bound: 16 (a branch pressed against the bound; completeness not certified)"),
+         "entry bound: 8 (proven per-entry caps; no branch hit an unproven bound)"),
+        # s-rigidity fixes every entry of Q3
+        (("--n", "3"),
+         "entry bound: 0 (proven per-entry caps; no branch hit an unproven bound)"),
+        (("--n", "4", "--no-filter", "s-rigidity", "--bound", "2"),
+         "entry bound: 2 (a branch pressed against the bound; completeness not certified)"),
         # the bound lies below the sts cap 4 and loses (0,1,4,0) unflagged
         (("--n", "4", "--bound", "3"),
          "entry bound: 3 (the bound lies below a proven cap; completeness not certified)"),
@@ -273,8 +296,8 @@ def test_classify_q5_text(capsys):
         (("--n", "5", "--bound", "10"),
          "entry bound: 10 (proven per-entry caps; no branch hit an unproven bound)"),
     ],
-    ids=["proven-caps", "heuristic", "heuristic-touched", "below-cap-q4",
-         "below-cap-q5", "at-cap"],
+    ids=["proven-caps", "rank-override", "raw", "no-free-entry", "touched",
+         "below-cap-q4", "below-cap-q5", "at-cap"],
 )
 def test_classify_entry_bound_line(capsys, argv, line):
     code, out, _ = run_cli(capsys, "classify", *argv)
@@ -378,8 +401,18 @@ def test_out_of_range_arguments_exit_two(argv, capsys):
 
 
 def test_max_rank_default_is_the_classifier_default():
+    # both default to the derived rank cap
     args = _build_parser().parse_args(["classify", "--n", "5"])
-    assert args.max_rank == classifier.DEFAULT_MAX_RANK
+    assert args.max_rank is None
+    assert inspect.signature(classifier.classify).parameters["max_rank"].default is None
+
+
+@pytest.mark.parametrize("max_rank, check", [("4", "ok"), ("9", "ok"), ("3", "not applicable")])
+def test_max_rank_at_or_above_the_rank_cap_keeps_the_regression_check(capsys, max_rank, check):
+    # Q5's rank cap is 4; a lower --max-rank is a different run
+    code, out, _ = run_cli(capsys, "classify", "--n", "5", "--max-rank", max_rank)
+    assert code == 0
+    assert out.splitlines()[-1] == f"realized classes: 2 (regression check: {check})"
 
 
 def test_unknown_filter_exits_two(capsys):

@@ -350,6 +350,14 @@ def test_values_built_two_ways_are_equal_and_hash_equal():
         assert left.coords == right.coords
 
 
+def test_rationals_hash_like_the_equal_int_or_fraction():
+    assert len({QuadNum(3), 3}) == 1
+    assert {QuadNum(3): 1}.get(3) == 1
+    assert hash(QuadNum(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(q(1, 1, 5) * q(1, -1, 5)) == hash(-4)
+    assert hash(QuadNum(0)) == hash(0)
+
+
 def test_coords_hold_int_for_integral_coordinates():
     value = QuadNum(Fraction(4, 2), Fraction(1, 2), 5)
     assert value.coords == (2, Fraction(1, 2))

@@ -61,3 +61,12 @@ def test_every_check_reports_its_cases():
     assert all(r.cases > 0 for r in report.results)
     for line, r in zip(report.lines(), report.results):
         assert line == f"PASS {r.name} ({r.cases} cases)"
+
+
+def test_a_check_that_exercised_no_case_fails():
+    empty = selfcheck._result("empty check", [], 0)
+    assert not empty.ok and empty.detail == "no case was exercised"
+    assert selfcheck._result("one case", [], 1).ok
+    report = selfcheck.SuiteReport((empty,))
+    assert not report.ok
+    assert report.lines()[0] == "FAIL empty check (0 cases): no case was exercised"
