@@ -114,10 +114,6 @@ class ModuleDecomposition:
 
     multiplicities: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return sum(self.multiplicities)
-
 
 def _multiplicative(ring: BasedRing, row, xs) -> bool:
     """row(x) row(y) = sum_z c[x][y][z] row(z) for every x in xs and every y."""

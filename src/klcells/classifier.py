@@ -63,7 +63,6 @@ from .characters import (
 from .matrixmodule import (
     MatrixModule,
     canonical_module,
-    identity_matrix,
     is_transitive,
     module_from_mats,
     satisfies_ring_relations,
@@ -581,13 +580,11 @@ class _Search:
         if self._propagate(range(len(self.equations))):
             self._assign(0)
 
-    def _assign(self, index: int) -> None:
-        if index == len(self.vars):
+    def _assign(self, k: int) -> None:
+        if k == len(self.vars):
             self._emit()
             return
-        var = self.vars[index]
-        k = self.var_index[var]
-        b, i, j = var
+        b, i, j = self.vars[k]
         saved_upper = list(self.upper)
         saved_front = list(self.lex_front)
         cap = self.upper[k]
@@ -599,7 +596,7 @@ class _Search:
             if self._lex_ok(k) and self._propagate(self.eqs_by_var[k]):
                 if value == self.flag_at[k]:
                     self.bound_exhausted = True
-                self._assign(index + 1)
+                self._assign(k + 1)
             self.upper[:] = saved_upper
             self.lex_front[:] = saved_front
         self.values[k] = None
@@ -629,22 +626,15 @@ class _Search:
 
     def _emit(self) -> None:
         rank = self.rank
-        mats = []
-        for b in range(self.ring.size):
-            if b == self.e:
-                mats.append(identity_matrix(rank))
-            else:
-                mats.append(
-                    tuple(
-                        tuple(
-                            self.values[self.var_index[(b, i, j)]]
-                            for j in range(rank)
-                        )
-                        for i in range(rank)
-                    )
-                )
-        module = MatrixModule(self.ring.labels, self.e, rank, tuple(mats))
-        self.solutions.append(module)
+        mats = {
+            b: tuple(
+                tuple(self.values[self.var_index[(b, i, j)]] for j in range(rank))
+                for i in range(rank)
+            )
+            for b in range(self.ring.size)
+            if b != self.e
+        }
+        self.solutions.append(module_from_mats(self.ring, rank, mats))
 
 
 def solve_matrix_modules(
@@ -936,7 +926,7 @@ class ClassificationReport:
     bound_exhausted: bool
     candidates: tuple[Candidate, ...]
     matches_expected: bool | None
-    complete: bool  # no explicit bound lay below any proven entry cap
+    complete: bool  # every faithful profile searched under its proven caps alone
 
     @property
     def realized(self) -> tuple[Candidate, ...]:
@@ -966,8 +956,13 @@ def classify(
     lower.  A ring without a full character table (non-commutative, not split
     semisimple, or neither a Q_n nor quadratic) raises ClassifierError.
     """
-    disabled = set(disabled_filters)
-    extras = [f for f in extra_filters if f not in disabled]
+    disabled = {f.name for f in _resolve_filters(disabled_filters)}
+    # transitivity is always applied and listed first, so it is no extra
+    extras = [
+        f.name
+        for f in _resolve_filters(extra_filters)
+        if f.name not in disabled and f.name != "transitive"
+    ]
     if ring_id == "custom":
         if ring is None:
             raise ClassifierError("custom classification needs an explicit ring")
@@ -982,11 +977,10 @@ def classify(
     rank_cap = _perron_limits(table, 1, None, rigid_generator(ring) is not None)[0]
     limit = rank_cap if max_rank is None else min(max_rank, rank_cap)
     profiles = feasible_rank_profiles(table, faithful=True, max_rank=limit)
-    filter_names = [
-        name for name in ("s-rigidity", *extras) if name not in disabled
-    ]
     # dedupe, preserving order
-    filter_names = list(dict.fromkeys(filter_names))
+    filter_names = list(
+        dict.fromkeys(name for name in ("s-rigidity", *extras) if name not in disabled)
+    )
     rigidity_on = "s-rigidity" in filter_names
 
     jobs: list[tuple[int, dict[str, int] | None]]
@@ -1036,15 +1030,16 @@ def classify(
             status, note = "unresolved", "custom ring: no annotation data"
         candidates.append(Candidate(module, mults, status, note))
 
-    matches: bool | None = None
-    default_run = (
-        rank is None
-        and bound is None
+    # the one completeness verdict: every faithful profile up to the rank cap
+    # searched with its trace budget, each search under its proven caps alone
+    complete = (
+        rigidity_on
+        and rank is None
         and limit == rank_cap
-        and rigidity_on
-        and not extras
+        and all(o.complete for o in outcomes)
     )
-    if ring_id in EXPECTED_CANDIDATES and default_run:
+    matches: bool | None = None
+    if ring_id in EXPECTED_CANDIDATES and complete and not extras:
         matches = tuple(sorted(found)) == EXPECTED_CANDIDATES[ring_id]
 
     return ClassificationReport(
@@ -1056,5 +1051,5 @@ def classify(
         any(o.bound_exhausted for o in outcomes),
         tuple(candidates),
         matches,
-        all(o.complete for o in outcomes),
+        complete,
     )

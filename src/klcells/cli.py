@@ -309,7 +309,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         elif report.complete:
             completeness = "proven per-entry caps; no branch hit an unproven bound"
         else:
-            completeness = "the bound lies below a proven cap; completeness not certified"
+            completeness = (
+                "completeness not certified: a --bound, --max-rank, --rank or "
+                "--no-filter s-rigidity narrows the run"
+            )
         print(f"entry bound: {report.bound} ({completeness})")
         print()
         labels = [
@@ -317,6 +320,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             for i, label in enumerate(report.ring.labels)
             if i != report.ring.identity
         ]
+        names = character_table(report.ring).column_names()
         for candidate in report.candidates:
             module = candidate.module
             mats = "  ".join(
@@ -325,7 +329,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
             print(f"rank {module.rank}  status: {candidate.status}")
             print(f"  {mats}")
             if candidate.multiplicities is not None:
-                names = character_table(report.ring).column_names()
                 parts = [
                     f"{m}*{name}"
                     for m, name in zip(candidate.multiplicities, names)

@@ -75,10 +75,6 @@ class DihedralGroup:
     def __hash__(self) -> int:
         return hash(("DihedralGroup", self.n))
 
-    @property
-    def order(self) -> int:
-        return 2 * self.n
-
     # -- normal form <-> rotation/reflection model ---------------------------
 
     def _to_pair(self, el: DihedralElement) -> tuple[int, int]:

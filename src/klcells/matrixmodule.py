@@ -80,17 +80,12 @@ class MatrixModule:
         return (self.rank, self.flat())
 
 
-def module_from_mats(
-    ring: BasedRing, rank: int, mats: dict[int, Matrix] | list[Matrix]
-) -> MatrixModule:
-    if isinstance(mats, dict):
-        full = [
-            identity_matrix(rank) if i == ring.identity else mats[i]
-            for i in range(ring.size)
-        ]
-    else:
-        full = list(mats)
-    return MatrixModule(ring.labels, ring.identity, rank, tuple(full))
+def module_from_mats(ring: BasedRing, rank: int, mats: dict[int, Matrix]) -> MatrixModule:
+    """The module with mats[b] for every basis element b off the identity."""
+    full = tuple(
+        identity_matrix(rank) if i == ring.identity else mats[i] for i in range(ring.size)
+    )
+    return MatrixModule(ring.labels, ring.identity, rank, full)
 
 
 def trivial_module(ring: BasedRing) -> MatrixModule:
@@ -134,25 +129,15 @@ def is_transitive(module: MatrixModule) -> bool:
 
 
 def canonical_module(module: MatrixModule) -> MatrixModule:
-    """Lexicographically smallest simultaneous row/column permutation."""
-    rank = module.rank
-    non_identity = [i for i in range(len(module.mats)) if i != module.identity]
-    best: tuple | None = None
-    best_mats: list[Matrix] | None = None
-    for perm in permutations(range(rank)):
-        permuted = [
-            tuple(
-                tuple(module.mats[b][perm[i]][perm[j]] for j in range(rank))
-                for i in range(rank)
-            )
-            for b in non_identity
-        ]
-        flat = tuple(v for mat in permuted for row in mat for v in row)
-        if best is None or flat < best:
-            best = flat
-            best_mats = permuted
-    assert best_mats is not None
-    mats = list(module.mats)
-    for b, mat in zip(non_identity, best_mats):
-        mats[b] = mat
-    return MatrixModule(module.labels, module.identity, rank, tuple(mats))
+    """Lexicographically smallest simultaneous row/column permutation.
+
+    Each permutation is compared by its flattened non-identity entries alone,
+    the first minimum wins, and only the winner's matrices are built.
+    """
+    others = [mat for i, mat in enumerate(module.mats) if i != module.identity]
+    best = min(
+        permutations(range(module.rank)),
+        key=lambda perm: tuple(mat[i][j] for mat in others for i in perm for j in perm),
+    )
+    mats = tuple(tuple(tuple(mat[i][j] for j in best) for i in best) for mat in module.mats)
+    return MatrixModule(module.labels, module.identity, module.rank, mats)

@@ -470,7 +470,9 @@ def check_canonicalization() -> CheckResult:
 
 
 def check_classification_regression() -> CheckResult:
-    """Default classify runs reproduce the bundled candidate and status data."""
+    """Default classify runs reproduce the bundled candidate keys and realized
+    counts.  Statuses are copied from ANNOTATIONS, so the realized counts are
+    what catches corrupted status data."""
     failures = []
     for ring_id, want_count in classifier.REALIZED_COUNTS.items():
         report = classifier.classify(ring_id)
@@ -481,11 +483,6 @@ def check_classification_regression() -> CheckResult:
                 f"{ring_id}: {len(report.realized)} realized classes, "
                 f"expected {want_count}"
             )
-        for candidate in report.candidates:
-            key = candidate.module.key()
-            bundled = classifier.ANNOTATIONS[ring_id].get(key)
-            if bundled is not None and bundled[0] != candidate.status:
-                failures.append(f"{ring_id}: status mismatch at {key}")
         if not report.complete:
             failures.append(f"{ring_id}: default search not complete up to its proven caps")
     return _result(

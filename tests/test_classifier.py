@@ -780,7 +780,8 @@ def test_classify_q6_up_to_rank_five_pins_the_candidates():
     report = classify("Q6", max_rank=5)
     keys = tuple(c.module.key() for c in report.candidates)
     assert keys == Q6_MAX_RANK_4_KEYS + Q6_RANK_5_KEYS
-    assert report.complete and not report.bound_exhausted
+    # every search is complete, but the rank cap is 7, so the run is not
+    assert not report.complete and not report.bound_exhausted
     assert report.bound == 24  # the rank-2 sts cap
 
 
@@ -843,10 +844,21 @@ def test_classify_without_rigidity_is_strictly_larger():
     assert "s-rigidity" in note
 
 
+def test_raw_run_misses_raw_modules_above_the_rigid_ranks():
+    # the raw run takes its ranks (1 and 2) from the s-rigid screen, while
+    # raw transitive modules also live at rank 3 (the raw rank cap is 5)
+    assert len(solve_matrix_modules(subquotient_qn(4), 3).modules) == 2
+    raw = classify("Q4", disabled_filters=["s-rigidity"])
+    assert {sum(p) for p in raw.profiles} == {1, 2}  # the ranks searched
+    assert max(c.module.rank for c in raw.candidates) == 2
+    assert not raw.complete and not raw.bound_exhausted
+
+
 def test_classify_rank_override():
     report = classify("Q5", rank=2)
     assert all(c.module.rank in (1, 2) for c in report.candidates)
     assert report.matches_expected is None
+    assert not report.complete
 
 
 def test_classify_custom_ring():

@@ -273,36 +273,52 @@ def test_classify_q5_text(capsys):
     assert "status: excluded" in out
 
 
+NOT_CERTIFIED = (
+    "(completeness not certified: a --bound, --max-rank, --rank or "
+    "--no-filter s-rigidity narrows the run)"
+)
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
         (("--n", "5"),
          "entry bound: 10 (proven per-entry caps; no branch hit an unproven bound)"),
-        # raw searches run under the caps of every non-negative character
-        (("--n", "5", "--rank", "2"),
-         "entry bound: 16 (proven per-entry caps; no branch hit an unproven bound)"),
-        (("--n", "4", "--no-filter", "s-rigidity"),
-         "entry bound: 8 (proven per-entry caps; no branch hit an unproven bound)"),
+        # one raw search at one rank leaves every other rank unsearched
+        (("--n", "5", "--rank", "2"), f"entry bound: 16 {NOT_CERTIFIED}"),
+        # the raw run takes its ranks from the s-rigid screen (1 and 2), but
+        # raw modules exist at ranks 3 and 4
+        (("--n", "4", "--no-filter", "s-rigidity"), f"entry bound: 8 {NOT_CERTIFIED}"),
         # s-rigidity fixes every entry of Q3
         (("--n", "3"),
          "entry bound: 0 (proven per-entry caps; no branch hit an unproven bound)"),
         (("--n", "4", "--no-filter", "s-rigidity", "--bound", "2"),
          "entry bound: 2 (a branch pressed against the bound; completeness not certified)"),
         # the bound lies below the sts cap 4 and loses (0,1,4,0) unflagged
-        (("--n", "4", "--bound", "3"),
-         "entry bound: 3 (the bound lies below a proven cap; completeness not certified)"),
-        (("--n", "5", "--bound", "3"),
-         "entry bound: 3 (the bound lies below a proven cap; completeness not certified)"),
+        (("--n", "4", "--bound", "3"), f"entry bound: 3 {NOT_CERTIFIED}"),
+        (("--n", "5", "--bound", "3"), f"entry bound: 3 {NOT_CERTIFIED}"),
         (("--n", "5", "--bound", "10"),
          "entry bound: 10 (proven per-entry caps; no branch hit an unproven bound)"),
+        # the rank-5 and rank-6 profiles, with 3 candidates, are never searched
+        (("--n", "6", "--max-rank", "4"), f"entry bound: 24 {NOT_CERTIFIED}"),
+        # 7 is the derived rank cap of Q6
+        (("--n", "6", "--max-rank", "7"),
+         "entry bound: 24 (proven per-entry caps; no branch hit an unproven bound)"),
     ],
     ids=["proven-caps", "rank-override", "raw", "no-free-entry", "touched",
-         "below-cap-q4", "below-cap-q5", "at-cap"],
+         "below-cap-q4", "below-cap-q5", "at-cap", "below-rank-cap", "at-rank-cap"],
 )
 def test_classify_entry_bound_line(capsys, argv, line):
     code, out, _ = run_cli(capsys, "classify", *argv)
     assert code == 0
     assert line in out.splitlines()
+
+
+def test_bound_at_every_cap_keeps_the_regression_check(capsys):
+    # a --bound at or above every proven cap runs the identical search
+    code, out, _ = run_cli(capsys, "classify", "--n", "5", "--bound", "10")
+    assert code == 0
+    assert "realized classes: 2 (regression check: ok)" in out.splitlines()
 
 
 def test_classify_q6_default_rank_smoke(capsys):
@@ -419,6 +435,22 @@ def test_unknown_filter_exits_two(capsys):
     code, _, err = run_cli(capsys, "classify", "--n", "4", "--filter", "nope")
     assert code == 2
     assert "unknown filter" in err
+
+
+def test_unknown_disabled_filter_exits_two(capsys):
+    code, _, err = run_cli(capsys, "classify", "--n", "5", "--no-filter", "nope")
+    assert code == 2
+    assert "unknown filter" in err
+
+
+def test_transitive_filter_is_listed_once(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--n", "5", "--filter", "transitive")
+    assert code == 0
+    assert "filters: transitive, s-rigidity" in out.splitlines()
+    code, out, _ = run_cli(
+        capsys, "classify", "--n", "5", "--filter", "transitive", "--format", "structured"
+    )
+    assert json.loads(out)["meta"]["filters"] == ["transitive", "s-rigidity"]
 
 
 def test_missing_ring_file_exits_two(capsys):
