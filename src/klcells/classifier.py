@@ -1,17 +1,22 @@
 """Exhaustive classification of transitive non-negative-integer matrix modules.
 
 The solver runs a depth-first search over the entries of the non-identity
-matrices, each entry capped from above.  Its equations are the product
-relations plus one linear equation per pinned trace.  Because every quantity
-in sight is a non-negative integer, each partially filled equation yields
-interval bounds on the remaining entries, and an equation reduced to a single
-linear unknown is solved outright.  Each assignment checks the equations that
-mention the assigned entry in one pass, without iterating to a fixpoint.  Both
-prunings are sound, and every emitted module is re-verified by full matrix
-multiplication and its traces afterwards.  A naive enumerator with none of
-that machinery doubles as an independent oracle: it assigns the same entries
-one at a time over the whole range and evaluates each entry of each product
-relation exactly once, as soon as the last entry it reads is set.
+matrices, each entry confined to an interval that starts at 0 and its cap.
+Its equations are the product relations plus one linear equation per pinned
+trace.  Because every quantity in sight is a non-negative integer, each
+partially filled equation has an interval of possible values, which tightens
+both ends of every entry it reads linearly; an entry whose ends cross is a
+contradiction, which also catches a forced value that is not an integer.
+Each assignment checks the equations that mention the assigned entry in one
+pass, without iterating to a fixpoint.  After a first pass over every
+equation, the entries whose ends meet become constants and the equations
+left as 0 = 0 are dropped: under s-rigidity the doubling generator is fixed
+at 2I, and most relations that read it go.  Both prunings are sound, and
+every emitted module is re-verified by full matrix multiplication and its
+traces afterwards.  A naive enumerator with none of that machinery doubles
+as an independent oracle: it assigns the same entries one at a time over the
+whole range and evaluates each entry of each product relation exactly once,
+as soon as the last entry it reads is set.
 
 Proven entry caps (Kildetoft & Mazorchuk, *Special modules over positively
 based algebras*; Mazorchuk & Miemietz, *Transitive 2-representations of
@@ -48,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .basedring import BasedRing, subquotient_qn
@@ -246,24 +252,27 @@ def feasible_rank_profiles(
     if max_rank is None:
         max_rank = _perron_limits(table, 1, None, faithful and rigid is not None)[0]
     profiles = []
+    # the trace vector of every multiset of characters of the previous rank;
+    # a multiset's vector is that of picks[:-1] plus the row of picks[-1]
+    vectors = {(): (_QZERO,) * size}
     for rank in range(1, max_rank + 1):
+        grown = {}
         for picks in combinations_with_replacement(range(size), rank):
             m = tuple(picks.count(i) for i in range(size))
-            if special is not None and m[special] != 1:
+            if special is not None and m[special] > 1:
+                continue  # as is every multiset grown from it, so no vector
+            traces = tuple(map(add, vectors[picks[:-1]], table.rows[picks[-1]]))
+            grown[picks] = traces
+            if special is not None and m[special] == 0:
                 continue
-            if faithful and rigid is not None and _exact_trace(table, m, rigid) != 2 * rank:
+            if faithful and rigid is not None and traces[rigid] != 2 * rank:
                 continue
-            traces = []
-            for b in range(size):
-                value = _exact_trace(table, m, b)
-                if not value.is_integer or value.a < 0:
-                    break
-                traces.append(value)
-            if len(traces) < size:
+            if not all(value.is_integer and value.as_integer() >= 0 for value in traces):
                 continue
             if faithful and all(traces[b] == 0 for b in range(size) if b != ring.identity):
                 continue
             profiles.append(m)
+        vectors = grown
     profiles.sort(key=lambda m: (sum(m), m))
     return tuple(profiles)
 
@@ -296,10 +305,11 @@ class SearchOutcome:
     the doubling generator a value equal to a limit that is not a proven cap
     (an explicit bound below the cap): modules past that limit may then be
     missing.  False certifies nothing: a module with an entry past the limit
-    is often pruned earlier, by forcing or integrality, without any branch
-    reaching the limit (Q4, profile (0,1,1), bound=3 loses (0,1,4,0) with
-    the flag false).  Only complete certifies completeness.  Reaching a
-    proven cap loses nothing and is not flagged.
+    is often pruned earlier, when an equation's interval leaves no integer
+    within the limit, without any branch reaching the limit (Q4, profile
+    (0,1,1), bound=3 loses (0,1,4,0) with the flag false).  Only complete
+    certifies completeness.  Reaching a proven cap loses nothing and is not
+    flagged.
     The symmetry break (dedupe=True) keeps the flag of every module the
     search admits: permuting rows and columns keeps each entry in its matrix
     and on or off the diagonal, so at the same limit, and the orbit's
@@ -373,18 +383,21 @@ def _var_positions(rank: int) -> list[tuple[int, int]]:
 class _Search:
     """Bounded DFS over matrix entries with one propagation pass per step.
 
-    Every unassigned entry carries a current upper bound, starting from its
-    proven cap (capped at bound when bound is given) when caps are given, and
-    from bound otherwise.  The equations are
-    the product relations and, for each pinned trace off the identity, the
-    linear equation that the diagonal sums to it.  run() checks every
-    equation once; after that, each assignment checks the equations that
-    mention the assigned entry, once each, in index order, and prunes at the
-    first contradiction.  A check recomputes the equation's feasible interval
-    from the bounds (every term is a product of non-negative quantities),
-    lowers the bound of each linear unknown with a known positive cofactor,
-    and solves an equation left with a single linear unknown exactly over
-    the non-negative integers.  Lowered bounds are used by the equations
+    Every unassigned entry carries an interval [lower, upper], starting at 0
+    and its proven cap (capped at bound when bound is given) when caps are
+    given, and at 0 and bound otherwise.  The equations are the product
+    relations and, for each pinned trace off the identity, the linear
+    equation that the diagonal sums to it.  run() checks every equation once,
+    substitutes the entries that pass fixes (_fold), and starts the DFS,
+    which tries each entry over its interval (0 or 2 on the doubling
+    generator's diagonal under rigidity).  Each assignment checks the
+    equations that mention the assigned entry, once each, in index order, and
+    prunes at the first contradiction.  A check bounds the equation's value
+    from both ends: a product of two unknowns lies between the product of
+    their lower and of their upper bounds, and a linear term c * v between c
+    times either end.  Every linear unknown then gets both ends tightened to
+    what the rest of the equation leaves, over the integers; an empty
+    interval is a contradiction.  Tightened bounds are used by the equations
     checked later in the same pass and are restored on backtracking; nothing
     is re-queued.
 
@@ -435,6 +448,7 @@ class _Search:
                     self.lex_pairs.append(pairs)
         self.lex_front = [0] * len(self.lex_pairs)
         self.values: list[int | None] = [None] * len(self.vars)
+        self.lower = [0] * len(self.vars)
         self.upper: list[int] = []
         # flag_at[k]: the value of entry k that sets bound_exhausted, i.e. its
         # limit when that limit is not a proven cap
@@ -459,7 +473,6 @@ class _Search:
             if b != self.e:
                 diagonal = tuple((-1, self.var_index[(b, k, k)]) for k in range(rank))
                 self.equations.append(((), diagonal, -target))
-        self.eqs_by_var = self._index_equations()
         self.solutions: list[MatrixModule] = []
         self.bound_exhausted = False
 
@@ -514,20 +527,23 @@ class _Search:
         return by_var
 
     def _check_equation(self, idx: int) -> bool:
-        """Check one equation against the current bounds, tightening them in
-        place; False on contradiction."""
+        """Check one equation against the current bounds, tightening both
+        ends of its linear unknowns in place; False on contradiction."""
         products, rhs, const = self.equations[idx]
         values = self.values
+        lower = self.lower
         upper = self.upper
-        # equation: const + sum(net_k * v_k) + (bilinear products) == 0
-        slack = 0  # max total of bilinear unknown*unknown products
+        # equation: const + sum(c_k * v_k) + (bilinear products) == 0; its
+        # left side lies in [lo, hi]
+        lo = hi = 0  # range of the products of two unknowns
         lin: dict[int, int] = {}
         for ka, kb in products:
             av = values[ka]
             bv = values[kb]
             if av is None:
                 if bv is None:
-                    slack += upper[ka] * upper[kb]
+                    lo += lower[ka] * lower[kb]
+                    hi += upper[ka] * upper[kb]
                 elif bv:
                     lin[ka] = lin.get(ka, 0) + bv
             elif bv is None:
@@ -541,35 +557,34 @@ class _Search:
                 const -= coeff * v
             else:
                 lin[k] = lin.get(k, 0) - coeff
-        lo = const
-        hi = const + slack
+        lo += const
+        hi += const
         for k, c in lin.items():
             if c > 0:
+                lo += c * lower[k]
                 hi += c * upper[k]
             elif c < 0:
                 lo += c * upper[k]
+                hi += c * lower[k]
         if lo > 0 or hi < 0:
             return False
-        single = None
-        nlin = 0
         for k, c in lin.items():
-            if c:
-                nlin += 1
-                single = (k, c)
+            # the other terms lie in [lo - c*v_lo, hi - c*v_hi] (ends swapped
+            # for c < 0) and sum to -c*v_k
             if c > 0:
-                # c*v_k <= -lo (v_k contributes 0 to lo), so v_k <= -lo//c
-                cap = (-lo) // c
-                if cap < upper[k]:
-                    upper[k] = cap
-        if slack == 0 and nlin == 1:
-            k, c = single
-            if values[k] is None:
-                # the equation pins v_k exactly; reject non-integral fits
-                if (-const) % c != 0:
-                    return False
-                forced = (-const) // c
-                if forced < 0 or forced > upper[k]:
-                    return False
+                top = lower[k] + -lo // c
+                bottom = upper[k] - hi // c
+            elif c < 0:
+                top = lower[k] + hi // -c
+                bottom = upper[k] - -lo // -c
+            else:
+                continue
+            if bottom > top:
+                return False
+            if top < upper[k]:
+                upper[k] = top
+            if bottom > lower[k]:
+                lower[k] = bottom
         return True
 
     def _propagate(self, seed: Iterable[int]) -> bool:
@@ -577,26 +592,61 @@ class _Search:
         return all(self._check_equation(idx) for idx in seed)
 
     def run(self) -> None:
-        if self._propagate(range(len(self.equations))):
+        if self._propagate(range(len(self.equations))) and self._fold():
             self._assign(0)
+
+    def _fold(self) -> bool:
+        """Substitute every entry whose bounds meet into the equations as a
+        constant, merge like terms and drop the equations left as 0 = 0;
+        False when one is left as a non-zero constant."""
+        fixed = {
+            k: lo for k, (lo, hi) in enumerate(zip(self.lower, self.upper)) if lo == hi
+        }
+        kept = []
+        for products, rhs, const in self.equations:
+            pairs = []
+            lin: dict[int, int] = {}  # net coefficient of each linear unknown
+            for ka, kb in products:
+                if ka in fixed and kb in fixed:
+                    const += fixed[ka] * fixed[kb]
+                elif ka in fixed:
+                    lin[kb] = lin.get(kb, 0) + fixed[ka]
+                elif kb in fixed:
+                    lin[ka] = lin.get(ka, 0) + fixed[kb]
+                else:
+                    pairs.append((ka, kb))
+            for coeff, k in rhs:
+                if k in fixed:
+                    const -= coeff * fixed[k]
+                else:
+                    lin[k] = lin.get(k, 0) - coeff
+            terms = tuple((-c, k) for k, c in lin.items() if c)
+            if pairs or terms:
+                kept.append((tuple(pairs), terms, const))
+            elif const:
+                return False
+        self.equations = kept
+        self.eqs_by_var = self._index_equations()
+        return True
 
     def _assign(self, k: int) -> None:
         if k == len(self.vars):
             self._emit()
             return
         b, i, j = self.vars[k]
+        saved_lower = list(self.lower)
         saved_upper = list(self.upper)
         saved_front = list(self.lex_front)
-        cap = self.upper[k]
-        domain: Iterable[int] = range(cap + 1)
+        domain: Iterable[int] = range(self.lower[k], self.upper[k] + 1)
         if b == self.rigid and i == j:
-            domain = [v for v in (0, 2) if v <= cap]
+            domain = [v for v in (0, 2) if v in domain]
         for value in domain:
             self.values[k] = value
             if self._lex_ok(k) and self._propagate(self.eqs_by_var[k]):
                 if value == self.flag_at[k]:
                     self.bound_exhausted = True
                 self._assign(k + 1)
+            self.lower[:] = saved_lower
             self.upper[:] = saved_upper
             self.lex_front[:] = saved_front
         self.values[k] = None
@@ -957,6 +1007,8 @@ def classify(
     semisimple, or neither a Q_n nor quadratic) raises ClassifierError.
     """
     disabled = {f.name for f in _resolve_filters(disabled_filters)}
+    if "transitive" in disabled:
+        raise ClassifierError("transitivity is always applied; it cannot be disabled")
     # transitivity is always applied and listed first, so it is no extra
     extras = [
         f.name

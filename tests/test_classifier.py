@@ -4,7 +4,7 @@ import random
 import pytest
 
 from klcells.basedring import ring_from_text, subquotient_qn, subring_an
-from klcells.characters import character_table, decompose
+from klcells.characters import character_table, decompose, special_character
 from klcells.classifier import (
     ClassifierError,
     _oracle_equations,
@@ -26,6 +26,7 @@ from klcells.matrixmodule import (
     satisfies_ring_relations,
     trivial_module,
 )
+from klcells.quadfield import FieldElement
 
 I2 = ((2, 0), (0, 2))
 
@@ -64,6 +65,40 @@ def test_profiles_q5_non_faithful_requires_conjugate_balance():
     table = character_table(subquotient_qn(5))
     for profile in feasible_rank_profiles(table, faithful=False, max_rank=5):
         assert profile[1] == profile[2]
+
+
+def _profiles_from_scratch(table, faithful, max_rank):
+    """The rank screen with every trace summed afresh from the multiplicities."""
+    ring = table.ring
+    rigid = rigid_generator(ring)
+    out = []
+    for rank in range(1, max_rank + 1):
+        for picks in itertools.combinations_with_replacement(range(ring.size), rank):
+            m = tuple(picks.count(i) for i in range(ring.size))
+            traces = [
+                sum((m[i] * table.rows[i][b] for i in range(table.size)), FieldElement(0))
+                for b in range(ring.size)
+            ]
+            if not all(t.is_integer and t >= 0 for t in traces):
+                continue
+            if faithful and (
+                m[special_character(table)] != 1
+                or (rigid is not None and traces[rigid] != 2 * rank)
+                or all(traces[b] == 0 for b in range(ring.size) if b != ring.identity)
+            ):
+                continue
+            out.append(m)
+    return tuple(sorted(out, key=lambda m: (sum(m), m)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_profiles_equal_a_from_scratch_screen(n):
+    table = character_table(subquotient_qn(n))
+    cap = _perron_limits(table, 1, None, True)[0]
+    assert feasible_rank_profiles(table, faithful=True) == _profiles_from_scratch(table, True, cap)
+    if n in (4, 6):
+        relaxed = feasible_rank_profiles(table, faithful=False, max_rank=6)
+        assert relaxed == _profiles_from_scratch(table, False, 6)
 
 
 def test_rigid_generator_detection():
@@ -548,6 +583,92 @@ def test_compiled_equations_equal_direct_multiplication(name, rank):
     assert checked >= 16
 
 
+# trace-pinned s-rigid searches and how many of their equations the fold
+# drops: the root pass fixes M_g = 2I, and most relations that read it
+# become 0 = 0 (13 of 18 equations at Q5, 46 of 84 and 82 of 147 at Q6)
+FOLD_CASES = [(5, (0, 1, 1), 13), (6, (0, 1, 1, 1), 46), (6, (0, 2, 1, 1), 82)]
+
+
+@pytest.mark.parametrize(
+    "n, profile, drops",
+    FOLD_CASES,
+    ids=[f"Q{n}-{''.join(map(str, p))}" for n, p, _ in FOLD_CASES],
+)
+def test_folded_equations_equal_direct_multiplication(n, profile, drops):
+    ring = subquotient_qn(n)
+    table = character_table(ring)
+    rank = sum(profile)
+    traces = profile_traces(table, profile)
+    g = rigid_generator(ring)
+    caps = _perron_limits(table, rank, traces, True)[1]
+    search = _Search(ring, rank, None, caps, traces, g, symmetry_break=True)
+    # the source of each compiled equation: a relation entry (x, y, i, j),
+    # read off its first product term, or the basis element of a trace
+    sources = []
+    for products, rhs, _ in search.equations:
+        if products:
+            x, i, _ = search.vars[products[0][0]]
+            y, _, j = search.vars[products[0][1]]
+            sources.append((x, y, i, j))
+        else:
+            sources.append(search.vars[rhs[0][1]][0])
+    # run(), one step at a time
+    assert search._propagate(range(len(search.equations)))
+    assert search._fold()
+    search._assign(0)
+    assert search.solutions
+    fixed = {
+        k: lo for k, (lo, hi) in enumerate(zip(search.lower, search.upper)) if lo == hi
+    }
+    for i, j in itertools.product(range(rank), repeat=2):
+        assert fixed[search.var_index[(g, i, j)]] == 2 * (i == j)
+    # the found modules and seeded assignments that keep the root-fixed entries
+    rng = random.Random(rank)
+    assignments = [[m.mats[b][i][j] for b, i, j in search.vars] for m in search.solutions]
+    for _ in range(100):
+        assignments.append([fixed.get(k, rng.randint(0, 8)) for k in range(len(search.vars))])
+
+    def residuals(values):
+        """Every relation entry by direct multiplication, and every trace
+        minus its pin, keyed like sources."""
+        mats = {ring.identity: tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))}
+        for b in range(ring.size):
+            if b != ring.identity:
+                mats[b] = tuple(
+                    tuple(values[search.var_index[(b, i, j)]] for j in range(rank))
+                    for i in range(rank)
+                )
+        out = _residuals(ring, rank, mats)
+        for label, target in traces.items():
+            b = ring.index(label)
+            out[b] = sum(mats[b][k][k] for k in range(rank)) - target
+        return out
+
+    direct = [residuals(values) for values in assignments]
+
+    def folded(equation, values):
+        products, rhs, const = equation
+        value = const + sum(values[a] * values[b] for a, b in products)
+        return value - sum(c * values[k] for c, k in rhs)
+
+    # the fold keeps the equations in order: each source is either identically
+    # zero on every assignment (dropped) or the next kept equation
+    kept = iter(search.equations)
+    dropped = 0
+    for source in sources:
+        want = [values[source] for values in direct]
+        if not any(want):
+            dropped += 1
+            continue
+        equation = next(kept)
+        assert [folded(equation, values) for values in assignments] == want, source
+        products, rhs, _ = equation
+        read = {k for pair in products for k in pair} | {k for _, k in rhs}
+        assert all(search.vars[k][0] != g for k in read), source
+    assert next(kept, None) is None
+    assert dropped == len(sources) - len(search.equations) == drops
+
+
 SMALL_RINGS = {
     "A4": lambda: subring_an(4),
     "Q4": lambda: subquotient_qn(4),
@@ -666,6 +787,22 @@ def test_trace_pinned_search_equals_bruteforce(n, profile):
         if all(m.trace(label) == t for label, t in traces.items())
     ]
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
+
+
+@pytest.mark.parametrize("profile", [(0, 1, 1, 1), (0, 2, 0, 1)])
+def test_trace_pinned_search_equals_bruteforce_at_rank_three(profile):
+    # lower bounds and the root fold are pruning the rank-two cases above
+    # barely reach
+    ring = subquotient_qn(6)
+    traces = profile_traces(character_table(ring), profile)
+    fast = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=3, traces=traces)
+    slow = [
+        m
+        for m in bruteforce_matrix_modules(ring, 3, 3, ["s-rigidity"])
+        if all(m.trace(label) == t for label, t in traces.items())
+    ]
+    assert [m.key() for m in fast.modules] == [m.key() for m in slow]
+    assert slow
 
 
 # -- classification ----------------------------------------------------------------
@@ -873,6 +1010,11 @@ def test_classify_custom_ring():
     assert [c.module.flat() for c in report.candidates] == [
         c.module.flat() for c in bundled.candidates
     ]
+
+
+def test_classify_refuses_to_disable_transitivity():
+    with pytest.raises(ClassifierError, match="transitivity is always applied"):
+        classify("Q4", disabled_filters=["transitive"])
 
 
 def test_classify_rejects_bad_ids():

@@ -443,6 +443,13 @@ def test_unknown_disabled_filter_exits_two(capsys):
     assert "unknown filter" in err
 
 
+def test_disabling_transitivity_exits_two(capsys):
+    code, out, err = run_cli(capsys, "classify", "--n", "4", "--no-filter", "transitive")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: transitivity is always applied; it cannot be disabled"]
+
+
 def test_transitive_filter_is_listed_once(capsys):
     code, out, _ = run_cli(capsys, "classify", "--n", "5", "--filter", "transitive")
     assert code == 0
