@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .basedring import BasedRing, subquotient_qn
@@ -252,27 +251,24 @@ def feasible_rank_profiles(
     if max_rank is None:
         max_rank = _perron_limits(table, 1, None, faithful and rigid is not None)[0]
     profiles = []
-    # the trace vector of every multiset of characters of the previous rank;
-    # a multiset's vector is that of picks[:-1] plus the row of picks[-1]
-    vectors = {(): (_QZERO,) * size}
     for rank in range(1, max_rank + 1):
-        grown = {}
         for picks in combinations_with_replacement(range(size), rank):
             m = tuple(picks.count(i) for i in range(size))
-            if special is not None and m[special] > 1:
-                continue  # as is every multiset grown from it, so no vector
-            traces = tuple(map(add, vectors[picks[:-1]], table.rows[picks[-1]]))
-            grown[picks] = traces
-            if special is not None and m[special] == 0:
+            if special is not None and m[special] != 1:
                 continue
-            if faithful and rigid is not None and traces[rigid] != 2 * rank:
+            if faithful and rigid is not None and _exact_trace(table, m, rigid) != 2 * rank:
                 continue
-            if not all(value.is_integer and value.as_integer() >= 0 for value in traces):
+            traces = []
+            for b in range(size):
+                value = _exact_trace(table, m, b)
+                if not value.is_integer or value.a < 0:
+                    break
+                traces.append(value)
+            if len(traces) < size:
                 continue
             if faithful and all(traces[b] == 0 for b in range(size) if b != ring.identity):
                 continue
             profiles.append(m)
-        vectors = grown
     profiles.sort(key=lambda m: (sum(m), m))
     return tuple(profiles)
 

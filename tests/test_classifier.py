@@ -4,7 +4,7 @@ import random
 import pytest
 
 from klcells.basedring import ring_from_text, subquotient_qn, subring_an
-from klcells.characters import character_table, decompose, special_character
+from klcells.characters import character_table, decompose
 from klcells.classifier import (
     ClassifierError,
     _oracle_equations,
@@ -26,7 +26,6 @@ from klcells.matrixmodule import (
     satisfies_ring_relations,
     trivial_module,
 )
-from klcells.quadfield import FieldElement
 
 I2 = ((2, 0), (0, 2))
 
@@ -65,40 +64,6 @@ def test_profiles_q5_non_faithful_requires_conjugate_balance():
     table = character_table(subquotient_qn(5))
     for profile in feasible_rank_profiles(table, faithful=False, max_rank=5):
         assert profile[1] == profile[2]
-
-
-def _profiles_from_scratch(table, faithful, max_rank):
-    """The rank screen with every trace summed afresh from the multiplicities."""
-    ring = table.ring
-    rigid = rigid_generator(ring)
-    out = []
-    for rank in range(1, max_rank + 1):
-        for picks in itertools.combinations_with_replacement(range(ring.size), rank):
-            m = tuple(picks.count(i) for i in range(ring.size))
-            traces = [
-                sum((m[i] * table.rows[i][b] for i in range(table.size)), FieldElement(0))
-                for b in range(ring.size)
-            ]
-            if not all(t.is_integer and t >= 0 for t in traces):
-                continue
-            if faithful and (
-                m[special_character(table)] != 1
-                or (rigid is not None and traces[rigid] != 2 * rank)
-                or all(traces[b] == 0 for b in range(ring.size) if b != ring.identity)
-            ):
-                continue
-            out.append(m)
-    return tuple(sorted(out, key=lambda m: (sum(m), m)))
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_profiles_equal_a_from_scratch_screen(n):
-    table = character_table(subquotient_qn(n))
-    cap = _perron_limits(table, 1, None, True)[0]
-    assert feasible_rank_profiles(table, faithful=True) == _profiles_from_scratch(table, True, cap)
-    if n in (4, 6):
-        relaxed = feasible_rank_profiles(table, faithful=False, max_rank=6)
-        assert relaxed == _profiles_from_scratch(table, False, 6)
 
 
 def test_rigid_generator_detection():
