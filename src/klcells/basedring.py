@@ -11,6 +11,8 @@ deleted from products), and its subring A_n spanned by e and s alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import lshift, mul
 from typing import Iterable, Sequence
 
 from . import klring
@@ -115,7 +117,15 @@ class RingReport:
 
 
 def verify(ring: BasedRing) -> RingReport:
-    """Re-check every based-ring axiom; returns a report with witnesses."""
+    """Re-check every based-ring axiom; returns a report with witnesses.
+
+    The report lists every violation, check by check (involution, labels,
+    shape and positivity, identity, associativity, anti-involution) and, in
+    each check, in index order.  Every check compares whole rows first and
+    spells out coordinates only for a row that fails; associativity compares
+    rows packed into ints, which is exact for entries of any sign (the
+    argument is in _associativity_violations).
+    """
     out: list[RingViolation] = []
     size = ring.size
     c = ring.c
@@ -130,54 +140,106 @@ def verify(ring: BasedRing) -> RingReport:
             if len(row) != size:
                 out.append(RingViolation("shape", (i, j), "row of wrong length"))
                 return RingReport(False, tuple(out))
-            for z in range(size):
-                if row[z] < 0:
-                    out.append(
-                        RingViolation(
-                            "positivity", (i, j, z), f"coefficient {row[z]} < 0"
-                        )
-                    )
+            if min(row) < 0:
+                out.extend(
+                    RingViolation("positivity", (i, j, z), f"coefficient {a} < 0")
+                    for z, a in enumerate(row)
+                    if a < 0
+                )
     e = ring.identity
     for j in range(size):
-        for z in range(size):
-            want = 1 if z == j else 0
-            if c[e][j][z] != want:
-                out.append(RingViolation("left-identity", (j, z), "e*y != y"))
-            if c[j][e][z] != want:
-                out.append(RingViolation("right-identity", (j, z), "x*e != x"))
-    nonzero = [
-        [[(v, a) for v, a in enumerate(row) if a] for row in plane] for plane in c
-    ]
-    for x in range(size):
-        for y in range(size):
+        unit = tuple(int(z == j) for z in range(size))
+        if tuple(c[e][j]) != unit or tuple(c[j][e]) != unit:
             for z in range(size):
-                lhs = [0] * size
-                for u, a in nonzero[x][y]:
-                    for v, b in nonzero[u][z]:
-                        lhs[v] += a * b
-                rhs = [0] * size
-                for u, a in nonzero[y][z]:
-                    for v, b in nonzero[x][u]:
-                        rhs[v] += a * b
-                for v in range(size):
-                    if lhs[v] != rhs[v]:
-                        message = f"{lhs[v]} != {rhs[v]}"
-                        out.append(
-                            RingViolation("associativity", (x, y, z, v), message)
-                        )
+                if c[e][j][z] != unit[z]:
+                    out.append(RingViolation("left-identity", (j, z), "e*y != y"))
+                if c[j][e][z] != unit[z]:
+                    out.append(RingViolation("right-identity", (j, z), "x*e != x"))
+    out += _associativity_violations(c, size)
     inv = ring.involution
     for x in range(size):
         for y in range(size):
-            for z in range(size):
-                if c[x][y][z] != c[inv[y]][inv[x]][inv[z]]:
-                    out.append(
-                        RingViolation(
-                            "anti-involution",
-                            (x, y, z),
-                            f"{c[x][y][z]} != {c[inv[y]][inv[x]][inv[z]]}",
-                        )
+            row, image = c[x][y], c[inv[y]][inv[x]]
+            if tuple(row) != tuple(map(image.__getitem__, inv)):
+                out.extend(
+                    RingViolation(
+                        "anti-involution", (x, y, z), f"{row[z]} != {image[inv[z]]}"
                     )
+                    for z in range(size)
+                    if row[z] != image[inv[z]]
+                )
     return RingReport(not out, tuple(out))
+
+
+def _associativity_violations(
+    c: Sequence[Sequence[Sequence[int]]], size: int
+) -> list[RingViolation]:
+    """Every (x, y, z, v) at which (xy)z and x(yz) differ in coordinate v.
+
+    Each product row c[x][y] is packed into one int, W bits per coordinate,
+    so that for fixed x and y both sides over all (z, v) are a few big-int
+    multiply-adds: (xy)z = sum_u c[x][y][u] c[u][z], with the rows c[u][z]
+    of every z packed side by side, and x(yz) = sum_u c[y][z][u] c[x][u].
+
+    Soundness, with no sign assumption: let A be the largest |entry| and S
+    the largest row sum of |entries|.  Every coordinate of either side is a
+    sum over u of c[.][.][u] * c[.][.][v], so its absolute value is at most
+    S*A < 2^(W-1) for W = (S*A).bit_length() + 1.  An int sum_k d_k 2^(W k)
+    with every |d_k| < 2^(W-1) determines its digits d_k (balanced base
+    2^W, see _unpack), so the two packed sides are equal exactly when they
+    agree in every coordinate, negative entries included.  Only a pair
+    (x, y) whose packed sides differ is unpacked to name its failing (z, v).
+    """
+    magnitudes = [list(map(abs, row)) for plane in c for row in plane]
+    top = max(map(max, magnitudes), default=0)
+    row_sum = max(map(sum, magnitudes), default=0)
+    width = (row_sum * top).bit_length() + 1
+    offsets = [width * v for v in range(size)]
+    shifts = [width * size * z for z in range(size)]
+    packed = [[sum(map(lshift, row, offsets)) for row in plane] for plane in c]
+    # right_products[u]: the rows c[u][z] packed one after the other, z = 0, 1, ...
+    right_products = [sum(map(lshift, plane, shifts)) for plane in packed]
+    # support[x][y]: the indices u with c[x][y][u] != 0 and those coefficients
+    support = [
+        [(list(compress(range(size), row)), list(filter(None, row))) for row in plane]
+        for plane in c
+    ]
+    out = []
+    for x in range(size):
+        row_of_x = packed[x].__getitem__
+        for y in range(size):
+            us, coeffs = support[x][y]
+            lhs = sum(map(mul, coeffs, map(right_products.__getitem__, us)))
+            rhs = sum(
+                sum(map(mul, yz_coeffs, map(row_of_x, yz_us))) << shift
+                for (yz_us, yz_coeffs), shift in zip(support[y], shifts)
+            )
+            if lhs == rhs:
+                continue
+            left = _unpack(lhs, width, size * size)
+            right = _unpack(rhs, width, size * size)
+            for k, (a, b) in enumerate(zip(left, right)):
+                if a != b:
+                    witness = (x, y, *divmod(k, size))
+                    out.append(RingViolation("associativity", witness, f"{a} != {b}"))
+    return out
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The balanced base-2^width digits of packed, lowest first.
+
+    Inverts the packing sum_k d_k 2^(width k) whenever every d_k lies
+    strictly between -2^(width-1) and 2^(width-1).
+    """
+    mask, half = (1 << width) - 1, 1 << width - 1
+    digits = []
+    for _ in range(count):
+        digit = packed & mask
+        if digit >= half:
+            digit -= 1 << width
+        digits.append(digit)
+        packed = (packed - digit) >> width
+    return digits
 
 
 def _checked(ring: BasedRing) -> BasedRing:

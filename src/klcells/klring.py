@@ -11,7 +11,8 @@ left/right/two-sided cell partitions any such table induces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Sequence
 
 from .dihedral import GENERATORS, DihedralElement, DihedralGroup
@@ -138,23 +139,22 @@ class CellPartition:
         raise KeyError(label)
 
 
-def _closure(size: int, edges: set[tuple[int, int]]) -> list[list[bool]]:
-    reach = [[i == j for j in range(size)] for i in range(size)]
-    for i, j in edges:
-        reach[i][j] = True
-    for k in range(size):
-        rk = reach[k]
-        for i in range(size):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(size):
-                    if rk[j]:
-                        ri[j] = True
+def _closure(rows: list[int]) -> list[int]:
+    """Reflexive-transitive closure of a relation given by bit-mask rows.
+
+    Bit j of rows[i] says i <= j.  Warshall's algorithm on the masks: once
+    every row that reaches k has absorbed row k, paths through 0..k are
+    closed, so O(size^2) int operations close the relation.
+    """
+    reach = [row | 1 << i for i, row in enumerate(rows)]
+    for k in range(len(reach)):
+        row, bit = reach[k], 1 << k
+        reach = [r | row if r & bit else r for r in reach]
     return reach
 
 
 def _cells_from_reach(
-    labels: Sequence[str], reach: list[list[bool]]
+    labels: Sequence[str], reach: list[int]
 ) -> tuple[tuple[tuple[str, ...], ...], frozenset[tuple[int, int]]]:
     size = len(labels)
     cell_index = [-1] * size
@@ -162,7 +162,7 @@ def _cells_from_reach(
     for i in range(size):
         if cell_index[i] >= 0:
             continue
-        members = [j for j in range(size) if reach[i][j] and reach[j][i]]
+        members = [j for j in range(size) if reach[i] >> j & 1 and reach[j] >> i & 1]
         for j in members:
             cell_index[j] = len(cells)
         cells.append(members)
@@ -171,7 +171,7 @@ def _cells_from_reach(
         (a, b)
         for a, ca in enumerate(cells)
         for b, cb in enumerate(cells)
-        if reach[ca[0]][cb[0]]
+        if reach[ca[0]] >> cb[0] & 1
     )
     return cell_labels, leq
 
@@ -189,20 +189,21 @@ def compute_cells(
     preorder by their union; cells are the mutual-comparability classes.
     With these directions the identity cell is the minimum, matching the
     linear order {e} <= (middle) <= {w0} of the dihedral KL ring.
+
+    Each relation is held as one int per basis element, bit z set when the
+    element is <= z: the left row of y is the union over x of the positive
+    support of kl(x)kl(y), the right row of x the union over y.
     """
-    size = len(labels)
-    left_edges: set[tuple[int, int]] = set()
-    right_edges: set[tuple[int, int]] = set()
-    for x in range(size):
-        for y in range(size):
-            row = c[x][y]
-            for z in range(size):
-                if row[z] > 0:
-                    left_edges.add((y, z))
-                    right_edges.add((x, z))
-    left_reach = _closure(size, left_edges)
-    right_reach = _closure(size, right_edges)
-    two_reach = _closure(size, left_edges | right_edges)
+    # support[x][y]: bit z set when kl(z) has a positive coefficient in kl(x)kl(y)
+    support = [
+        [sum(1 << z for z, a in enumerate(row) if a > 0) for row in plane]
+        for plane in c
+    ]
+    left_rows = [reduce(or_, column, 0) for column in zip(*support)]
+    right_rows = [reduce(or_, plane, 0) for plane in support]
+    left_reach = _closure(left_rows)
+    right_reach = _closure(right_rows)
+    two_reach = _closure([a | b for a, b in zip(left_rows, right_rows)])
     left, left_leq = _cells_from_reach(labels, left_reach)
     right, right_leq = _cells_from_reach(labels, right_reach)
     two, two_leq = _cells_from_reach(labels, two_reach)

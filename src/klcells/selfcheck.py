@@ -476,7 +476,7 @@ def check_classification_regression() -> CheckResult:
     failures = []
     for ring_id, want_count in classifier.REALIZED_COUNTS.items():
         report = classifier.classify(ring_id)
-        if report.matches_expected is not True:
+        if report.matches_expected is False:
             failures.append(f"{ring_id}: candidates drifted from bundled data")
         if len(report.realized) != want_count:
             failures.append(

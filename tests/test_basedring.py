@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klcells.basedring import (
     BasedRing,
@@ -7,6 +9,7 @@ from klcells.basedring import (
     RingViolation,
     TruncationError,
     cells_of,
+    full_kl_ring,
     ring_from_text,
     ring_to_text,
     subquotient_qn,
@@ -115,6 +118,112 @@ def test_verify_flags_negative_entry():
     report = verify(BasedRing(ring.labels, frozen, ring.identity))
     assert not report.ok
     assert any(v.axiom == "positivity" for v in report.violations)
+
+
+def _plain_violations(ring):
+    """Every based-ring violation, found by plain loops over coordinates;
+    the order and the messages are the ones verify reports."""
+    out = []
+    size, c = ring.size, ring.c
+    if sorted(ring.involution) != list(range(size)):
+        return (RingViolation("involution", (), "not a permutation of the basis"),)
+    if len(set(ring.labels)) != size:
+        out.append(RingViolation("labels", (), "labels are not distinct"))
+    for i in range(size):
+        for j in range(size):
+            if len(c[i][j]) != size:
+                out.append(RingViolation("shape", (i, j), "row of wrong length"))
+                return tuple(out)
+            for z in range(size):
+                if c[i][j][z] < 0:
+                    message = f"coefficient {c[i][j][z]} < 0"
+                    out.append(RingViolation("positivity", (i, j, z), message))
+    e = ring.identity
+    for j in range(size):
+        for z in range(size):
+            want = 1 if z == j else 0
+            if c[e][j][z] != want:
+                out.append(RingViolation("left-identity", (j, z), "e*y != y"))
+            if c[j][e][z] != want:
+                out.append(RingViolation("right-identity", (j, z), "x*e != x"))
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                for v in range(size):
+                    lhs = sum(c[x][y][u] * c[u][z][v] for u in range(size))
+                    rhs = sum(c[y][z][u] * c[x][u][v] for u in range(size))
+                    if lhs != rhs:
+                        message = f"{lhs} != {rhs}"
+                        out.append(RingViolation("associativity", (x, y, z, v), message))
+    inv = ring.involution
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                a, b = c[x][y][z], c[inv[y]][inv[x]][inv[z]]
+                if a != b:
+                    out.append(RingViolation("anti-involution", (x, y, z), f"{a} != {b}"))
+    return tuple(out)
+
+
+# small entries, and entries of 2^20 and more of either sign
+_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=2**20, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**20)),
+)
+
+
+@st.composite
+def _integer_rings(draw):
+    size = draw(st.integers(min_value=1, max_value=4))
+    cells = st.lists(_entries, min_size=size, max_size=size).map(tuple)
+    table = draw(
+        st.lists(
+            st.lists(cells, min_size=size, max_size=size).map(tuple),
+            min_size=size,
+            max_size=size,
+        ).map(tuple)
+    )
+    identity = draw(st.integers(min_value=0, max_value=size - 1))
+    involution = draw(st.permutations(range(size)))
+    labels = tuple(f"b{i}" for i in range(size))
+    return BasedRing(labels, table, identity, tuple(involution))
+
+
+@given(_integer_rings())
+@settings(max_examples=150, deadline=None)
+def test_verify_matches_plain_loops_on_integer_tables(ring):
+    assert verify(ring).violations == _plain_violations(ring)
+
+
+_real_rings = [subquotient_qn(n) for n in (3, 5, 8)] + [full_kl_ring(n) for n in (2, 3)]
+
+
+@given(
+    st.sampled_from(_real_rings),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=5),
+            st.sampled_from((-1, 1, 2, 2**20, -(2**20), 2**45)),
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_verify_matches_plain_loops_on_corrupted_rings(ring, changes):
+    # a few wrong entries in a true ring: most triples still associate
+    table = [[list(row) for row in plane] for plane in ring.c]
+    for x, y, z, delta in changes:
+        table[x % ring.size][y % ring.size][z % ring.size] += delta
+    frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
+    corrupted = BasedRing(ring.labels, frozen, ring.identity, ring.involution)
+    assert verify(corrupted).violations == _plain_violations(corrupted)
+
+
+def test_verify_accepts_the_full_kl_ring_at_twelve():
+    assert verify(full_kl_ring(12)).ok
 
 
 def test_cells_of_subquotients():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klcells.dihedral import DihedralGroup
 from klcells.klring import compute_cells, structure_constants
@@ -215,3 +217,103 @@ def test_cells_n3_follow_the_descent_description():
     left_sets = {frozenset(cell) for cell in cells.left}
     assert frozenset({"s", "ts"}) in left_sets
     assert frozenset({"t", "st"}) in left_sets
+
+
+def _oracle_closure(size, edges):
+    """Reflexive-transitive closure on lists of bools: Warshall, entry by entry."""
+    reach = [[i == j for j in range(size)] for i in range(size)]
+    for i, j in edges:
+        reach[i][j] = True
+    for k in range(size):
+        rk = reach[k]
+        for i in range(size):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(size):
+                    if rk[j]:
+                        ri[j] = True
+    return reach
+
+
+def _oracle_cells_from_reach(labels, reach):
+    size = len(labels)
+    cell_index = [-1] * size
+    cells = []
+    for i in range(size):
+        if cell_index[i] >= 0:
+            continue
+        members = [j for j in range(size) if reach[i][j] and reach[j][i]]
+        for j in members:
+            cell_index[j] = len(cells)
+        cells.append(members)
+    cell_labels = tuple(tuple(labels[j] for j in cell) for cell in cells)
+    leq = frozenset(
+        (a, b)
+        for a, ca in enumerate(cells)
+        for b, cb in enumerate(cells)
+        if reach[ca[0]][cb[0]]
+    )
+    return cell_labels, leq
+
+
+def _oracle_cells(labels, c):
+    """Left, right and two-sided cells and their orders, from explicit edge
+    sets: y <= z (left) and x <= z (right) whenever c[x][y][z] > 0."""
+    size = len(labels)
+    left_edges, right_edges = set(), set()
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                if c[x][y][z] > 0:
+                    left_edges.add((y, z))
+                    right_edges.add((x, z))
+    left, left_leq = _oracle_cells_from_reach(labels, _oracle_closure(size, left_edges))
+    right, right_leq = _oracle_cells_from_reach(labels, _oracle_closure(size, right_edges))
+    two, two_leq = _oracle_cells_from_reach(
+        labels, _oracle_closure(size, left_edges | right_edges)
+    )
+    return left, right, two, left_leq, right_leq, two_leq
+
+
+def _partition(cells):
+    return (
+        cells.left,
+        cells.right,
+        cells.two_sided,
+        cells.left_leq,
+        cells.right_leq,
+        cells.two_sided_leq,
+    )
+
+
+@st.composite
+def _non_negative_tables(draw):
+    """A table of size 1-12 with entries 0, 1 or 2 and at most 3 * size
+    non-zero ones, sparse enough that the preorders have several cells."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=size - 1)
+    entries = draw(
+        st.lists(
+            st.tuples(index, index, index, st.integers(min_value=1, max_value=2)),
+            max_size=3 * size,
+        )
+    )
+    table = [[[0] * size for _ in range(size)] for _ in range(size)]
+    for x, y, z, value in entries:
+        table[x][y][z] = value
+    labels = tuple(f"b{i}" for i in range(size))
+    return labels, tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+
+@given(_non_negative_tables())
+@settings(max_examples=150, deadline=None)
+def test_cells_match_the_edge_set_oracle(labelled_table):
+    labels, c = labelled_table
+    assert _partition(compute_cells(labels, c)) == _oracle_cells(labels, c)
+
+
+@pytest.mark.parametrize("n", [3, 8, 24])
+def test_cells_of_the_kl_table_match_the_edge_set_oracle(n):
+    constants = structure_constants(n)
+    cells = compute_cells(constants.labels, constants.c)
+    assert _partition(cells) == _oracle_cells(constants.labels, constants.c)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from klcells import classifier
@@ -38,6 +40,23 @@ def test_suite_detects_expected_candidate_drift(monkeypatch):
     monkeypatch.setattr(classifier, "EXPECTED_CANDIDATES", bad)
     report = selfcheck.run_suite(max_n=3)
     assert not report.ok
+
+
+def test_an_incomplete_default_run_is_reported_once_as_incomplete(monkeypatch):
+    # an incomplete run has no verdict on the bundled candidates
+    # (matches_expected is None), so it is not reported as drift as well
+    classify = classifier.classify
+
+    def incomplete_q4(ring_id, **kwargs):
+        report = classify(ring_id, **kwargs)
+        if ring_id != "Q4":
+            return report
+        return dataclasses.replace(report, complete=False, matches_expected=None)
+
+    monkeypatch.setattr(classifier, "classify", incomplete_q4)
+    result = selfcheck.check_classification_regression()
+    assert not result.ok
+    assert result.detail == "Q4: default search not complete up to its proven caps"
 
 
 def test_individual_checks_report_names():
