@@ -4,12 +4,14 @@ For dihedral groups the basis element attached to w is the plain Bruhat sum
 kl(w) = sum of all v <= w with coefficient 1, and the structure constants
 kl(x) * kl(y) = sum_z c[x][y][z] kl(z) are non-negative integers.  This module
 builds that table from the dihedral multiplication rule for kl(g) * kl(w),
-without expanding anything in the group ring, and computes the
-left/right/two-sided cell partitions any such table induces.
+without expanding anything in the group ring, one whole plane c[x] at a time
+as a single packed int, and computes the left/right/two-sided cell
+partitions any such table induces.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
@@ -25,9 +27,15 @@ __all__ = [
     "compute_cells",
 ]
 
+# memoryview format of an unsigned digit of each width; lower case reads it signed
+_FORMATS = {16: "H", 32: "I", 64: "Q"}
+# memoryview.cast reads native byte order: a big-endian buffer lists the top digit first
+_DIGIT_ORDER = 1 if sys.byteorder == "little" else -1
+
 
 class PositivityError(ArithmeticError):
-    """A structure constant came out negative; indicates an implementation bug."""
+    """A structure constant came out negative or above its proven bound;
+    indicates an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -56,41 +64,106 @@ def structure_constants(n: int) -> KLStructureConstants:
     kl(x) = kl(g)kl(x') - kl(h x') (the second term only for k >= 3), so the
     rows follow one another in length order; w0 is taken as the word
     starting with s.
+
+    Each plane is one int: c[x][y][z] is the digit at position y*size + z,
+    W bits a digit.  kl(g) * (-) maps kl(z) to terms kl(z + d) with a
+    coefficient b; grouping the terms by (d, b) gives one digit mask per
+    group, repeated in every row slot, so the whole product is a few
+    mask-shift-multiply-adds and no term leaves its row.  With A that
+    product on c[x'] and D the plane c[h x'], the subtraction is
+    ((A | G) - D) ^ G with G the top bit of every digit: a digit whose
+    difference is negative borrows only its own guard bit, so every digit
+    ends as its W-bit two's complement and a set guard bit marks a negative
+    coefficient.
+
+    The width is proven.  The augmentation epsilon(w) = 1 is a ring map,
+    and epsilon(kl w) = #{v <= w} lies between 1 and 2n.  Applying it to
+    kl(x)kl(y) gives sum_z c[x][y][z] epsilon(kl z) = epsilon(kl x)
+    epsilon(kl y), so every entry is at most 4n^2; every coefficient of
+    kl(g)kl(x')kl(y) is likewise at most 2 * 2(n - 1) * 2n < 8n^2, since
+    l(x') < n.  W = (8n^2).bit_length() + 1, rounded up to 16, 32 or 64,
+    keeps every digit of A and D below 2^(W-1): the sum forming A never
+    carries and the guard bits start clear.  One more guard test checks
+    every entry of the new plane against 4n^2, so an entry out of that range
+    raises instead of wrapping; the plane is then read back into rows in C.
+    Only the planes of the last two lengths are kept packed.
     """
     group = DihedralGroup(n)
     elements = group.elements()
     labels = tuple(group.label(el) for el in elements)
     index = {el: i for i, el in enumerate(elements)}
     size = len(elements)
+    bound = 4 * n * n
+    width, guard = _digit_layout(n, size * size)
+    fmt, digit = _FORMATS[width], (1 << width) - 1
+    # digit by digit, v + limit sets the guard bit exactly when v > bound
+    limit = _repeat((1 << (width - 1)) - bound - 1, width, size * size)
+    diagonal = _repeat(1, width * (size + 1), size)
     gens = {g: group.element(g) for g in GENERATORS}
-    # left[g][z]: the terms (index, coefficient) of kl(g) * kl(elements[z])
-    left = {
-        g: [_left_terms(group, g, w, index) for w in elements] for g in GENERATORS
-    }
-    table = [tuple(tuple(int(z == y) for z in range(size)) for y in range(size))]
+    # left[g]: kl(g) * (-) on a plane, as (bit shift, coefficient, mask) per group
+    left = {}
+    for g in GENERATORS:
+        groups: dict[tuple[int, int], int] = {}
+        for z, w in enumerate(elements):
+            for target, b in _left_terms(group, g, w, index):
+                key = (width * (target - z), b)
+                groups[key] = groups.get(key, 0) | digit << width * z
+        left[g] = [
+            (shift, b, _repeat(mask, width * size, size))
+            for (shift, b), mask in groups.items()
+        ]
+    planes = {0: diagonal}
+    table = [_rows(diagonal, size, width, fmt)]
     for i, x in enumerate(elements[1:], 1):
         g = x.start or "s"
         shorter = group.multiply(gens[g], x)
-        base = table[index[shorter]]
-        drop = None
+        base = planes[index[shorter]]
+        drop = 0
         if x.length >= 3:
-            drop = table[index[group.multiply(gens[shorter.start], shorter)]]
-        row = []
-        for j in range(size):
-            coords = [-a for a in drop[j]] if drop else [0] * size
-            for z, a in enumerate(base[j]):
-                if a:
-                    for w, b in left[g][z]:
-                        coords[w] += a * b
-            if min(coords) < 0:
-                raise PositivityError(
-                    f"negative coefficient in kl({labels[i]})*kl({labels[j]}): {coords}"
-                )
-            row.append(tuple(coords))
-        table.append(tuple(row))
+            drop = planes[index[group.multiply(gens[shorter.start], shorter)]]
+        plane = 0
+        for shift, b, mask in left[g]:
+            part = base & mask
+            plane += b * (part << shift if shift >= 0 else part >> -shift)
+        plane = ((plane | guard) - drop) ^ guard
+        if plane & guard:
+            rows = _rows(plane, size, width, fmt.lower())
+            j = next(j for j, row in enumerate(rows) if min(row) < 0)
+            raise PositivityError(
+                f"negative coefficient in kl({labels[i]})*kl({labels[j]}): {list(rows[j])}"
+            )
+        rows = _rows(plane, size, width, fmt)
+        if (plane + limit) & guard:
+            j = next(j for j, row in enumerate(rows) if max(row) > bound)
+            raise PositivityError(
+                f"coefficient above 4n^2 = {bound} in kl({labels[i]})*kl({labels[j]}): "
+                f"{list(rows[j])}"
+            )
+        table.append(rows)
+        planes[i] = plane
+        # elements run by length, two of each: no later plane reads plane i - 4
+        planes.pop(i - 4, None)
     constants = KLStructureConstants(n, labels, elements, tuple(table))
     _check_identity_axioms(constants)
     return constants
+
+
+def _digit_layout(n: int, count: int) -> tuple[int, int]:
+    """Digit width W for ZD_2n, and the mask of the top bit of `count` digits."""
+    width = next(w for w in _FORMATS if w > (8 * n * n).bit_length())
+    return width, _repeat(1 << (width - 1), width, count)
+
+
+def _repeat(value: int, bits: int, count: int) -> int:
+    """`count` copies of a `bits`-bit value side by side (bits a multiple of 8)."""
+    return int.from_bytes(value.to_bytes(bits // 8, "little") * count, "little")
+
+
+def _rows(plane: int, size: int, width: int, fmt: str) -> tuple[tuple[int, ...], ...]:
+    """The size x size digits of a packed plane as rows, read in C."""
+    data = plane.to_bytes(width // 8 * size * size, sys.byteorder)
+    digits = memoryview(data).cast(fmt)[::_DIGIT_ORDER]
+    return tuple(zip(*[iter(digits)] * size))
 
 
 def _left_terms(
@@ -109,10 +182,9 @@ def _check_identity_axioms(constants: KLStructureConstants) -> None:
     e = constants.identity_index
     size = len(constants.labels)
     for j in range(size):
-        for z in range(size):
-            want = 1 if z == j else 0
-            if constants.c[e][j][z] != want or constants.c[j][e][z] != want:
-                raise PositivityError(f"identity axiom fails at index {j}")
+        unit = (0,) * j + (1,) + (0,) * (size - 1 - j)
+        if constants.c[e][j] != unit or constants.c[j][e] != unit:
+            raise PositivityError(f"identity axiom fails at index {j}")
 
 
 @dataclass(frozen=True)

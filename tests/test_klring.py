@@ -1,11 +1,19 @@
+import dataclasses
+import hashlib
 import itertools
+import json
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klcells.dihedral import DihedralGroup
-from klcells.klring import compute_cells, structure_constants
+from klcells import klring
+from klcells.dihedral import GENERATORS, DihedralGroup
+from klcells.klring import PositivityError, compute_cells, structure_constants
+
+# uncached, so that the large tables built here do not stay alive all session
+_uncached = structure_constants.__wrapped__
 
 
 def _oracle_kl(group, w):
@@ -99,6 +107,45 @@ def _oracle_table(n):
     )
 
 
+def _row_recurrence(n):
+    """The KL table one entry at a time: kl(x) = kl(g)kl(x') - kl(h x') with
+    kl(g) * (-) applied to every row of c[x'] through klring._left_terms, one
+    Python step per (x, y, z).  Raises PositivityError at the first row with
+    a negative coefficient, with the library's message."""
+    group = DihedralGroup(n)
+    elements = group.elements()
+    labels = [group.label(el) for el in elements]
+    index = {el: i for i, el in enumerate(elements)}
+    size = len(elements)
+    gens = {g: group.element(g) for g in GENERATORS}
+    left = {
+        g: [klring._left_terms(group, g, w, index) for w in elements]
+        for g in GENERATORS
+    }
+    table = [tuple(tuple(int(z == y) for z in range(size)) for y in range(size))]
+    for i, x in enumerate(elements[1:], 1):
+        g = x.start or "s"
+        shorter = group.multiply(gens[g], x)
+        base = table[index[shorter]]
+        drop = None
+        if x.length >= 3:
+            drop = table[index[group.multiply(gens[shorter.start], shorter)]]
+        row = []
+        for j in range(size):
+            coords = [-a for a in drop[j]] if drop else [0] * size
+            for z, a in enumerate(base[j]):
+                if a:
+                    for w, b in left[g][z]:
+                        coords[w] += a * b
+            if min(coords) < 0:
+                raise PositivityError(
+                    f"negative coefficient in kl({labels[i]})*kl({labels[j]}): {coords}"
+                )
+            row.append(tuple(coords))
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def test_kl_basis_examples():
     g4 = DihedralGroup(4)
     assert _bruhat_sum(g4, g4.element("")) == {g4.element(""): 1}
@@ -147,6 +194,123 @@ def test_to_kl_coords_matches_oracle_on_products(n):
 @pytest.mark.parametrize("n", range(2, 17))
 def test_structure_constants_match_group_ring_convolution(n):
     assert structure_constants(n).c == _oracle_table(n)
+
+
+# n = 17..24 continue the convolution oracle's range; n = 63 and 64 sit on
+# either side of the step from 16- to 32-bit digits
+@pytest.mark.parametrize("n", [*range(17, 25), 32, 48, 63, 64])
+def test_packed_planes_match_the_row_recurrence(n):
+    assert _uncached(n).c == _row_recurrence(n)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_augmentation_is_multiplicative(n):
+    # epsilon(w) = 1 is a ring map and epsilon(kl w) = #{v <= w}, counted by
+    # the length rule: sum_z c[x][y][z] epsilon(kl z) = epsilon(kl x) epsilon(kl y)
+    elements = DihedralGroup(n).elements()
+    eps = [sum(v == w or v.length < w.length for v in elements) for w in elements]
+    for x, plane in enumerate(_uncached(n).c):
+        for y, row in enumerate(plane):
+            assert sum(map(mul, row, eps)) == eps[x] * eps[y], (x, y)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (32, "788b33c778722b3e1dfe34d75b350cf653bf2557b107fe4d77738c07375040c3"),
+        (48, "0dff0959d150d9de46215953aa539fc93ab24c139fe9a322761bab73745499b3"),
+        (64, "8aa41051ed25cc4fe9d1bc2df7217e09d99715339b0f4c08535ff58869c3a092"),
+    ],
+)
+def test_large_tables_keep_their_pinned_digests(n, digest):
+    # sha256 of the compact JSON of c, as the benchmark pins its tables
+    text = json.dumps(_uncached(n).c, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_digit_width_holds_the_proven_bound():
+    # every coefficient of kl(g)kl(x')kl(y) is below 8n^2, so the top bit of
+    # each digit must stay above it; the guard mask is that top bit
+    for n in range(2, 300):
+        width, guard = klring._digit_layout(n, 3)
+        top = 2 ** (width - 1)
+        assert top > 8 * n * n, n
+        assert guard == top + (top << width) + (top << 2 * width)
+    assert klring._digit_layout(63, 1)[0] == 16
+    assert klring._digit_layout(64, 1)[0] == 32
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_guard_subtraction_is_exact_in_every_digit(data):
+    n = data.draw(st.sampled_from([5, 63, 64, 10**5]))
+    count = data.draw(st.integers(min_value=1, max_value=6))
+    width, guard = klring._digit_layout(n, count)
+    top = 1 << (width - 1)
+    digits = st.lists(
+        st.integers(min_value=0, max_value=top - 1), min_size=count, max_size=count
+    )
+    a, d = data.draw(digits), data.draw(digits)
+
+    def pack(values):
+        return sum(v << width * k for k, v in enumerate(values))
+
+    got = ((pack(a) | guard) - pack(d)) ^ guard
+    for k in range(count):
+        digit = got >> width * k & (1 << width) - 1
+        assert digit - (digit & top) * 2 == a[k] - d[k]
+
+
+def test_a_dropped_left_term_raises_the_positivity_message(monkeypatch):
+    # _left_terms forgets kl(hw) in kl(s)kl(w) for w = ts, so kl(sts) =
+    # kl(s)kl(ts) - kl(s) turns negative; the kernel names the same row
+    real = klring._left_terms
+    ts = DihedralGroup(5).element("ts")
+
+    def corrupted(group, g, w, index):
+        terms = real(group, g, w, index)
+        return terms[:1] if (g, w) == ("s", ts) else terms
+
+    monkeypatch.setattr(klring, "_left_terms", corrupted)
+    with pytest.raises(PositivityError) as want:
+        _row_recurrence(5)
+    with pytest.raises(PositivityError) as got:
+        _uncached(5)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("negative coefficient in kl(sts)*kl(e): [")
+
+
+@pytest.mark.parametrize(
+    "descent, where",
+    [(101, "kl(s)*kl(s)"), (100, "kl(st)*kl(w0)")],
+)
+def test_a_plane_past_the_entry_bound_raises(monkeypatch, descent, where):
+    # kl(s)kl(s) = 2 kl(s) inflated to 101 kl(s) is one past 4n^2 = 100 and
+    # raises at once; at exactly 100 it passes, and the first larger entry,
+    # 10000 in kl(st)kl(w0), raises
+    real = klring._left_terms
+
+    def inflated(group, g, w, index):
+        return tuple((z, descent if b == 2 else b) for z, b in real(group, g, w, index))
+
+    monkeypatch.setattr(klring, "_left_terms", inflated)
+    with pytest.raises(PositivityError) as got:
+        _uncached(5)
+    assert str(got.value).startswith(f"coefficient above 4n^2 = 100 in {where}: [")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_broken_identity_row_is_refused(side):
+    constants = structure_constants(4)
+    c = [list(plane) for plane in constants.c]
+    e, j = constants.identity_index, constants.index("st")
+    if side == "left":
+        c[e][j] = constants.c[e][j + 1]
+    else:
+        c[j][e] = constants.c[j + 1][e]
+    broken = dataclasses.replace(constants, c=tuple(map(tuple, c)))
+    with pytest.raises(PositivityError, match=f"identity axiom fails at index {j}$"):
+        klring._check_identity_axioms(broken)
 
 
 def test_structure_constants_examples():
