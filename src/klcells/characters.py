@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .basedring import BasedRing
 from .matrixmodule import MatrixModule, identity_matrix
@@ -28,6 +29,9 @@ from .quadfield import (
     FieldElement,
     FieldMismatchError,
     NonRealRootsError,
+    _integer_view,
+    _poly_mul,
+    _reduce,
     solve_quadratic_monic,
     two_cos,
 )
@@ -107,6 +111,30 @@ class CharacterTable:
                     aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
         return [row[size:] for row in aug]
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """The columns (chi_i(b) for every i) in quadfield's integer view."""
+        return _integer_view(list(zip(*self.rows)))
+
+    @cached_property
+    def _inverse_rows(self) -> tuple | None:
+        """_inverse in quadfield's integer view; None if it is singular."""
+        return None if self._inverse is None else _integer_view(self._inverse)
+
+    @cached_property
+    def _row_sums(self) -> tuple[FieldElement, ...]:
+        """chi_i(sum of all basis elements) for every row i."""
+        return tuple(sum(row, _ZERO) for row in self.rows)
+
+    @cached_property
+    def _abs_row_sums(self) -> tuple[FieldElement, ...]:
+        return tuple(map(abs, self._row_sums))
+
+    @cached_property
+    def _nonnegative_rows(self) -> tuple[int, ...]:
+        """The rows i with chi_i(b) >= 0 for every basis element b."""
+        return tuple(i for i, row in enumerate(self.rows) if all(v >= 0 for v in row))
+
 
 @dataclass(frozen=True)
 class ModuleDecomposition:
@@ -116,14 +144,20 @@ class ModuleDecomposition:
 
 
 def _multiplicative(ring: BasedRing, row, xs) -> bool:
-    """row(x) row(y) = sum_z c[x][y][z] row(z) for every x in xs and every y."""
+    """row(x) row(y) = sum_z c[x][y][z] row(z) for every x in xs and every y.
+
+    Checked in quadfield's integer view, row(b) = A_b / D: the identity
+    reads reduce(A_x A_y) == D sum_z c[x][y][z] A_z, coordinate by
+    coordinate.  A row with values in two fields raises FieldMismatchError.
+    """
+    field, den, (columns,) = _integer_view([row])  # columns[k][z]: coordinate k of A_z
+    coords = list(zip(*columns))
     for x in xs:
-        for y in range(ring.size):
-            total = _ZERO
-            for z, c in enumerate(ring.c[x][y]):
-                if c:
-                    total = total + c * row[z]
-            if row[x] * row[y] != total:
+        for y, coeffs in enumerate(ring.c[x]):
+            product = _poly_mul(coords[x], coords[y])
+            if field is not None:
+                _reduce(product, field.poly)
+            if product != [den * sum(map(mul, coeffs, column)) for column in columns]:
                 return False
     return True
 
@@ -279,27 +313,24 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
 
 def _trace_multiplicities(table: CharacterTable, traces: list[int]) -> tuple[int, ...]:
     """The non-negative integers m_i with sum_i m_i chi_i(b) = traces[b] for
-    every basis element b; DecompositionError when there are none.  The
-    table's inverse character matrix is computed once and reused."""
-    inverse = table._inverse
-    if inverse is None:
+    every basis element b; DecompositionError when there are none.
+
+    m_i = sum_b inverse[i][b] traces[b] is summed on the ints of the table's
+    inverse over one denominator D (_inverse_rows): m_i is an integer
+    exactly when every irrational coordinate of D m_i is 0 and D divides
+    the rational one.  Field elements are built only to render the error.
+    """
+    view = table._inverse_rows
+    if view is None:
         raise DecompositionError("trace system is inconsistent for this module")
-    solution = []
-    for row in inverse:
-        value = _ZERO
-        for entry, trace in zip(row, traces):
-            if trace:
-                value = value + trace * entry
-        solution.append(value)
-    mults = []
-    for value in solution:
-        if not value.is_integer or value.a < 0:
-            raise DecompositionError(
-                f"trace system solution {[str(v) for v in solution]} is not a "
-                "non-negative integer vector"
-            )
-        mults.append(value.as_integer())
-    return tuple(mults)
+    field, den, rows = view
+    solution = [[sum(map(mul, coords, traces)) for coords in row] for row in rows]
+    if any(v[0] < 0 or v[0] % den or any(v[1:]) for v in solution):
+        values = [str(FieldElement._make(field, v, den)) for v in solution]
+        raise DecompositionError(
+            f"trace system solution {values} is not a non-negative integer vector"
+        )
+    return tuple(v[0] // den for v in solution)
 
 
 def special_character(table: CharacterTable) -> int:
@@ -308,12 +339,7 @@ def special_character(table: CharacterTable) -> int:
     This is the Perron-Frobenius distinguished constituent; a tie would mean
     the ring is outside the supported setting and raises.
     """
-    sums = []
-    for row in table.rows:
-        total = _ZERO
-        for value in row:
-            total = total + value
-        sums.append(abs(total))
+    sums = table._abs_row_sums
     best = 0
     for i in range(1, len(sums)):
         if sums[i] > sums[best]:

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .basedring import BasedRing, subquotient_qn
@@ -73,9 +74,6 @@ from .matrixmodule import (
     satisfies_ring_relations,
     trivial_module,
 )
-from .quadfield import FieldElement
-
-_QZERO = FieldElement(0)
 
 __all__ = [
     "ClassifierError",
@@ -221,12 +219,15 @@ def _resolve_filters(filters: Iterable[str | ModuleFilter]) -> list[ModuleFilter
 # -- rank screening -------------------------------------------------------------
 
 
-def _exact_trace(table: CharacterTable, profile: Sequence[int], b: int) -> FieldElement:
-    total = _QZERO
-    for i in range(table.size):
-        if profile[i]:
-            total = total + profile[i] * table.rows[i][b]
-    return total
+def _exact_trace(table: CharacterTable, profile: Sequence[int], b: int) -> int | None:
+    """sum_i profile[i] chi_i(b) when it is an integer, else None, summed on
+    the table's integer columns: every irrational coordinate must cancel to
+    0 and the denominator divide the rational one."""
+    _, den, columns = table._columns
+    rational, *irrational = [sum(map(mul, profile, coords)) for coords in columns[b]]
+    if rational % den or any(irrational):
+        return None
+    return rational // den
 
 
 def feasible_rank_profiles(
@@ -261,7 +262,7 @@ def feasible_rank_profiles(
             traces = []
             for b in range(size):
                 value = _exact_trace(table, m, b)
-                if not value.is_integer or value.a < 0:
+                if value is None or value < 0:
                     break
                 traces.append(value)
             if len(traces) < size:
@@ -278,11 +279,11 @@ def profile_traces(table: CharacterTable, profile: Sequence[int]) -> dict[str, i
     out = {}
     for b, label in enumerate(table.ring.labels):
         value = _exact_trace(table, profile, b)
-        if not value.is_integer:
+        if value is None:
             raise ClassifierError(
                 f"profile {profile} has non-integral trace at {label}"
             )
-        out[label] = value.as_integer()
+        out[label] = value
     return out
 
 
@@ -336,14 +337,15 @@ def _perron_limits(
     """
     ring = table.ring
     d = 3 if doubled else 1
-    sums = [sum(row) for row in table.rows]
-    mus = [i for i, row in enumerate(table.rows) if all(v >= 0 for v in row)]
+    sums = table._row_sums
+    mus = table._nonnegative_rows
     if traces is not None and set(traces) == set(ring.labels):
         try:
             mults = _trace_multiplicities(table, [traces[label] for label in ring.labels])
         except DecompositionError:
             mults = (0,) * table.size
-        top = max((abs(sums[i]) for i in range(table.size) if mults[i]), default=None)
+        magnitudes = table._abs_row_sums
+        top = max((magnitudes[i] for i in range(table.size) if mults[i]), default=None)
         mus = [i for i in mus if mults[i] and sums[i] == top]
     caps = {b: (0, 0) for b in range(ring.size) if b != ring.identity}
     for i in mus:

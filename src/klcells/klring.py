@@ -169,13 +169,18 @@ def _rows(plane: int, size: int, width: int, fmt: str) -> tuple[tuple[int, ...],
 def _left_terms(
     group: DihedralGroup, g: str, w: DihedralElement, index: dict[DihedralElement, int]
 ) -> tuple[tuple[int, int], ...]:
-    """kl(g) * kl(w) in the KL basis, as (index, coefficient) pairs."""
-    if g in group.left_descents(w):
+    """kl(g) * kl(w) in the KL basis, as (index, coefficient) pairs, read off
+    w's first letter and length l: g is a left descent of w exactly when w
+    is w0 or starts with g; otherwise gw is the word of length l + 1 that
+    starts with g (w0 at length n), and hw, h = w's first letter, the word
+    of length l - 1 that starts with g."""
+    length = w.length
+    if length and w.start in (g, None):
         return ((index[w], 2),)
-    terms = ((index[group.multiply(group.element(g), w)], 1),)
-    if w.length >= 2:
-        terms += ((index[group.multiply(group.element(w.start), w)], 1),)
-    return terms
+    up = DihedralElement(g if length + 1 < group.n else None, length + 1)
+    if length < 2:
+        return ((index[up], 1),)
+    return ((index[up], 1), (index[DihedralElement(g, length - 1)], 1))
 
 
 def _check_identity_axioms(constants: KLStructureConstants) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import lshift, mul
 
 from .basedring import BasedRing
 
@@ -34,14 +35,6 @@ def identity_matrix(rank: int) -> Matrix:
 
 def zero_matrix(rank: int) -> Matrix:
     return tuple((0,) * rank for _ in range(rank))
-
-
-def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    rank = len(x)
-    return tuple(
-        tuple(sum(x[i][p] * y[p][j] for p in range(rank)) for j in range(rank))
-        for i in range(rank)
-    )
 
 
 @dataclass(frozen=True)
@@ -96,25 +89,41 @@ def trivial_module(ring: BasedRing) -> MatrixModule:
 
 def satisfies_ring_relations(ring: BasedRing, module: MatrixModule) -> bool:
     """Full re-verification M_x M_y == sum_z c[x][y][z] M_z by plain matrix
-    multiplication, independent of any search pruning."""
-    rank = module.rank
-    if module.mats[ring.identity] != identity_matrix(rank):
+    multiplication, independent of any search pruning.
+
+    Each matrix row is packed into one int, W bits per entry, so that for
+    every (x, y) and row i both sides are one multiply-add sum: row i of
+    M_x M_y is sum_p M_x[i][p] * (row p of M_y), and row i of the right side
+    is sum_z c[x][y][z] * (row i of M_z).  The sums are compared as ints.
+
+    Soundness is the balanced-digit argument of
+    basedring._associativity_violations.  After the negativity check every
+    entry lies in 0..A, so an entry of M_x M_y lies in 0..rank*A^2, and an
+    entry of the right side has absolute value at most S*A, S the largest
+    sum_z |c[x][y][z]|.  For W = max(rank*A^2, S*A).bit_length() + 1 both
+    stay below 2^(W-1) in absolute value, and an int sum_j d_j 2^(W j) with
+    every |d_j| < 2^(W-1) determines its digits d_j.  So the two packed
+    rows are equal exactly when they agree entry by entry, negative
+    coefficients included.
+    """
+    rank, mats = module.rank, module.mats
+    if mats[ring.identity] != identity_matrix(rank):
         return False
-    if any(v < 0 for mat in module.mats for row in mat for v in row):
+    if any(v < 0 for mat in mats for row in mat for v in row):
         return False
-    for x in range(ring.size):
-        for y in range(ring.size):
-            product = _mat_mul(module.mats[x], module.mats[y])
-            want = [[0] * rank for _ in range(rank)]
-            for z in range(ring.size):
-                coeff = ring.c[x][y][z]
-                if coeff:
-                    mz = module.mats[z]
-                    for i in range(rank):
-                        for j in range(rank):
-                            want[i][j] += coeff * mz[i][j]
-            if product != tuple(tuple(row) for row in want):
-                return False
+    top = max(v for mat in mats for row in mat for v in row)
+    spread = max(sum(map(abs, row)) for plane in ring.c for row in plane)
+    width = max(rank * top * top, spread * top).bit_length() + 1
+    offsets = [width * j for j in range(rank)]
+    packed = [[sum(map(lshift, row, offsets)) for row in mat] for mat in mats]
+    rows_at = list(zip(*packed))  # rows_at[i]: row i of every M_z, packed
+    for x, plane in enumerate(ring.c):
+        mat = mats[x]
+        for y, coeffs in enumerate(plane):
+            right = packed[y]
+            for i, row in enumerate(mat):
+                if sum(map(mul, row, right)) != sum(map(mul, coeffs, rows_at[i])):
+                    return False
     return True
 
 

@@ -98,6 +98,20 @@ def _over_common_denominator(coords: Sequence[Rational]) -> tuple[list[int], int
     return [c.numerator * (den // c.denominator) for c in coords], den
 
 
+def _reduce(product: list[int], poly: Sequence[int]) -> None:
+    """Reduce product modulo the monic poly in place: the top term c theta**k
+    is replaced by -c (poly[0] + poly[1] theta + ...) theta**(k - top) until
+    fewer than top = deg(poly) coordinates are left."""
+    top = len(poly) - 1
+    while len(product) > top:
+        c = product.pop()
+        if c:
+            base = len(product) - top
+            for i in range(top):
+                if poly[i]:
+                    product[base + i] -= c * poly[i]
+
+
 def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
     """Quotient and remainder; integers stay integers when den is monic."""
     num, top = list(num), len(den) - 1
@@ -345,16 +359,8 @@ class FieldElement:
             return NotImplemented
         field = self._join(rhs)
         product = _poly_mul(self.num, rhs.num)
-        if field is not None:  # theta**top = -(poly[0] + poly[1] theta + ...)
-            poly = field.poly
-            top = len(poly) - 1
-            while len(product) > top:
-                c = product.pop()
-                if c:
-                    base = len(product) - top
-                    for i in range(top):
-                        if poly[i]:
-                            product[base + i] -= c * poly[i]
+        if field is not None:
+            _reduce(product, field.poly)
         return FieldElement._make(field, product, self.den * rhs.den)
 
     __rmul__ = __mul__
@@ -460,6 +466,35 @@ class FieldElement:
 
 
 QuadNum = FieldElement
+
+
+def _integer_view(
+    rows: Sequence[Sequence[FieldElement]],
+) -> tuple[NumberField | None, int, list[list[tuple[int, ...]]]]:
+    """Rows of values of one field as plain ints: (field, D, out).
+
+    D is the lcm of the dens of all the values, and out[r][k] holds
+    coordinate k of D * rows[r][j] for every j, for each k below the field's
+    degree (1 for Q): the numerators scaled to D, zero past a value's last
+    one.  So rows[r][j] = sum_k out[r][k][j] theta**k / D, integer
+    combinations of the values are sums of ints, coordinate by coordinate,
+    and a product is _reduce(_poly_mul(.)) over D**2.  field is None when
+    every value is rational.  Raises FieldMismatchError when two fields meet.
+    """
+    values = [value for row in rows for value in row]
+    irrational = [value for value in values if value.field is not None]
+    for value in irrational[1:]:
+        irrational[0]._join(value)  # raises FieldMismatchError on a second field
+    field = irrational[0].field if irrational else None
+    degree = 1 if field is None else len(field.poly) - 1
+    den = math.lcm(*(value.den for value in values))
+    return field, den, [
+        [
+            tuple(v.num[k] * (den // v.den) if k < len(v.num) else 0 for v in row)
+            for k in range(degree)
+        ]
+        for row in rows
+    ]
 
 
 def compare(x: FieldElement | Rational, y: FieldElement | Rational) -> int:
