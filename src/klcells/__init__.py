@@ -12,8 +12,8 @@ from .basedring import (
     RingFormatError,
     RingReport,
     TruncationError,
-    cells_of,
     full_kl_ring,
+    rigid_generator,
     ring_from_text,
     ring_to_text,
     subquotient_qn,
@@ -38,14 +38,12 @@ from .classifier import (
     ClassificationReport,
     ClassifierError,
     EXPECTED_CANDIDATES,
-    ModuleFilter,
     SearchOutcome,
     bruteforce_matrix_modules,
     bundled_ring,
     classify,
     feasible_rank_profiles,
     named_filters,
-    rigid_generator,
     solve_matrix_modules,
 )
 from .dihedral import DihedralElement, DihedralGroup
@@ -69,7 +67,6 @@ from .quadfield import (
     FieldMismatchError,
     NonRealRootsError,
     QuadNum,
-    compare,
     solve_quadratic_monic,
 )
 from .selfcheck import SuiteReport, run_suite
@@ -92,7 +89,6 @@ __all__ = [
     "FieldMismatchError",
     "NonRealRootsError",
     "QuadNum",
-    "compare",
     "solve_quadratic_monic",
     # basedring
     "BasedRing",
@@ -100,8 +96,8 @@ __all__ = [
     "RingFormatError",
     "RingReport",
     "TruncationError",
-    "cells_of",
     "full_kl_ring",
+    "rigid_generator",
     "ring_from_text",
     "ring_to_text",
     "subquotient_qn",
@@ -130,14 +126,12 @@ __all__ = [
     "ClassificationReport",
     "ClassifierError",
     "EXPECTED_CANDIDATES",
-    "ModuleFilter",
     "SearchOutcome",
     "bruteforce_matrix_modules",
     "bundled_ring",
     "classify",
     "feasible_rank_profiles",
     "named_filters",
-    "rigid_generator",
     "solve_matrix_modules",
     # verification
     "SuiteReport",

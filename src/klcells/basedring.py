@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from . import klring
 from .dihedral import DihedralGroup
-from .klring import CellPartition
 
 __all__ = [
     "BasedRing",
@@ -31,7 +30,7 @@ __all__ = [
     "subquotient_qn",
     "subring_an",
     "verify",
-    "cells_of",
+    "rigid_generator",
     "ring_products",
     "ring_to_text",
     "ring_from_text",
@@ -323,8 +322,21 @@ def subring_an(n: int) -> BasedRing:
     return restrict_constants(constants, [0, constants.index("s")], name=f"A{n}")
 
 
-def cells_of(ring: BasedRing) -> CellPartition:
-    return klring.compute_cells(ring.labels, ring.c, ring.identity)
+def rigid_generator(ring: BasedRing) -> int | None:
+    """The unique non-identity basis element g with g*g = 2g, if any.
+
+    Over the subring spanned by e and g, a transitive action makes each basis
+    line carry g as (0) or (2); that dichotomy is what the s-rigidity filter
+    and the faithful rank screen lean on.  In Q_n, g is s, where the closed
+    form of the characters starts.
+    """
+    hits = [
+        b
+        for b in range(ring.size)
+        if b != ring.identity
+        and all(ring.c[b][b][z] == 2 * (z == b) for z in range(ring.size))
+    ]
+    return hits[0] if len(hits) == 1 else None
 
 
 # -- serialization ------------------------------------------------------------

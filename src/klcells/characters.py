@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .basedring import BasedRing
+from .basedring import BasedRing, rigid_generator
 from .matrixmodule import MatrixModule, identity_matrix
 from .quadfield import (
     FieldElement,
@@ -166,9 +166,9 @@ def _closed_form_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]] | None:
     """The closed-form characters of Q_n, n in {2(size - 1), 2 size - 1}, when
     they verify on this ring, read with its basis e, b_0 = s, b_1 = sts, ...
     in the order the multiplication gives; None otherwise.  b_0 is the one
-    element with b_0 b_0 = 2 b_0; for each choice of sts (in index order),
-    b_{k+1} is the one element not yet read in sts * b_k, if that chain
-    covers the basis.  Q3 has no sts and goes to the quadratic solver.
+    element with b_0 b_0 = 2 b_0 (rigid_generator); for each choice of sts
+    (in index order), b_{k+1} is the one element not yet read in sts * b_k,
+    if that chain covers the basis.  Q3 has no sts and goes to the quadratic solver.
 
     The check is multiplicativity against the generators s and sts only.
     That suffices on such a chain: sts * b_k has a non-zero b_{k+1}
@@ -178,13 +178,10 @@ def _closed_form_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]] | None:
     so on the whole ring.
     """
     size, e = ring.size, ring.identity
-    basis = [b for b in range(size) if b != e]
-    doubling = [
-        b for b in basis if ring.c[b][b] == tuple(2 * (z == b) for z in range(size))
-    ]
-    if len(doubling) != 1:
+    s = rigid_generator(ring)
+    if s is None:
         return None
-    s = doubling[0]
+    basis = [b for b in range(size) if b != e]
     for sts in [b for b in basis if b != s]:
         chain = [s]
         while len(chain) < len(basis):

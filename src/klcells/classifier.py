@@ -56,7 +56,7 @@ from itertools import product as iproduct
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .basedring import BasedRing, subquotient_qn
+from .basedring import BasedRing, rigid_generator, subquotient_qn
 from .characters import (
     CharacterError,
     CharacterTable,
@@ -77,12 +77,10 @@ from .matrixmodule import (
 
 __all__ = [
     "ClassifierError",
-    "ModuleFilter",
     "SearchOutcome",
     "Candidate",
     "ClassificationReport",
     "named_filters",
-    "rigid_generator",
     "feasible_rank_profiles",
     "solve_matrix_modules",
     "bruteforce_matrix_modules",
@@ -99,37 +97,6 @@ class ClassifierError(ValueError):
 
 
 # -- filters -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModuleFilter:
-    """A named candidate filter.
-
-    rigidity filters additionally constrain the search domain of the doubling
-    generator's matrix; post predicates run on completed candidates.
-    """
-
-    name: str
-    description: str
-    rigidity: bool = False
-    post: Callable[[BasedRing, MatrixModule], bool] | None = None
-
-
-def rigid_generator(ring: BasedRing) -> int | None:
-    """The unique non-identity basis element g with g*g = 2g, if any.
-
-    Over the subring spanned by e and g, a transitive action makes each basis
-    line carry g as (0) or (2); that dichotomy is what the rigidity filter
-    and the faithful rank screen lean on.
-    """
-    hits = [
-        b
-        for b in range(ring.size)
-        if b != ring.identity
-        and ring.c[b][b][b] == 2
-        and all(ring.c[b][b][z] == 0 for z in range(ring.size) if z != b)
-    ]
-    return hits[0] if len(hits) == 1 else None
 
 
 def _required_rigid_generator(ring: BasedRing) -> int:
@@ -172,48 +139,49 @@ def _special_mult_one(ring: BasedRing, module: MatrixModule) -> bool:
     return mults[special_character(table)] == 1
 
 
-def named_filters() -> dict[str, ModuleFilter]:
-    """Registry of the available candidate filters."""
-    filters = [
-        ModuleFilter(
-            "transitive",
-            "every matrix position is hit by a positive entry (always applied)",
-            post=lambda ring, module: is_transitive(module),
-        ),
-        ModuleFilter(
-            "s-rigidity",
-            "the doubling generator acts diagonally with entries 0 or 2",
-            rigidity=True,
-            post=_rigidity_holds,
-        ),
-        ModuleFilter(
-            "faithful",
-            "some non-identity basis element acts by a non-zero matrix",
-            post=_is_faithful,
-        ),
-        ModuleFilter(
-            "special-mult-one",
-            "the trace decomposition exists and gives the special character "
-            "multiplicity one",
-            post=_special_mult_one,
-        ),
-    ]
-    return {f.name: f for f in filters}
+# name -> (description, the check every candidate must pass).  Transitivity
+# has no check here: every search tests it anyway.  s-rigidity also confines
+# the search domain of the doubling generator's matrix.
+_FILTERS: dict[str, tuple[str, Callable[[BasedRing, MatrixModule], bool] | None]] = {
+    "transitive": (
+        "every matrix position is hit by a positive entry (always applied)",
+        None,
+    ),
+    "s-rigidity": (
+        "the doubling generator acts diagonally with entries 0 or 2",
+        _rigidity_holds,
+    ),
+    "faithful": (
+        "some non-identity basis element acts by a non-zero matrix",
+        _is_faithful,
+    ),
+    "special-mult-one": (
+        "the trace decomposition exists and gives the special character "
+        "multiplicity one",
+        _special_mult_one,
+    ),
+}
 
 
-def _resolve_filters(filters: Iterable[str | ModuleFilter]) -> list[ModuleFilter]:
-    registry = named_filters()
-    out: list[ModuleFilter] = []
-    for item in filters:
-        if isinstance(item, ModuleFilter):
-            out.append(item)
-        elif item in registry:
-            out.append(registry[item])
-        else:
+def named_filters() -> dict[str, str]:
+    """The available candidate filters, name -> description."""
+    return {name: description for name, (description, _) in _FILTERS.items()}
+
+
+def _resolve_filters(filters: Iterable[str]) -> list[str]:
+    names = list(filters)
+    for name in names:
+        if not isinstance(name, str) or name not in _FILTERS:
             raise ClassifierError(
-                f"unknown filter {item!r}; available: {sorted(registry)}"
+                f"unknown filter {name!r}; available: {sorted(_FILTERS)}"
             )
-    return out
+    return names
+
+
+def _passes(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool:
+    """Whether module passes the check of every named filter."""
+    checks = (_FILTERS[name][1] for name in names)
+    return all(check(ring, module) for check in checks if check is not None)
 
 
 # -- rank screening -------------------------------------------------------------
@@ -688,7 +656,7 @@ class _Search:
 def solve_matrix_modules(
     ring: BasedRing,
     rank: int,
-    filters: Iterable[str | ModuleFilter] = (),
+    filters: Iterable[str] = (),
     *,
     bound: int | None = None,
     traces: Mapping[str, int] | None = None,
@@ -706,9 +674,9 @@ def solve_matrix_modules(
     """
     if rank < 1:
         raise ClassifierError(f"rank must be positive, got {rank}")
-    chosen = _resolve_filters(filters)
+    names = _resolve_filters(filters)
     rigid_constrained = None
-    if any(f.rigidity for f in chosen):
+    if "s-rigidity" in names:
         rigid_constrained = _required_rigid_generator(ring)
     try:
         table = _table_for(ring)
@@ -737,7 +705,7 @@ def solve_matrix_modules(
             module.trace(label) != t for label, t in traces.items()
         ):
             continue
-        if not all(f.post(ring, module) for f in chosen if f.post is not None):
+        if not _passes(ring, module, names):
             continue
         kept.append(module)
     if dedupe:
@@ -787,7 +755,7 @@ def bruteforce_matrix_modules(
     ring: BasedRing,
     rank: int,
     bound: int,
-    filters: Iterable[str | ModuleFilter] = (),
+    filters: Iterable[str] = (),
 ) -> tuple[MatrixModule, ...]:
     """Exhaustive entry-by-entry generate-and-test with no pruning (oracle).
 
@@ -802,13 +770,13 @@ def bruteforce_matrix_modules(
     checked exactly once, on known values only; a value is kept when all of
     them sum to 0.  Nothing is bounded, capped or forced, and the
     enumeration is complete up to the bound.  Leaves are tested for
-    transitivity and the post filters and deduped by canonical form.
+    transitivity and the filters' checks and deduped by canonical form.
     Intended for small ranks and bounds as an independent cross-check of the
     pruned search.
     """
-    chosen = _resolve_filters(filters)
+    names = _resolve_filters(filters)
     rigid = None
-    if any(f.rigidity for f in chosen):
+    if "s-rigidity" in names:
         rigid = _required_rigid_generator(ring)
     order = _search_order(ring, rigid)
     cells = [(b, i, j) for b in order for i in range(rank) for j in range(rank)]
@@ -840,7 +808,7 @@ def bruteforce_matrix_modules(
             module = module_from_mats(ring, rank, mats)
             if not is_transitive(module):
                 return
-            if not all(f.post(ring, module) for f in chosen if f.post is not None):
+            if not _passes(ring, module, names):
                 return
             canon = canonical_module(module)
             results.setdefault(canon.key(), canon)
@@ -995,23 +963,23 @@ def classify(
 
     Default pipeline: screen faithful rank profiles, search each profile with
     its exact trace budget under s-rigidity, prepend the rank-one zero module
-    (the one transitive non-faithful candidate, skipped when the faithful
-    filter is requested), and annotate every candidate against the bundled
-    status data.  Disabling s-rigidity switches the
+    (the one transitive non-faithful candidate) when it passes the requested
+    filters, as every searched module must, and annotate every candidate
+    against the bundled status data.  Disabling s-rigidity switches the
     searches to raw per-rank runs without trace pinning, which surfaces any
     extra algebraic solutions; a rank override forces a single raw search.
     Profiles are screened up to the rank cap, or up to max_rank when that is
     lower.  A ring without a full character table (non-commutative, not split
     semisimple, or neither a Q_n nor quadratic) raises ClassifierError.
     """
-    disabled = {f.name for f in _resolve_filters(disabled_filters)}
+    disabled = set(_resolve_filters(disabled_filters))
     if "transitive" in disabled:
         raise ClassifierError("transitivity is always applied; it cannot be disabled")
     # transitivity is always applied and listed first, so it is no extra
     extras = [
-        f.name
-        for f in _resolve_filters(extra_filters)
-        if f.name not in disabled and f.name != "transitive"
+        name
+        for name in _resolve_filters(extra_filters)
+        if name not in disabled and name != "transitive"
     ]
     if ring_id == "custom":
         if ring is None:
@@ -1045,9 +1013,9 @@ def classify(
         jobs = [(r, None) for r in sorted({sum(p) for p in profiles})]
 
     found: dict[tuple, MatrixModule] = {}
-    if "faithful" not in filter_names:
-        # the one transitive non-faithful candidate, always rank one
-        zero = canonical_module(trivial_module(ring))
+    # the one transitive non-faithful candidate, always rank one
+    zero = canonical_module(trivial_module(ring))
+    if _passes(ring, zero, filter_names):
         found[zero.key()] = zero
     outcomes = [
         solve_matrix_modules(ring, r, filter_names, bound=bound, traces=t)

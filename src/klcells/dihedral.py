@@ -36,12 +36,6 @@ class DihedralElement(NamedTuple):
     length: int
 
     @property
-    def kind(self) -> str:
-        if self.length == 0:
-            return "identity"
-        return "longest" if self.start is None else "word"
-
-    @property
     def is_identity(self) -> bool:
         return self.length == 0
 
@@ -131,17 +125,6 @@ class DihedralGroup:
             k = k + (shift if flip == 0 else -shift)
             flip ^= 1
         return self._from_pair(k, flip)
-
-    def check(self, el: DihedralElement) -> DihedralElement:
-        if el.is_identity:
-            return el
-        if el.is_longest:
-            if el.length != self.n:
-                raise ValueError(f"longest element must have length {self.n}")
-            return el
-        if el.start not in GENERATORS or not 1 <= el.length <= self.n - 1:
-            raise ValueError(f"{el} is not a valid element of D_{2 * self.n}")
-        return el
 
     def multiply(self, u: DihedralElement, v: DihedralElement) -> DihedralElement:
         """u*v, for elements of this group (KeyError for any other value)."""

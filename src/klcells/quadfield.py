@@ -35,7 +35,6 @@ __all__ = [
     "QuadNum",
     "FieldMismatchError",
     "NonRealRootsError",
-    "compare",
     "solve_quadratic_monic",
     "square_free_decomposition",
     "two_cos",
@@ -253,12 +252,6 @@ class FieldElement:
         value.num, value.den = tuple(num), den
         return value
 
-    @classmethod
-    def of(cls, value: Rational | FieldElement) -> FieldElement:
-        if isinstance(value, FieldElement):
-            return value
-        return cls(value)
-
     # -- views ----------------------------------------------------------------
 
     @property
@@ -447,15 +440,15 @@ class FieldElement:
                 parts.append(str(c))
                 continue
             power = self.field.name + (str(i).translate(_SUPERSCRIPTS) if i > 1 else "")
+            sign = "-" if c < 0 else "+" if parts else ""
+            c = abs(c)
             if c == 1:
                 term = power
-            elif c == -1:
-                term = f"-{power}"
             elif c.denominator == 1:
                 term = f"{c}{power}"
             else:
                 term = f"({c}){power}"
-            parts.append(term if not parts or c < 0 else f"+{term}")
+            parts.append(sign + term)
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -495,11 +488,6 @@ def _integer_view(
         ]
         for row in rows
     ]
-
-
-def compare(x: FieldElement | Rational, y: FieldElement | Rational) -> int:
-    """Exact three-way comparison; -1, 0 or 1."""
-    return (FieldElement.of(x) - FieldElement.of(y)).sign()
 
 
 def solve_quadratic_monic(p: Rational, q: Rational) -> tuple[FieldElement, FieldElement]:

@@ -25,7 +25,7 @@ from .characters import character_table, decompose, special_character
 from .dihedral import DihedralGroup
 from .klring import compute_cells, structure_constants
 from .matrixmodule import canonical_module, module_from_mats, trivial_module
-from .quadfield import QuadNum, compare
+from .quadfield import QuadNum
 
 __all__ = ["CheckResult", "SuiteReport", "SMALLEST_MAX_N", "run_suite"]
 
@@ -303,7 +303,7 @@ def check_quadfield() -> CheckResult:
             if x * x.inverse() != QuadNum(Fraction(1)):
                 failures.append(f"inverse fails for {x}")
         want = (float(x) > float(y)) - (float(x) < float(y))
-        got = compare(x, y)
+        got = (x - y).sign()
         if abs(float(x) - float(y)) > 1e-9 and got != want:
             failures.append(f"ordering of {x} and {y} disagrees with floats")
     return _result("quadratic field arithmetic axioms", failures, rounds)

@@ -25,6 +25,17 @@ def rendered(table):
     return tuple(tuple(str(v) for v in row) for row in table.rows)
 
 
+def test_fibonacci_characters_render_a_sign_between_terms():
+    # t*t = e + t: the characters send t to (1 ± √5)/2
+    ring = ring_from_text(
+        "labels e t\nidentity e\nc e e e 1\nc e t t 1\nc t e t 1\nc t t e 1\nc t t t 1\n"
+    )
+    assert rendered(character_table(ring)) == (
+        ("1", "1/2-(1/2)√5"),
+        ("1", "1/2+(1/2)√5"),
+    )
+
+
 def test_q5_character_table_exactly():
     table = character_table(subquotient_qn(5))
     assert table.exact

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from klcells.basedring import ring_from_text, subquotient_qn, subring_an
-from klcells.characters import character_table, decompose
+from klcells.characters import character_table, decompose, special_character
 from klcells.classifier import (
     ClassifierError,
     _oracle_equations,
     _perron_limits,
+    _rigidity_holds,
     _Search,
     bruteforce_matrix_modules,
     classify,
@@ -341,13 +342,20 @@ def test_unpinned_search_equals_bruteforce_above_the_caps(name, filters, cap):
 def test_named_filters_registry():
     registry = named_filters()
     assert set(registry) == {"transitive", "s-rigidity", "faithful", "special-mult-one"}
-    for f in registry.values():
-        assert f.description
+    for description in registry.values():
+        assert isinstance(description, str) and description
 
 
 def test_unknown_filter_rejected():
-    with pytest.raises(ClassifierError):
-        solve_matrix_modules(subquotient_qn(4), 1, ["bogus"])
+    ring = subquotient_qn(4)
+    # filters are names only: objects are refused like unknown names
+    for bad in ("bogus", object(), ("s-rigidity",)):
+        with pytest.raises(ClassifierError, match="unknown filter"):
+            solve_matrix_modules(ring, 1, [bad])
+        with pytest.raises(ClassifierError, match="unknown filter"):
+            bruteforce_matrix_modules(ring, 1, 2, [bad])
+        with pytest.raises(ClassifierError, match="unknown filter"):
+            classify("Q4", extra_filters=[bad])
 
 
 def test_rigidity_needs_a_doubling_generator():
@@ -799,6 +807,33 @@ def test_classify_q4_theorem_counts():
     assert extra.multiplicities == (0, 0, 1)
 
 
+@pytest.mark.parametrize("ring_id", ["Q4", "Q5"])
+def test_special_mult_one_applies_to_every_candidate(ring_id):
+    # the zero module decomposes as 1*V1, with the special character at 0
+    report = classify(ring_id, extra_filters=["special-mult-one"])
+    special = special_character(character_table(report.ring))
+    assert report.candidates
+    assert all(c.multiplicities[special] == 1 for c in report.candidates)
+    default = classify(ring_id)
+    assert [c.module.key() for c in report.candidates] == [
+        c.module.key()
+        for c in default.candidates
+        if c.multiplicities and c.multiplicities[special] == 1
+    ]
+    assert "special-mult-one" in report.filters
+
+
+@pytest.mark.parametrize("ring_id", ["Q4", "Q5"])
+def test_faithful_filter_drops_only_the_zero_module(ring_id):
+    report = classify(ring_id, extra_filters=["faithful"])
+    zero = canonical_module(trivial_module(report.ring)).key()
+    default = [c.module.key() for c in classify(ring_id).candidates]
+    assert zero in default
+    assert [c.module.key() for c in report.candidates] == [
+        key for key in default if key != zero
+    ]
+
+
 def test_classify_q3():
     report = classify("Q3")
     assert len(report.realized) == 2
@@ -908,7 +943,7 @@ def test_q6_rank_six_module_is_a_rigid_transitive_module():
     module = module_from_mats(ring, 6, mats)
     assert satisfies_ring_relations(ring, module)
     assert is_transitive(module)
-    assert named_filters()["s-rigidity"].post(ring, module)
+    assert _rigidity_holds(ring, module)
     traces = profile_traces(table, (0, 2, 3, 1))
     assert {label: module.trace(label) for label in ring.labels} == traces
     assert decompose(table, module).multiplicities == (0, 2, 3, 1)

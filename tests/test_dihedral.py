@@ -143,18 +143,6 @@ def test_invalid_letters_rejected():
         DihedralGroup(1)
 
 
-def test_check_validates_hand_built_elements():
-    g4 = DihedralGroup(4)
-    assert g4.check(DihedralElement("s", 3)) == DihedralElement("s", 3)
-    assert g4.check(DihedralElement(None, 4)).is_longest
-    with pytest.raises(ValueError):
-        g4.check(DihedralElement("s", 4))  # length n must drop the start letter
-    with pytest.raises(ValueError):
-        g4.check(DihedralElement(None, 3))
-    with pytest.raises(ValueError):
-        g4.check(DihedralElement("x", 1))
-
-
 def _alternating(start: str, length: int) -> str:
     other = "t" if start == "s" else "s"
     return ((start + other) * length)[:length]
@@ -198,6 +186,6 @@ def test_element_repr_equality_and_hash():
         assert other == built and hash(other) == hash(built)
         assert {built: "sts"}[other] == "sts"
     assert built != DihedralElement("t", 3)
-    assert (built.start, built.length, built.kind) == ("s", 3, "word")
+    assert (built.start, built.length) == ("s", 3)
     longest = DihedralElement(None, 5)
-    assert longest.is_longest and longest.kind == "longest" and not longest.is_identity
+    assert longest.is_longest and not longest.is_identity

@@ -245,8 +245,9 @@ def test_failing_trace_vectors_raise_the_oracle_message(name, failures):
     "traces, solution",
     [
         ((3, 2, 1), "['2', '1/2', '1/2']"),
-        ((2, 0, -3), "['2', '(3/10)√5', '(-3/10)√5']"),
+        ((2, 0, -3), "['2', '(3/10)√5', '-(3/10)√5']"),
         ((1, -4, -2), "['3', '-1', '-1']"),
+        ((1, 1, 1), "['1/2', '1/4-(1/20)√5', '1/4+(1/20)√5']"),
     ],
 )
 def test_decomposition_messages_render_the_failing_solution(traces, solution):

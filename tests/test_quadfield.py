@@ -12,7 +12,6 @@ from klcells.quadfield import (
     FieldMismatchError,
     NonRealRootsError,
     QuadNum,
-    compare,
     solve_quadratic_monic,
     square_free_decomposition,
     two_cos,
@@ -74,9 +73,9 @@ def test_inverse():
 
 
 def test_compare_examples():
-    assert compare(q(1, 1, 5), q(1, -1, 5)) > 0
-    assert compare(q(4, 1, 5), q(4, -1, 5)) > 0
-    assert compare(q(2), q(0, 1, 5)) < 0
+    assert (q(1, 1, 5) - q(1, -1, 5)).sign() > 0
+    assert (q(4, 1, 5) - q(4, -1, 5)).sign() > 0
+    assert (q(2) - q(0, 1, 5)).sign() < 0
     assert q(4, -1, 5) < q(2) < q(0, 1, 5) < q(4, 1, 5)
 
 
@@ -93,6 +92,18 @@ def test_display_format():
     assert str(q(0, -1, 5)) == "-√5"
     assert str(q(Fraction(1, 2))) == "1/2"
     assert str(q(6, 2, 5)) == "6+2√5"
+    # the sign of a fractional coefficient stands outside its parentheses
+    half = Fraction(1, 2)
+    assert str(QuadNum(half, -half, 5)) == "1/2-(1/2)√5"
+    assert str(QuadNum(Fraction(1, 4), Fraction(-1, 20), 5)) == "1/4-(1/20)√5"
+    assert str(QuadNum(0, Fraction(-3, 10), 5)) == "-(3/10)√5"
+    assert str(QuadNum(0, Fraction(3, 10), 5)) == "(3/10)√5"
+    assert str(QuadNum(1, -2, 5)) == "1-2√5"
+    lam = two_cos(7)  # degree 3
+    assert str(half - Fraction(1, 3) * lam - Fraction(2, 5) * lam * lam) == (
+        "1/2-(1/3)λ-(2/5)λ²"
+    )
+    assert str(-Fraction(1, 3) * lam + Fraction(2, 5) * lam * lam) == "-(1/3)λ+(2/5)λ²"
 
 
 def test_solve_quadratic_examples():
@@ -147,7 +158,7 @@ def test_compare_consistent_with_floats(a1, b1, a2, b2):
     x = QuadNum(a1, b1, 5)
     y = QuadNum(a2, b2, 5)
     if abs(float(x) - float(y)) > 1e-9:
-        assert (compare(x, y) > 0) == (float(x) > float(y))
+        assert ((x - y).sign() > 0) == (float(x) > float(y))
 
 
 def test_integer_coercion_in_arithmetic():
