@@ -24,7 +24,6 @@ from .characters import (
     CharacterError,
     CharacterTable,
     DecompositionError,
-    ModuleDecomposition,
     NonCommutativeError,
     SpecialCharacterError,
     character_table,
@@ -107,7 +106,6 @@ __all__ = [
     "CharacterError",
     "CharacterTable",
     "DecompositionError",
-    "ModuleDecomposition",
     "NonCommutativeError",
     "SpecialCharacterError",
     "character_table",

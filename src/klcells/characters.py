@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .basedring import BasedRing, rigid_generator
@@ -38,7 +38,6 @@ from .quadfield import (
 
 __all__ = [
     "CharacterTable",
-    "ModuleDecomposition",
     "CharacterError",
     "NonCommutativeError",
     "DecompositionError",
@@ -134,13 +133,6 @@ class CharacterTable:
     def _nonnegative_rows(self) -> tuple[int, ...]:
         """The rows i with chi_i(b) >= 0 for every basis element b."""
         return tuple(i for i, row in enumerate(self.rows) if all(v >= 0 for v in row))
-
-
-@dataclass(frozen=True)
-class ModuleDecomposition:
-    """Multiplicities of the characters inside a matrix module, by row index."""
-
-    multiplicities: tuple[int, ...]
 
 
 def _multiplicative(ring: BasedRing, row, xs) -> bool:
@@ -256,13 +248,16 @@ def _exact_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]]:
     return rows
 
 
+@lru_cache(maxsize=None)
 def character_table(ring: BasedRing) -> CharacterTable:
     """All characters of a commutative based ring, exactly.
 
-    Raises NonCommutativeError for non-commutative input and CharacterError
-    when neither the closed form nor the quadratic solver yields a verified
-    character per basis element (a non-split or non-semisimple spectrum, or
-    values beyond their reach), rather than returning a partial table.
+    Built once per ring (rings compare by value, name included) and shared
+    by every caller.  Raises NonCommutativeError for non-commutative input
+    and CharacterError when neither the closed form nor the quadratic solver
+    yields a verified character per basis element (a non-split or
+    non-semisimple spectrum, or values beyond their reach), rather than
+    returning a partial table.
     """
     if not ring.is_commutative():
         raise NonCommutativeError(
@@ -290,8 +285,9 @@ def character_table(ring: BasedRing) -> CharacterTable:
     return CharacterTable(ring, tuple(verified))
 
 
-def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecomposition:
-    """Solve sum_i m_i chi_i(b) = trace(M_b) for non-negative integers m_i.
+def decompose(table: CharacterTable, module: MatrixModule) -> tuple[int, ...]:
+    """Solve sum_i m_i chi_i(b) = trace(M_b) for non-negative integers m_i,
+    the multiplicities of the characters by row index.
 
     The system is square (characters x basis elements) and the character rows
     are linearly independent, so the solution is unique when it exists; a
@@ -303,9 +299,7 @@ def decompose(table: CharacterTable, module: MatrixModule) -> ModuleDecompositio
         raise DecompositionError("module shape does not match the ring")
     if module.mats[ring.identity] != identity_matrix(module.rank):
         raise DecompositionError("identity basis element must act as the identity")
-    return ModuleDecomposition(
-        _trace_multiplicities(table, [module.trace(b) for b in range(size)])
-    )
+    return _trace_multiplicities(table, [module.trace(b) for b in range(size)])
 
 
 def _trace_multiplicities(table: CharacterTable, traces: list[int]) -> tuple[int, ...]:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from operator import mul
@@ -125,15 +124,10 @@ def _is_faithful(ring: BasedRing, module: MatrixModule) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _table_for(ring: BasedRing) -> CharacterTable:
-    return character_table(ring)
-
-
 def _special_mult_one(ring: BasedRing, module: MatrixModule) -> bool:
-    table = _table_for(ring)
+    table = character_table(ring)
     try:
-        mults = decompose(table, module).multiplicities
+        mults = decompose(table, module)
     except DecompositionError:
         return False
     return mults[special_character(table)] == 1
@@ -679,7 +673,7 @@ def solve_matrix_modules(
     if "s-rigidity" in names:
         rigid_constrained = _required_rigid_generator(ring)
     try:
-        table = _table_for(ring)
+        table = character_table(ring)
     except CharacterError as exc:
         if bound is None:
             raise ClassifierError(f"{exc}; an explicit bound is needed") from exc
@@ -950,55 +944,44 @@ class ClassificationReport:
 
 
 def classify(
-    ring_id: str,
+    ring: str | BasedRing,
     *,
-    ring: BasedRing | None = None,
+    filters: Iterable[str] = ("s-rigidity",),
     rank: int | None = None,
     bound: int | None = None,
     max_rank: int | None = None,
-    disabled_filters: Iterable[str] = (),
-    extra_filters: Iterable[str] = (),
 ) -> ClassificationReport:
     """End-to-end candidate classification for one ring.
 
-    Default pipeline: screen faithful rank profiles, search each profile with
-    its exact trace budget under s-rigidity, prepend the rank-one zero module
-    (the one transitive non-faithful candidate) when it passes the requested
-    filters, as every searched module must, and annotate every candidate
-    against the bundled status data.  Disabling s-rigidity switches the
-    searches to raw per-rank runs without trace pinning, which surfaces any
-    extra algebraic solutions; a rank override forces a single raw search.
-    Profiles are screened up to the rank cap, or up to max_rank when that is
-    lower.  A ring without a full character table (non-commutative, not split
-    semisimple, or neither a Q_n nor quadratic) raises ClassifierError.
+    ring is a bundled ring id or a BasedRing, reported as "custom" and left
+    unannotated.  filters name filters from named_filters(); transitivity
+    is always applied.  Default pipeline: screen faithful rank profiles,
+    search each profile with its exact trace budget under s-rigidity,
+    prepend the rank-one zero module (the one transitive non-faithful
+    candidate) when it passes the filters, as every searched module must,
+    and annotate every candidate against the bundled status data.  Without
+    s-rigidity the searches are raw per-rank runs without trace pinning,
+    which surfaces any extra algebraic solutions; a rank override forces a
+    single raw search.  Profiles are screened up to the rank cap, or up to
+    max_rank when that is lower.  The regression check against the bundled
+    candidates applies to a complete run under s-rigidity alone.  A ring
+    without a full character table (non-commutative, not split semisimple,
+    or neither a Q_n nor quadratic) raises ClassifierError.
     """
-    disabled = set(_resolve_filters(disabled_filters))
-    if "transitive" in disabled:
-        raise ClassifierError("transitivity is always applied; it cannot be disabled")
-    # transitivity is always applied and listed first, so it is no extra
-    extras = [
-        name
-        for name in _resolve_filters(extra_filters)
-        if name not in disabled and name != "transitive"
-    ]
-    if ring_id == "custom":
-        if ring is None:
-            raise ClassifierError("custom classification needs an explicit ring")
-    elif ring is not None:
-        raise ClassifierError("pass ring only with ring_id='custom'")
+    # dedupe, preserving order; transitivity is always applied and listed first
+    names = dict.fromkeys(_resolve_filters(filters))
+    filter_names = [name for name in names if name != "transitive"]
+    if isinstance(ring, BasedRing):
+        ring_id = "custom"
     else:
-        ring = bundled_ring(ring_id)
+        ring_id, ring = ring, bundled_ring(ring)
     try:
-        table = _table_for(ring)  # the table the caps and filters read
+        table = character_table(ring)  # the table the caps and filters read
     except CharacterError as exc:  # the ring is outside what the search supports
         raise ClassifierError(str(exc)) from exc
     rank_cap = _perron_limits(table, 1, None, rigid_generator(ring) is not None)[0]
     limit = rank_cap if max_rank is None else min(max_rank, rank_cap)
     profiles = feasible_rank_profiles(table, faithful=True, max_rank=limit)
-    # dedupe, preserving order
-    filter_names = list(
-        dict.fromkeys(name for name in ("s-rigidity", *extras) if name not in disabled)
-    )
     rigidity_on = "s-rigidity" in filter_names
 
     jobs: list[tuple[int, dict[str, int] | None]]
@@ -1030,7 +1013,7 @@ def classify(
     for key in sorted(found):
         module = found[key]
         try:
-            mults: tuple[int, ...] | None = decompose(table, module).multiplicities
+            mults: tuple[int, ...] | None = decompose(table, module)
         except DecompositionError:
             mults = None
         if key in annotations:
@@ -1057,7 +1040,7 @@ def classify(
         and all(o.complete for o in outcomes)
     )
     matches: bool | None = None
-    if ring_id in EXPECTED_CANDIDATES and complete and not extras:
+    if ring_id in EXPECTED_CANDIDATES and complete and filter_names == ["s-rigidity"]:
         matches = tuple(sorted(found)) == EXPECTED_CANDIDATES[ring_id]
 
     return ClassificationReport(

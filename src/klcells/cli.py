@@ -30,6 +30,7 @@ from .characters import CharacterTable, character_table, special_character
 from .classifier import (
     ClassificationReport,
     ClassifierError,
+    _resolve_filters,
     classify,
     named_filters,
 )
@@ -277,22 +278,31 @@ def _report_payload(report: ClassificationReport) -> dict:
     }
 
 
+def _requested_filters(args: argparse.Namespace) -> list[str]:
+    """s-rigidity, then each --filter, less each --no-filter.  Disabling
+    transitivity, or a filter that is not applied, is a usage error."""
+    removed = _resolve_filters(args.no_filter or ())
+    if "transitive" in removed:
+        raise ClassifierError("transitivity is always applied; it cannot be disabled")
+    filters = ["s-rigidity", *_resolve_filters(args.filter or ())]
+    for name in removed:
+        if name not in filters:
+            raise ClassifierError(f"filter {name!r} is not applied; it cannot be disabled")
+    return [name for name in filters if name not in removed]
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.ring_file:
         with open(args.ring_file, "r", encoding="utf-8") as handle:
-            ring = ring_from_text(handle.read())
-        ring_id = "custom"
+            ring: str | BasedRing = ring_from_text(handle.read())
     else:
-        ring = None
-        ring_id = f"Q{args.n}"
+        ring = f"Q{args.n}"
     report = classify(
-        ring_id,
-        ring=ring,
+        ring,
+        filters=_requested_filters(args),
         rank=args.rank,
         bound=args.bound,
         max_rank=args.max_rank,
-        disabled_filters=args.no_filter or (),
-        extra_filters=args.filter or (),
     )
     if args.format == "structured":
         _emit_json(_report_payload(report))

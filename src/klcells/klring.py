@@ -270,6 +270,8 @@ def compute_cells(
     Each relation is held as one int per basis element, bit z set when the
     element is <= z: the left row of y is the union over x of the positive
     support of kl(x)kl(y), the right row of x the union over y.
+    identity_index is accepted and not read, because perfbench/worker.py
+    passes it; the preorders need no distinguished element.
     """
     # support[x][y]: bit z set when kl(z) has a positive coefficient in kl(x)kl(y)
     support = [

@@ -268,15 +268,6 @@ class FieldElement:
         return self.field is None
 
     @property
-    def is_integer(self) -> bool:
-        return self.field is None and self.den == 1
-
-    def as_integer(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.num[0]
-
-    @property
     def is_quadratic(self) -> bool:
         """True when the value reads a + b*sqrt(d) (the QuadNum view)."""
         return self.field is None or self.field.poly[1:] == (0, 1)

@@ -66,12 +66,14 @@ def trace_multiplicities(table, traces):
             if trace:
                 value = value + trace * entry
         solution.append(value)
-    if any(not value.is_integer or value.a < 0 for value in solution):
+    if any(
+        not value.is_rational or value.den != 1 or value.a < 0 for value in solution
+    ):
         return None, (
             f"trace system solution {[str(v) for v in solution]} is not a "
             "non-negative integer vector"
         )
-    return tuple(value.as_integer() for value in solution), None
+    return tuple(value.num[0] for value in solution), None
 
 
 def multiplicative(ring, row, xs) -> bool:

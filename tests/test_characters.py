@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from klcells.basedring import BasedRing, ring_from_text, subquotient_qn, subring_an
+from klcells.basedring import (
+    BasedRing,
+    ring_from_text,
+    ring_to_text,
+    subquotient_qn,
+    subring_an,
+)
 from klcells.characters import (
     CharacterError,
     DecompositionError,
@@ -34,6 +40,15 @@ def test_fibonacci_characters_render_a_sign_between_terms():
         ("1", "1/2-(1/2)√5"),
         ("1", "1/2+(1/2)√5"),
     )
+
+
+def test_character_table_is_built_once_per_ring():
+    assert character_table(subquotient_qn(5)) is character_table(subquotient_qn(5))
+    # rings compare by value, name included: a ring file keeps its own table
+    copy = ring_from_text(ring_to_text(subquotient_qn(5)))
+    assert character_table(copy) is not character_table(subquotient_qn(5))
+    assert character_table(copy).ring.name == "custom"
+    assert character_table(copy).rows == character_table(subquotient_qn(5)).rows
 
 
 def test_q5_character_table_exactly():
@@ -221,20 +236,20 @@ def test_decompose_top_cell_q4():
     module = module_from_mats(
         ring, 2, {1: ((2, 0), (0, 2)), 2: ((0, 2), (2, 0))}
     )
-    assert decompose(table, module).multiplicities == (0, 1, 1)
+    assert decompose(table, module) == (0, 1, 1)
 
 
 def test_decompose_rank_one_q4():
     ring = subquotient_qn(4)
     table = character_table(ring)
     module = module_from_mats(ring, 1, {1: ((2,),), 2: ((2,),)})
-    assert decompose(table, module).multiplicities == (0, 0, 1)
+    assert decompose(table, module) == (0, 0, 1)
 
 
 def test_decompose_trivial_module():
     for ring in (subquotient_qn(4), subquotient_qn(5), subquotient_qn(6)):
         table = character_table(ring)
-        mults = decompose(table, trivial_module(ring)).multiplicities
+        mults = decompose(table, trivial_module(ring))
         assert mults[0] == 1 and sum(mults) == 1
 
 

@@ -6,6 +6,7 @@ import pytest
 from klcells.basedring import ring_from_text, subquotient_qn, subring_an
 from klcells.characters import character_table, decompose, special_character
 from klcells.classifier import (
+    EXPECTED_CANDIDATES,
     ClassifierError,
     _oracle_equations,
     _perron_limits,
@@ -355,7 +356,7 @@ def test_unknown_filter_rejected():
         with pytest.raises(ClassifierError, match="unknown filter"):
             bruteforce_matrix_modules(ring, 1, 2, [bad])
         with pytest.raises(ClassifierError, match="unknown filter"):
-            classify("Q4", extra_filters=[bad])
+            classify("Q4", filters=[bad])
 
 
 def test_rigidity_needs_a_doubling_generator():
@@ -385,7 +386,7 @@ def test_special_mult_one_filter():
     outcome = solve_matrix_modules(ring, 2, ["special-mult-one"])
     table = character_table(ring)
     for module in outcome.modules:
-        mults = decompose(table, module).multiplicities
+        mults = decompose(table, module)
         assert mults[2] == 1
 
 
@@ -810,7 +811,7 @@ def test_classify_q4_theorem_counts():
 @pytest.mark.parametrize("ring_id", ["Q4", "Q5"])
 def test_special_mult_one_applies_to_every_candidate(ring_id):
     # the zero module decomposes as 1*V1, with the special character at 0
-    report = classify(ring_id, extra_filters=["special-mult-one"])
+    report = classify(ring_id, filters=["s-rigidity", "special-mult-one"])
     special = special_character(character_table(report.ring))
     assert report.candidates
     assert all(c.multiplicities[special] == 1 for c in report.candidates)
@@ -825,7 +826,7 @@ def test_special_mult_one_applies_to_every_candidate(ring_id):
 
 @pytest.mark.parametrize("ring_id", ["Q4", "Q5"])
 def test_faithful_filter_drops_only_the_zero_module(ring_id):
-    report = classify(ring_id, extra_filters=["faithful"])
+    report = classify(ring_id, filters=["s-rigidity", "faithful"])
     zero = canonical_module(trivial_module(report.ring)).key()
     default = [c.module.key() for c in classify(ring_id).candidates]
     assert zero in default
@@ -946,7 +947,7 @@ def test_q6_rank_six_module_is_a_rigid_transitive_module():
     assert _rigidity_holds(ring, module)
     traces = profile_traces(table, (0, 2, 3, 1))
     assert {label: module.trace(label) for label in ring.labels} == traces
-    assert decompose(table, module).multiplicities == (0, 2, 3, 1)
+    assert decompose(table, module) == (0, 2, 3, 1)
     assert canonical_module(module) == module
     # every entry within the rank-6 caps: sts <= 4 / 8, ststs <= 2 / 4
     caps = _perron_limits(table, 6, traces, True)[1]
@@ -966,7 +967,7 @@ def test_classify_q6_default_pins_the_candidates():
 
 def test_classify_without_rigidity_is_strictly_larger():
     default = classify("Q4")
-    raw = classify("Q4", disabled_filters=["s-rigidity"])
+    raw = classify("Q4", filters=())
     assert len(raw.candidates) > len(default.candidates)
     assert raw.matches_expected is None
     extra = {c.module.flat() for c in raw.candidates} - {
@@ -985,7 +986,7 @@ def test_raw_run_misses_raw_modules_above_the_rigid_ranks():
     # the raw run takes its ranks (1 and 2) from the s-rigid screen, while
     # raw transitive modules also live at rank 3 (the raw rank cap is 5)
     assert len(solve_matrix_modules(subquotient_qn(4), 3).modules) == 2
-    raw = classify("Q4", disabled_filters=["s-rigidity"])
+    raw = classify("Q4", filters=())
     assert {sum(p) for p in raw.profiles} == {1, 2}  # the ranks searched
     assert max(c.module.rank for c in raw.candidates) == 2
     assert not raw.complete and not raw.bound_exhausted
@@ -1002,7 +1003,7 @@ def test_classify_custom_ring():
     from klcells.basedring import ring_from_text, ring_to_text
 
     ring = ring_from_text(ring_to_text(subquotient_qn(4)), name="copy")
-    report = classify("custom", ring=ring)
+    report = classify(ring)
     assert report.matches_expected is None
     assert all(c.status == "unresolved" for c in report.candidates)
     # same candidate set as the bundled run, only the annotations differ
@@ -1012,9 +1013,18 @@ def test_classify_custom_ring():
     ]
 
 
-def test_classify_refuses_to_disable_transitivity():
-    with pytest.raises(ClassifierError, match="transitivity is always applied"):
-        classify("Q4", disabled_filters=["transitive"])
+def test_classify_takes_a_ring_file_ring_as_custom():
+    from klcells.basedring import ring_from_text, ring_to_text
+
+    report = classify(ring_from_text(ring_to_text(subquotient_qn(5))))
+    assert report.ring_id == "custom"
+    assert tuple(c.module.key() for c in report.candidates) == EXPECTED_CANDIDATES["Q5"]
+
+
+def test_naming_the_default_filter_keeps_the_regression_check():
+    report = classify("Q4", filters=["s-rigidity", "transitive", "s-rigidity"])
+    assert report.filters == ("transitive", "s-rigidity")
+    assert report.matches_expected is True
 
 
 def test_classify_rejects_bad_ids():
@@ -1022,8 +1032,6 @@ def test_classify_rejects_bad_ids():
         classify("Q7")
     with pytest.raises(ClassifierError):
         classify("custom")
-    with pytest.raises(ClassifierError):
-        classify("Q4", ring=subquotient_qn(4))
 
 
 def test_zero_module_is_transitive_rank_one_only():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from klcells import classifier
+from klcells import characters, classifier
 from klcells.basedring import ring_from_text
 from klcells.cli import _build_parser, main
 from klcells.matrixmodule import canonical_module, module_from_mats
@@ -448,6 +448,50 @@ def test_disabling_transitivity_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: transitivity is always applied; it cannot be disabled"]
+
+
+@pytest.mark.parametrize("name", ["faithful", "special-mult-one"])
+def test_disabling_a_filter_that_is_not_applied_exits_two(capsys, name):
+    code, out, err = run_cli(capsys, "classify", "--n", "4", "--no-filter", name)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: filter {name!r} is not applied; it cannot be disabled"]
+
+
+@pytest.mark.parametrize(
+    "argv, filters",
+    [
+        (("--filter", "faithful", "--no-filter", "faithful"), ["transitive", "s-rigidity"]),
+        (("--no-filter", "s-rigidity"), ["transitive"]),
+        (("--no-filter", "s-rigidity", "--filter", "faithful"), ["transitive", "faithful"]),
+    ],
+)
+def test_disabling_an_applied_filter_is_accepted(capsys, argv, filters):
+    code, out, _ = run_cli(capsys, "classify", "--n", "4", *argv, "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["meta"]["filters"] == filters
+
+
+def test_naming_the_default_filter_keeps_the_regression_check(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--n", "4", "--filter", "s-rigidity")
+    assert code == 0
+    assert out.splitlines()[-1] == "realized classes: 3 (regression check: ok)"
+
+
+def test_text_classify_builds_its_character_table_once(capsys, monkeypatch):
+    calls = []
+    closed_form_rows = characters._closed_form_rows
+
+    def counting(ring):
+        calls.append(ring)
+        return closed_form_rows(ring)
+
+    monkeypatch.setattr(characters, "_closed_form_rows", counting)
+    characters.character_table.cache_clear()
+    code, out, _ = run_cli(capsys, "classify", "--n", "5")
+    assert code == 0
+    assert "decomposition: " in out
+    assert len(calls) == 1
 
 
 def test_transitive_filter_is_listed_once(capsys):

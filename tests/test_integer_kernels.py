@@ -163,7 +163,7 @@ def _oracle_screen(table, faithful, max_rank, traces_of):
                 continue
             if faithful and rigid is not None and traces[rigid] != 2 * rank:
                 continue
-            if not all(v.is_integer and v >= 0 for v in traces):
+            if not all(v.is_rational and v.den == 1 and v >= 0 for v in traces):
                 continue
             if faithful and all(traces[b] == 0 for b in range(ring.size) if b != ring.identity):
                 continue
@@ -184,7 +184,7 @@ def test_exact_traces_and_the_screen_equal_the_oracle_up_to_the_rank_cap(name):
             m = tuple(picks.count(i) for i in range(table.size))
             traces_of[m] = [oracles.exact_trace(table, m, b) for b in range(table.size)]
             for b, value in enumerate(traces_of[m]):
-                want = value.as_integer() if value.is_integer else None
+                want = value.num[0] if value.is_rational and value.den == 1 else None
                 assert _exact_trace(table, m, b) == want, (m, b)
     for faithful, cap in caps.items():
         assert feasible_rank_profiles(table, faithful) == _oracle_screen(
@@ -202,7 +202,7 @@ def test_decompose_equals_the_oracle_on_every_candidate(name):
         module = candidate.module
         traces = [module.trace(b) for b in range(table.size)]
         want, _ = oracles.trace_multiplicities(table, traces)
-        assert decompose(table, module).multiplicities == want == candidate.multiplicities
+        assert decompose(table, module) == want == candidate.multiplicities
 
 
 @pytest.mark.parametrize(

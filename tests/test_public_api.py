@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "FieldMismatchError",
     "KLStructureConstants",
     "MatrixModule",
-    "ModuleDecomposition",
     "NonCommutativeError",
     "NonRealRootsError",
     "PositivityError",

@@ -165,8 +165,6 @@ def test_integer_coercion_in_arithmetic():
     assert 2 * q(1, 1, 5) == q(2, 2, 5)
     assert q(1, 1, 5) + 1 == q(2, 1, 5)
     assert 1 - q(0, 1, 5) == q(1, -1, 5)
-    assert q(1).is_integer and not q(Fraction(1, 2)).is_integer
-    assert q(3).as_integer() == 3
 
 
 def test_floor_examples():
