@@ -10,10 +10,9 @@ deleted from products), and its subring A_n spanned by e and s alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import lshift, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import klring
 from .dihedral import DihedralGroup
@@ -49,7 +48,6 @@ class RingFormatError(ValueError):
     """A serialized ring file could not be parsed."""
 
 
-@dataclass(frozen=True)
 class BasedRing:
     """A ring with a distinguished basis and non-negative structure constants.
 
@@ -57,17 +55,45 @@ class BasedRing:
     The involution is a permutation of basis indices acting as an
     anti-automorphism; it defaults to the identity permutation, which is
     right for Q_n and A_n, whose basis words are palindromes.
+
+    Immutable: assigning or deleting a field raises AttributeError.  Rings
+    compare by every field, name included, and hash by all but the name.
     """
 
     labels: tuple[str, ...]
     c: tuple[tuple[tuple[int, ...], ...], ...]
-    identity: int = 0
-    involution: tuple[int, ...] = field(default=())
-    name: str = ""
+    identity: int
+    involution: tuple[int, ...]
+    name: str
 
-    def __post_init__(self) -> None:
-        if not self.involution:
-            object.__setattr__(self, "involution", tuple(range(len(self.labels))))
+    def __init__(self, labels, c, identity=0, involution=(), name="") -> None:
+        involution = involution or tuple(range(len(labels)))
+        self.__dict__.update(
+            labels=labels, c=c, identity=identity, involution=involution, name=name
+        )
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.labels, self.c, self.identity, self.involution, self.name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key()[:4])
+
+    def __repr__(self) -> str:
+        return (
+            f"BasedRing(labels={self.labels!r}, c={self.c!r}, "
+            f"identity={self.identity!r}, involution={self.involution!r}, "
+            f"name={self.name!r})"
+        )
 
     @property
     def size(self) -> int:
@@ -91,19 +117,16 @@ class BasedRing:
             for j in range(i + 1, self.size)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.labels, self.c, self.identity, self.involution))
 
-
-@dataclass(frozen=True)
-class RingViolation:
+class RingViolation(NamedTuple):
     axiom: str
     witness: tuple
     message: str
 
 
-@dataclass(frozen=True)
-class RingReport:
+class RingReport(NamedTuple):
+    """The outcome of verify, a named tuple: ok and every violation found."""
+
     ok: bool
     violations: tuple[RingViolation, ...]
 

@@ -49,11 +49,10 @@ Those exclusions are data, not derivations, and the notes say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .basedring import BasedRing, rigid_generator, subquotient_qn
 from .characters import (
@@ -163,6 +162,10 @@ def named_filters() -> dict[str, str]:
 
 
 def _resolve_filters(filters: Iterable[str]) -> list[str]:
+    if isinstance(filters, str):  # would otherwise be read letter by letter
+        raise ClassifierError(
+            f"filters must be a collection of filter names, not the string {filters!r}"
+        )
     names = list(filters)
     for name in names:
         if not isinstance(name, str) or name not in _FILTERS:
@@ -252,9 +255,9 @@ def profile_traces(table: CharacterTable, profile: Sequence[int]) -> dict[str, i
 # -- the bounded search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Solutions of one bounded search plus its completeness bookkeeping.
+class SearchOutcome(NamedTuple):
+    """Solutions of one bounded search plus its completeness bookkeeping, as
+    a named tuple.
 
     bound is the largest entry limit off the doubling generator (0 when there
     is no such entry).  complete is True when every entry was limited by its
@@ -914,8 +917,10 @@ def bundled_ring(ring_id: str) -> BasedRing:
     return subquotient_qn(int(ring_id[1:]))
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
+    """One classified module, a named tuple: its character multiplicities
+    (None when it has no decomposition), its status and the note citing it."""
+
     module: MatrixModule
     multiplicities: tuple[int, ...] | None
     status: str  # realized-cell | realized-extra | excluded | unresolved
@@ -926,8 +931,10 @@ class Candidate:
         return self.status.startswith("realized")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
+    """The outcome of classify, a named tuple: the screened profiles, the
+    filters applied, the search bound and every candidate, annotated."""
+
     ring_id: str
     ring: BasedRing
     profiles: tuple[tuple[int, ...], ...]

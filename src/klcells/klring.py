@@ -12,10 +12,9 @@ partitions any such table induces.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dihedral import GENERATORS, DihedralElement, DihedralGroup
 
@@ -38,9 +37,11 @@ class PositivityError(ArithmeticError):
     indicates an implementation bug."""
 
 
-@dataclass(frozen=True)
-class KLStructureConstants:
-    """Structure constants of ZD_2n in the KL basis: kl(x)kl(y) = sum c[x][y][z] kl(z)."""
+class KLStructureConstants(NamedTuple):
+    """Structure constants of ZD_2n in the KL basis: kl(x)kl(y) = sum c[x][y][z] kl(z).
+
+    A named tuple; index(label) looks up a basis label, not a field value.
+    """
 
     n: int
     labels: tuple[str, ...]
@@ -192,9 +193,9 @@ def _check_identity_axioms(constants: KLStructureConstants) -> None:
             raise PositivityError(f"identity axiom fails at index {j}")
 
 
-@dataclass(frozen=True)
-class CellPartition:
-    """Cells of a positively based multiplication table and their orders.
+class CellPartition(NamedTuple):
+    """Cells of a positively based multiplication table and their orders, as
+    a named tuple.
 
     Cells are tuples of labels; cell lists are ordered by the first basis
     position they touch.  The order relations are reflexive-transitively

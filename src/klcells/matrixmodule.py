@@ -8,9 +8,9 @@ equivalence class has a single representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from operator import lshift, mul
+from typing import NamedTuple
 
 from .basedring import BasedRing
 
@@ -37,9 +37,9 @@ def zero_matrix(rank: int) -> Matrix:
     return tuple((0,) * rank for _ in range(rank))
 
 
-@dataclass(frozen=True)
-class MatrixModule:
-    """A candidate transitive based module: one matrix per basis label.
+class MatrixModule(NamedTuple):
+    """A candidate transitive based module: one matrix per basis label, as a
+    named tuple (immutable, compared and hashed by value).
 
     Each matrix counts direct-sum multiplicities of the action of its basis
     element.  The companion matrices counting composition multiplicities are

@@ -16,8 +16,8 @@ shows it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import classifier
 from .basedring import full_kl_ring, subquotient_qn, subring_an, verify as ring_verify
@@ -33,16 +33,16 @@ __all__ = ["CheckResult", "SuiteReport", "SMALLEST_MAX_N", "run_suite"]
 SMALLEST_MAX_N = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     cases: int
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
+    """The outcome of run_suite, a named tuple of one CheckResult per check."""
+
     results: tuple[CheckResult, ...]
 
     @property

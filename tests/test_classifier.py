@@ -359,6 +359,21 @@ def test_unknown_filter_rejected():
             classify("Q4", filters=[bad])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f: classify("Q4", filters=f),
+        lambda f: solve_matrix_modules(subquotient_qn(4), 2, f),
+        lambda f: bruteforce_matrix_modules(subquotient_qn(4), 1, 2, f),
+    ],
+    ids=["classify", "solve", "bruteforce"],
+)
+@pytest.mark.parametrize("name", ["faithful", "s-rigidity"])
+def test_a_plain_string_of_filters_is_refused_not_read_letter_by_letter(entry, name):
+    with pytest.raises(ClassifierError, match=f"not the string '{name}'"):
+        entry(name)
+
+
 def test_rigidity_needs_a_doubling_generator():
     from klcells.basedring import ring_from_text
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -308,7 +307,7 @@ def test_a_broken_identity_row_is_refused(side):
         c[e][j] = constants.c[e][j + 1]
     else:
         c[j][e] = constants.c[j + 1][e]
-    broken = dataclasses.replace(constants, c=tuple(map(tuple, c)))
+    broken = constants._replace(c=tuple(map(tuple, c)))
     with pytest.raises(PositivityError, match=f"identity axiom fails at index {j}$"):
         klring._check_identity_axioms(broken)
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from klcells import classifier
@@ -51,7 +49,7 @@ def test_an_incomplete_default_run_is_reported_once_as_incomplete(monkeypatch):
         report = classify(ring_id, **kwargs)
         if ring_id != "Q4":
             return report
-        return dataclasses.replace(report, complete=False, matches_expected=None)
+        return report._replace(complete=False, matches_expected=None)
 
     monkeypatch.setattr(classifier, "classify", incomplete_q4)
     result = selfcheck.check_classification_regression()
