@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import lshift, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import klring
 from .dihedral import DihedralGroup
@@ -48,7 +48,15 @@ class RingFormatError(ValueError):
     """A serialized ring file could not be parsed."""
 
 
-class BasedRing:
+class _RingFields(NamedTuple):
+    labels: tuple[str, ...]
+    c: tuple[tuple[tuple[int, ...], ...], ...]
+    identity: int
+    involution: tuple[int, ...]
+    name: str
+
+
+class BasedRing(_RingFields):
     """A ring with a distinguished basis and non-negative structure constants.
 
     c[x][y][z] is the coefficient of basis element z in the product x * y.
@@ -56,44 +64,15 @@ class BasedRing:
     anti-automorphism; it defaults to the identity permutation, which is
     right for Q_n and A_n, whose basis words are palindromes.
 
-    Immutable: assigning or deleting a field raises AttributeError.  Rings
-    compare by every field, name included, and hash by all but the name.
+    A named tuple of its five fields: rings compare and hash by every field,
+    name included.
     """
 
-    labels: tuple[str, ...]
-    c: tuple[tuple[tuple[int, ...], ...], ...]
-    identity: int
-    involution: tuple[int, ...]
-    name: str
+    __slots__ = ()
 
-    def __init__(self, labels, c, identity=0, involution=(), name="") -> None:
+    def __new__(cls, labels, c, identity=0, involution=(), name=""):
         involution = involution or tuple(range(len(labels)))
-        self.__dict__.update(
-            labels=labels, c=c, identity=identity, involution=involution, name=name
-        )
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.labels, self.c, self.identity, self.involution, self.name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key()[:4])
-
-    def __repr__(self) -> str:
-        return (
-            f"BasedRing(labels={self.labels!r}, c={self.c!r}, "
-            f"identity={self.identity!r}, involution={self.involution!r}, "
-            f"name={self.name!r})"
-        )
+        return super().__new__(cls, labels, c, identity, involution, name)
 
     @property
     def size(self) -> int:
@@ -380,34 +359,44 @@ def ring_to_text(ring: BasedRing) -> str:
         f"identity {ring.labels[ring.identity]}",
         "involution " + " ".join(ring.labels[i] for i in ring.involution),
     ]
-    for x, lx in enumerate(ring.labels):
-        for y, ly in enumerate(ring.labels):
-            for z, lz in enumerate(ring.labels):
-                value = ring.c[x][y][z]
-                if value:
-                    lines.append(f"c {lx} {ly} {lz} {value}")
+    lines += [f"c {lx} {ly} {lz} {value}" for lx, ly, lz, value in ring_products(ring)]
     return "\n".join(lines) + "\n"
 
 
-def ring_products(ring: BasedRing) -> Iterable[tuple[str, str, tuple[int, ...]]]:
-    """All (x label, y label, product row) triples, in basis order."""
-    for x, lx in enumerate(ring.labels):
-        for y, ly in enumerate(ring.labels):
-            yield lx, ly, ring.c[x][y]
+def ring_products(ring: BasedRing) -> Iterator[tuple[str, str, str, int]]:
+    """Every non-zero structure constant as (x label, y label, z label,
+    value), the coefficient of z in x * y, in basis order."""
+    labels = ring.labels
+    for x, lx in enumerate(labels):
+        for y, ly in enumerate(labels):
+            for z, value in enumerate(ring.c[x][y]):
+                if value:
+                    yield lx, ly, labels[z], value
 
 
 def ring_from_text(text: str, name: str = "custom") -> BasedRing:
-    """Parse the exchange format and validate every ring axiom."""
+    """Parse the exchange format and validate every ring axiom.
+
+    Each directive, and each constant (x, y, z), may be given once only.
+    """
     labels: tuple[str, ...] | None = None
     identity_label: str | None = None
     involution_labels: Sequence[str] | None = None
     quadruples: list[tuple[str, str, str, int]] = []
+    first_line: dict[tuple[str, ...], int] = {}  # directive or "c x y z" -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         key, args = parts[0], parts[1:]
+        once = tuple(parts[:4]) if key == "c" else (key,)
+        if once in first_line:
+            raise RingFormatError(
+                f"line {lineno}: {' '.join(once)!r} already given on line "
+                f"{first_line[once]}"
+            )
+        first_line[once] = lineno
         if key == "labels":
             labels = tuple(args)
         elif key == "identity":

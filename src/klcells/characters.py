@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .basedring import BasedRing, rigid_generator
 from .matrixmodule import MatrixModule, identity_matrix
@@ -66,40 +67,22 @@ class SpecialCharacterError(CharacterError):
     """The maximal-magnitude character was not unique."""
 
 
-class CharacterTable:
+class _TableFields(NamedTuple):
+    ring: BasedRing
+    rows: tuple[tuple[FieldElement, ...], ...]
+
+
+class CharacterTable(_TableFields):
     """All characters of a commutative based ring, exactly.
 
     rows[i] is the value vector of the i-th character over ring.labels,
     sorted ascending by the value tuple for determinism.
 
-    Immutable: assigning or deleting a field raises AttributeError (the
-    cached properties below write to the instance dict directly).  Tables
-    compare and hash by (ring, rows).
+    A named tuple of (ring, rows), without __slots__ so that the cached
+    properties below have an instance dict to live in.
     """
 
-    ring: BasedRing
-    rows: tuple[tuple[FieldElement, ...], ...]
-
     exact = True  # every table is exact; kept for callers that ask
-
-    def __init__(self, ring, rows) -> None:
-        self.__dict__.update(ring=ring, rows=rows)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.rows) == (other.ring, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows))
-
-    def __repr__(self) -> str:
-        return f"CharacterTable(ring={self.ring!r}, rows={self.rows!r})"
 
     @property
     def size(self) -> int:

@@ -147,16 +147,11 @@ def _cells_text(title: str, cells: CellPartition) -> list[str]:
 
 
 def _ring_payload(ring: BasedRing) -> dict:
-    constants = []
-    for lx, ly, row in ring_products(ring):
-        for z, lz in enumerate(ring.labels):
-            if row[z]:
-                constants.append([lx, ly, lz, row[z]])
     return {
         "labels": list(ring.labels),
         "identity": ring.labels[ring.identity],
         "involution": [ring.labels[i] for i in ring.involution],
-        "constants": constants,
+        "constants": [list(constant) for constant in ring_products(ring)],
     }
 
 
@@ -293,8 +288,14 @@ def _requested_filters(args: argparse.Namespace) -> list[str]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.ring_file:
-        with open(args.ring_file, "r", encoding="utf-8") as handle:
-            ring: str | BasedRing = ring_from_text(handle.read())
+        # a file that cannot be opened or decoded is a usage error, like a
+        # malformed one
+        try:
+            with open(args.ring_file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise RingFormatError(exc) from exc
+        ring: str | BasedRing = ring_from_text(text)
     else:
         ring = f"Q{args.n}"
     report = classify(
@@ -470,7 +471,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"verify needs --max-n >= {SMALLEST_MAX_N}")
     try:
         return args.func(args)
-    except (RingFormatError, ClassifierError, FileNotFoundError) as exc:
+    except (RingFormatError, ClassifierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (RingError, ValueError, PositivityError) as exc:

@@ -10,6 +10,7 @@ from klcells.basedring import (
     TruncationError,
     full_kl_ring,
     ring_from_text,
+    ring_products,
     ring_to_text,
     subquotient_qn,
     subring_an,
@@ -308,6 +309,41 @@ def test_from_text_rejects_malformed_input():
         ring_from_text("labels e s\nidentity e\nc e s s x\n")
     with pytest.raises(RingFormatError):
         ring_from_text("labels e s\nidentity e\nbogus 1\n")
+
+
+_TINY = (
+    "labels e g\nidentity e\ninvolution e g\n"
+    "c e e e 1\nc e g g 1\nc g e g 1\nc g g g 2\n"
+)
+
+
+def test_from_text_refuses_a_repeated_constant():
+    # the second line used to replace the first silently
+    with pytest.raises(RingFormatError, match="line 8: 'c g g g' already given on line 7"):
+        ring_from_text(_TINY + "c g g g 3\n")
+    # the same constant with the same value is refused too
+    with pytest.raises(RingFormatError, match="line 8"):
+        ring_from_text(_TINY + "c g g g 2\n")
+
+
+@pytest.mark.parametrize("line,first", [("labels e g", 1), ("identity e", 2), ("involution e g", 3)])
+def test_from_text_refuses_a_repeated_directive(line, first):
+    key = line.split()[0]
+    with pytest.raises(RingFormatError, match=f"line 8: '{key}' already given on line {first}"):
+        ring_from_text(_TINY + line + "\n")
+
+
+def test_ring_products_lists_the_non_zero_constants_in_basis_order():
+    ring = subquotient_qn(5)
+    expected = [
+        (ring.labels[x], ring.labels[y], ring.labels[z], ring.c[x][y][z])
+        for x in range(ring.size)
+        for y in range(ring.size)
+        for z in range(ring.size)
+        if ring.c[x][y][z]
+    ]
+    assert list(ring_products(ring)) == expected
+    assert ("s", "s", "s", 2) in expected
 
 
 def test_from_text_rejects_axiom_violations():

@@ -509,6 +509,20 @@ def test_missing_ring_file_exits_two(capsys):
     assert code == 2
 
 
+def test_ring_file_that_is_a_directory_exits_two(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "classify", "--ring-file", str(tmp_path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ring_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.ring"
+    path.write_bytes("labels e s\nidentity e\n# \u00e9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "classify", "--ring-file", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_ring_file_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.ring"
     path.write_text("labels e s\nidentity q\n", encoding="utf-8")
