@@ -6,11 +6,15 @@ verify, and the constructors used throughout: the full KL ring ZD_2n with
 inversion as its involution, the subquotient ring Q_n spanned by e and the KL
 elements that start and end with s (with the longest-element coefficient
 deleted from products), and its subring A_n spanned by e and s alone.
+
+It also holds the one kernel that checks ring relations
+M_x M_y = sum_z c[x][y][z] M_z on packed ints, _relation_mismatches: verify
+runs it on the left regular module, whose relations are associativity, and
+matrixmodule.satisfies_ring_relations on each emitted candidate module.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import lshift, mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -123,9 +127,12 @@ def verify(ring: BasedRing) -> RingReport:
     The report lists every violation, check by check (involution, labels,
     shape and positivity, identity, associativity, anti-involution) and, in
     each check, in index order.  Every check compares whole rows first and
-    spells out coordinates only for a row that fails; associativity compares
-    rows packed into ints, which is exact for entries of any sign (the
-    argument is in _associativity_violations).
+    spells out coordinates only for a row that fails.  Associativity is
+    checked as the relations of the left regular module, whose matrix M_x
+    has the product row c[x][z] as column z: _relation_mismatches compares
+    (xy)z and x(yz) for every z at once as two packed ints, exactly for
+    entries of any sign, and only a pair (x, y) whose sides differ is
+    unpacked to name its failing (z, v).
     """
     out: list[RingViolation] = []
     size = ring.size
@@ -156,7 +163,17 @@ def verify(ring: BasedRing) -> RingReport:
                     out.append(RingViolation("left-identity", (j, z), "e*y != y"))
                 if c[j][e][z] != unit[z]:
                     out.append(RingViolation("right-identity", (j, z), "x*e != x"))
-    out += _associativity_violations(c, size)
+    # column z of M_x is the product row c[x][z], so the matrices are c
+    # itself; entry (v, z) of M_x M_y is coordinate v of x(yz), and that of
+    # sum_w c[x][y][w] M_w is coordinate v of (xy)z
+    for x, y, x_yz, xy_z, width in _relation_mismatches(c, c):
+        left = _unpack(xy_z, width, size * size)
+        right = _unpack(x_yz, width, size * size)
+        out.extend(
+            RingViolation("associativity", (x, y, *divmod(k, size)), f"{a} != {b}")
+            for k, (a, b) in enumerate(zip(left, right))
+            if a != b
+        )
     inv = ring.involution
     for x in range(size):
         for y in range(size):
@@ -172,58 +189,48 @@ def verify(ring: BasedRing) -> RingReport:
     return RingReport(not out, tuple(out))
 
 
-def _associativity_violations(
-    c: Sequence[Sequence[Sequence[int]]], size: int
-) -> list[RingViolation]:
-    """Every (x, y, z, v) at which (xy)z and x(yz) differ in coordinate v.
+def _relation_mismatches(
+    c: Sequence[Sequence[Sequence[int]]], columns: Sequence[Sequence[Sequence[int]]]
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every (x, y) with M_x M_y != sum_z c[x][y][z] M_z, lazily, in index order.
 
-    Each product row c[x][y] is packed into one int, W bits per coordinate,
-    so that for fixed x and y both sides over all (z, v) are a few big-int
-    multiply-adds: (xy)z = sum_u c[x][y][u] c[u][z], with the rows c[u][z]
-    of every z packed side by side, and x(yz) = sum_u c[y][z][u] c[x][u].
+    Each matrix M_b is given by its columns: columns[b][j][i] is entry
+    (i, j).  Yields (x, y, product, combination, width): both sides of the
+    relation packed whole, entry (i, j) at digit j*rank + i of base
+    2^width, so _unpack(side, width, rank * rank) reads them back column by
+    column.  M_x M_y is sum_u col_u(M_x) * row_u(M_y), with column u packed
+    at digits i and row u at digits j*rank, one big-int product per u; the
+    combination is sum_z c[x][y][z] times M_z packed whole.
 
-    Soundness, with no sign assumption: let A be the largest |entry| and S
-    the largest row sum of |entries|.  Every coordinate of either side is a
-    sum over u of c[.][.][u] * c[.][.][v], so its absolute value is at most
-    S*A < 2^(W-1) for W = (S*A).bit_length() + 1.  An int sum_k d_k 2^(W k)
-    with every |d_k| < 2^(W-1) determines its digits d_k (balanced base
-    2^W, see _unpack), so the two packed sides are equal exactly when they
-    agree in every coordinate, negative entries included.  Only a pair
-    (x, y) whose packed sides differ is unpacked to name its failing (z, v).
+    Soundness, with no sign assumption: let A be the largest |entry| of a
+    matrix, C the largest column sum of |entries| of a matrix and S the
+    largest sum_z |c[x][y][z]|.  Entry (i, j) of M_x M_y has absolute value
+    at most sum_u |M_x[i][u]| |M_y[u][j]| <= A*C, and entry (i, j) of the
+    combination at most S*A, so every digit of either side is below
+    2^(W-1) in absolute value for W = (A*max(C, S)).bit_length() + 1.  An
+    int sum_k d_k 2^(W k) with every |d_k| < 2^(W-1) determines its digits
+    d_k (two such sums that differ first at digit k differ there by less
+    than 2^W and not by 0, so not by a multiple of 2^W), so the two packed
+    sides are equal exactly when they agree in every entry, negative
+    entries included.
     """
-    magnitudes = [list(map(abs, row)) for plane in c for row in plane]
-    top = max(map(max, magnitudes), default=0)
-    row_sum = max(map(sum, magnitudes), default=0)
-    width = (row_sum * top).bit_length() + 1
-    offsets = [width * v for v in range(size)]
-    shifts = [width * size * z for z in range(size)]
-    packed = [[sum(map(lshift, row, offsets)) for row in plane] for plane in c]
-    # right_products[u]: the rows c[u][z] packed one after the other, z = 0, 1, ...
-    right_products = [sum(map(lshift, plane, shifts)) for plane in packed]
-    # support[x][y]: the indices u with c[x][y][u] != 0 and those coefficients
-    support = [
-        [(list(compress(range(size), row)), list(filter(None, row))) for row in plane]
-        for plane in c
-    ]
-    out = []
-    for x in range(size):
-        row_of_x = packed[x].__getitem__
-        for y in range(size):
-            us, coeffs = support[x][y]
-            lhs = sum(map(mul, coeffs, map(right_products.__getitem__, us)))
-            rhs = sum(
-                sum(map(mul, yz_coeffs, map(row_of_x, yz_us))) << shift
-                for (yz_us, yz_coeffs), shift in zip(support[y], shifts)
-            )
-            if lhs == rhs:
-                continue
-            left = _unpack(lhs, width, size * size)
-            right = _unpack(rhs, width, size * size)
-            for k, (a, b) in enumerate(zip(left, right)):
-                if a != b:
-                    witness = (x, y, *divmod(k, size))
-                    out.append(RingViolation("associativity", witness, f"{a} != {b}"))
-    return out
+    rank = len(columns[0]) if columns else 0
+    top = max((abs(v) for cols in columns for col in cols for v in col), default=0)
+    column_sum = max((sum(map(abs, col)) for cols in columns for col in cols), default=0)
+    spread = max((sum(map(abs, row)) for plane in c for row in plane), default=0)
+    width = (top * max(column_sum, spread)).bit_length() + 1
+    at_i = [width * i for i in range(rank)]
+    at_j = [width * rank * j for j in range(rank)]
+    packed = [[sum(map(lshift, col, at_i)) for col in cols] for cols in columns]
+    rows = [[sum(map(lshift, row, at_j)) for row in zip(*cols)] for cols in columns]
+    whole = [sum(map(lshift, cols, at_j)) for cols in packed]
+    for x, plane in enumerate(c):
+        column_of_x = packed[x]
+        for y, coeffs in enumerate(plane):
+            product = sum(map(mul, column_of_x, rows[y]))
+            combination = sum(map(mul, coeffs, whole))
+            if product != combination:
+                yield x, y, product, combination, width
 
 
 def _unpack(packed: int, width: int, count: int) -> list[int]:

@@ -288,14 +288,17 @@ def _requested_filters(args: argparse.Namespace) -> list[str]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.ring_file:
-        # a file that cannot be opened or decoded is a usage error, like a
-        # malformed one
+        # a file that cannot be opened or decoded, or whose table breaks a
+        # based-ring axiom, is a usage error, like a malformed one
         try:
             with open(args.ring_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise RingFormatError(exc) from exc
-        ring: str | BasedRing = ring_from_text(text)
+        try:
+            ring: str | BasedRing = ring_from_text(text)
+        except RingError as exc:
+            raise RingFormatError(exc) from exc
     else:
         ring = f"Q{args.n}"
     report = classify(

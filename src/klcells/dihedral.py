@@ -58,49 +58,10 @@ class DihedralGroup:
         if n < 2:
             raise ValueError(f"dihedral exponent must be at least 2, got {n}")
         self.n = n
-        self._pair_of, self._of_pair = _product_tables(self)
+        self._pair_of, self._of_pair = _product_tables(n)
 
     def __repr__(self) -> str:
         return f"DihedralGroup({self.n})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DihedralGroup) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("DihedralGroup", self.n))
-
-    # -- normal form <-> rotation/reflection model ---------------------------
-
-    def _to_pair(self, el: DihedralElement) -> tuple[int, int]:
-        """(rotation index mod n, reflection flag) for el.
-
-        The model is the semidirect product Z_n x Z_2 with
-        s = (0, 1), t = (1, 1) and (k1, e1)*(k2, e2) = (k1 + (-1)^e1 k2, e1+e2).
-        """
-        n = self.n
-        length = el.length
-        start = "s" if el.start is None else el.start
-        half, odd = divmod(length, 2)
-        if start == "s":
-            return (-half) % n, odd
-        return (half + odd) % n, odd
-
-    def _from_pair(self, k: int, flip: int) -> DihedralElement:
-        n = self.n
-        k %= n
-        if flip == 0:
-            if k == 0:
-                return IDENTITY
-            length_t = 2 * k
-            length_s = 2 * (n - k)
-        else:
-            length_s = 2 * ((-k) % n) + 1
-            length_t = 2 * ((k - 1) % n) + 1
-        if length_s == length_t == n:
-            return DihedralElement(None, n)
-        if length_s < length_t:
-            return DihedralElement("s", length_s)
-        return DihedralElement("t", length_t)
 
     # -- construction and arithmetic -----------------------------------------
 
@@ -124,7 +85,7 @@ class DihedralGroup:
             shift = 0 if letter == "s" else 1
             k = k + (shift if flip == 0 else -shift)
             flip ^= 1
-        return self._from_pair(k, flip)
+        return _from_pair(self.n, k, flip)
 
     def multiply(self, u: DihedralElement, v: DihedralElement) -> DihedralElement:
         """u*v, for elements of this group (KeyError for any other value)."""
@@ -190,18 +151,36 @@ class DihedralGroup:
         return u == v or u.length < v.length
 
 
+def _from_pair(n: int, k: int, flip: int) -> DihedralElement:
+    """The normal form of the element (k, flip) of D_2n.
+
+    The model is the semidirect product Z_n x Z_2 with
+    s = (0, 1), t = (1, 1) and (k1, e1)*(k2, e2) = (k1 + (-1)^e1 k2, e1+e2).
+    """
+    k %= n
+    if flip == 0:
+        if k == 0:
+            return IDENTITY
+        length_t = 2 * k
+        length_s = 2 * (n - k)
+    else:
+        length_s = 2 * ((-k) % n) + 1
+        length_t = 2 * ((k - 1) % n) + 1
+    if length_s == length_t == n:
+        return DihedralElement(None, n)
+    if length_s < length_t:
+        return DihedralElement("s", length_s)
+    return DihedralElement("t", length_t)
+
+
 @lru_cache(maxsize=None)
 def _product_tables(
-    group: DihedralGroup,
+    n: int,
 ) -> tuple[dict[DihedralElement, tuple[int, int]], tuple[tuple[DihedralElement, ...], ...]]:
-    """Element -> (rotation, flip), and the elements indexed by [flip][rotation].
-
-    Keyed by the group, which hashes by n, so every DihedralGroup(n) shares them.
-    """
-    pair_of = {el: group._to_pair(el) for el in group.elements()}
-    of_pair = tuple(
-        tuple(group._from_pair(k, flip) for k in range(group.n)) for flip in (0, 1)
-    )
+    """Element -> (rotation, flip), and the elements indexed by [flip][rotation],
+    for D_2n; keyed by n, so every DihedralGroup(n) shares them."""
+    of_pair = tuple(tuple(_from_pair(n, k, flip) for k in range(n)) for flip in (0, 1))
+    pair_of = {el: (k, flip) for flip, row in enumerate(of_pair) for k, el in enumerate(row)}
     return pair_of, of_pair
 
 

@@ -9,10 +9,9 @@ equivalence class has a single representative.
 from __future__ import annotations
 
 from itertools import permutations
-from operator import lshift, mul
 from typing import NamedTuple
 
-from .basedring import BasedRing
+from .basedring import BasedRing, _relation_mismatches
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -88,43 +87,20 @@ def trivial_module(ring: BasedRing) -> MatrixModule:
 
 
 def satisfies_ring_relations(ring: BasedRing, module: MatrixModule) -> bool:
-    """Full re-verification M_x M_y == sum_z c[x][y][z] M_z by plain matrix
+    """Full re-verification M_x M_y == sum_z c[x][y][z] M_z by matrix
     multiplication, independent of any search pruning.
 
-    Each matrix row is packed into one int, W bits per entry, so that for
-    every (x, y) and row i both sides are one multiply-add sum: row i of
-    M_x M_y is sum_p M_x[i][p] * (row p of M_y), and row i of the right side
-    is sum_z c[x][y][z] * (row i of M_z).  The sums are compared as ints.
-
-    Soundness is the balanced-digit argument of
-    basedring._associativity_violations.  After the negativity check every
-    entry lies in 0..A, so an entry of M_x M_y lies in 0..rank*A^2, and an
-    entry of the right side has absolute value at most S*A, S the largest
-    sum_z |c[x][y][z]|.  For W = max(rank*A^2, S*A).bit_length() + 1 both
-    stay below 2^(W-1) in absolute value, and an int sum_j d_j 2^(W j) with
-    every |d_j| < 2^(W-1) determines its digits d_j.  So the two packed
-    rows are equal exactly when they agree entry by entry, negative
-    coefficients included.
+    Both sides of every relation are compared as packed ints by the kernel
+    that basedring.verify runs on the left regular module, which also holds
+    the argument that the comparison is exact; the first mismatch decides.
     """
     rank, mats = module.rank, module.mats
     if mats[ring.identity] != identity_matrix(rank):
         return False
     if any(v < 0 for mat in mats for row in mat for v in row):
         return False
-    top = max(v for mat in mats for row in mat for v in row)
-    spread = max(sum(map(abs, row)) for plane in ring.c for row in plane)
-    width = max(rank * top * top, spread * top).bit_length() + 1
-    offsets = [width * j for j in range(rank)]
-    packed = [[sum(map(lshift, row, offsets)) for row in mat] for mat in mats]
-    rows_at = list(zip(*packed))  # rows_at[i]: row i of every M_z, packed
-    for x, plane in enumerate(ring.c):
-        mat = mats[x]
-        for y, coeffs in enumerate(plane):
-            right = packed[y]
-            for i, row in enumerate(mat):
-                if sum(map(mul, row, right)) != sum(map(mul, coeffs, rows_at[i])):
-                    return False
-    return True
+    columns = [tuple(zip(*mat)) for mat in mats]
+    return next(_relation_mismatches(ring.c, columns), None) is None
 
 
 def is_transitive(module: MatrixModule) -> bool:

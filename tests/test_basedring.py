@@ -223,6 +223,23 @@ def test_verify_matches_plain_loops_on_corrupted_rings(ring, changes):
     assert verify(corrupted).violations == _plain_violations(corrupted)
 
 
+def test_verify_reads_an_associativity_digit_at_the_top_of_the_width():
+    # every |entry| is at most A = 1 and s*s = e + s - a has the largest
+    # |row| sum S = 3, so the digits are W = (A*S).bit_length() + 1 = 3 bits
+    # wide; a*(s*s) = a + a - (s - a) = (0, -1, 3) puts 2^(W-1) - 1 beside a
+    # negative digit, against (a*s)*s = a = (0, 0, 1)
+    c = (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 1, 0), (1, 1, -1), (0, 0, 0)),
+        ((0, 0, 1), (0, 0, 1), (0, 1, -1)),
+    )
+    ring = BasedRing(("e", "s", "a"), c)
+    assert [sum(c[1][1][u] * c[2][u][v] for u in range(3)) for v in range(3)] == [0, -1, 3]
+    violations = verify(ring).violations
+    assert violations == _plain_violations(ring)
+    assert RingViolation("associativity", (2, 1, 1, 2), "1 != 3") in violations
+
+
 def test_verify_accepts_the_full_kl_ring_at_twelve():
     assert verify(full_kl_ring(12)).ok
 

@@ -530,6 +530,23 @@ def test_malformed_ring_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+# tables that break a based-ring axiom: no identity rows, and one negative
+# structure constant
+AXIOM_BREAKING_RINGS = {
+    "no-identity": "labels e s\nidentity e\nc s s s 3\n",
+    "negative": "labels e s\nidentity e\nc e e e 1\nc e s s 1\nc s e s 1\nc s s e 1\nc s s s -1\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AXIOM_BREAKING_RINGS))
+def test_ring_file_that_breaks_an_axiom_exits_two(kind, tmp_path, capsys):
+    path = tmp_path / f"{kind}.ring"
+    path.write_text(AXIOM_BREAKING_RINGS[kind], encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", "--ring-file", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "violation(s):" in err
+
+
 # rings that ring_from_text accepts but classify cannot search: non-commutative
 # (ZD_8), not split semisimple (x * x = 0), characters in a cubic field that
 # are not those of a Q_n (the fusion ring of the even part of SU(2)_5, whose

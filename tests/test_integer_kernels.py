@@ -113,7 +113,7 @@ def _packed_case(c, mats):
 
 
 def test_a_product_digit_at_the_top_of_the_width_is_read_exactly():
-    # J = all-ones 3x3: J*J = 3J, so rank*A^2 = S*A = 3, W = 3 and every
+    # J = all-ones 3x3: J*J = 3J, so A*C = S*A = 3, W = 3 and every
     # digit of both sides is 3 = 2^(W-1) - 1
     jay = ((1, 1, 1),) * 3
     ring, module = _packed_case((((1, 0), (0, 1)), ((0, 1), (0, 3))), {1: jay})
@@ -129,21 +129,55 @@ def test_a_product_digit_at_the_top_of_the_width_is_read_exactly():
 
 
 def test_one_bit_less_than_the_width_would_carry():
-    # M_x = [[2, 0], [0, 0]], M_y = [[0, 1], [0, 0]]: A = 2, rank*A^2 = 8,
-    # and x*x = -6x + y gives S = 7, S*A = 14, W = 4 + 1.  Row 0 of M_x M_x
-    # is (4, 0) and row 0 of -6 M_x + M_y is (-12, 1): in 4-bit digits both
-    # pack to 4 (-12 + 1*16), so the right side's negative digit borrows
-    # from its neighbour and only the fifth bit tells them apart.  Every
-    # other relation holds exactly (x*y = 2y, y*x = y*y = 0).
-    mats = {1: ((2, 0), (0, 0)), 2: ((0, 1), (0, 0))}
+    # M_x = [[2, 0], [0, 0]], M_y = [[0, 0], [1, 0]]: A = 2, every column
+    # sum is at most C = 2, and x*x = -6x + y gives S = 7, so A*max(C, S) =
+    # 14 and W = 4 + 1.  Entry (i, j) sits at digit 2j + i: in w-bit digits
+    # M_x M_x packs to 4 and -6 M_x + M_y to -12 + 2^w, which for w = 4 is 4
+    # as well, so the negative digit borrows from its neighbour and only
+    # the fifth bit tells the sides apart.  Every other relation holds exactly
+    # (x*x = 2x, x*y = y*y = 0, y*x = 2y).
+    mats = {1: ((2, 0), (0, 0)), 2: ((0, 0), (1, 0))}
     e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    honest = (e, ((0, 1, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 1), (0, 0, 0), (0, 0, 0)))
+    honest = (e, ((0, 1, 0), (0, 2, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 2), (0, 0, 0)))
     ring, module = _packed_case(honest, mats)
     assert satisfies_ring_relations(ring, module)
-    skewed = (e, ((0, 1, 0), (0, -6, 1), (0, 0, 2)), honest[2])
+    skewed = (e, ((0, 1, 0), (0, -6, 1), (0, 0, 0)), honest[2])
     ring, module = _packed_case(skewed, mats)
     assert not oracles.satisfies_ring_relations(ring, module)
     assert not satisfies_ring_relations(ring, module)
+
+
+def test_a_column_sum_above_every_coefficient_sum_widens_the_digits():
+    # rank 6, U = {2, 3, 4, 5}: M_x = sum_u E_0u, M_y = sum_u E_u1 and
+    # M_w = E_11, so x*y is 4 E_01, a column sum C = 4 of M_y, while every
+    # other product is 0, y (y*w) or w (w*w).  With every coefficient sum
+    # S = 1, a width from A*S alone would be 2 bits, and there 4 E_01 (4 at
+    # digit 6) packs like E_11 (1 at digit 7), so the false x*y = w would
+    # pass; A*max(C, S) = 4 gives W = 4.
+    def unit(i, j):
+        return tuple(tuple(int((a, b) == (i, j)) for b in range(6)) for a in range(6))
+
+    def add(*mats):
+        return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats))
+
+    U = (2, 3, 4, 5)
+    mats = {1: add(*(unit(0, u) for u in U)), 2: add(*(unit(u, 1) for u in U)), 3: unit(1, 1)}
+    zero = (0, 0, 0, 0)
+    c = (
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((0, 1, 0, 0), zero, (0, 0, 0, 1), zero),  # x*y = w is false
+        ((0, 0, 1, 0), zero, zero, (0, 0, 1, 0)),
+        ((0, 0, 0, 1), zero, zero, (0, 0, 0, 1)),
+    )
+    ring = BasedRing(("e", "x", "y", "w"), c)
+    module = module_from_mats(ring, 6, mats)
+    assert not oracles.satisfies_ring_relations(ring, module)
+    assert not satisfies_ring_relations(ring, module)
+    M = module.mats
+    assert oracles.mat_mul(M[1], M[2]) == tuple(tuple(4 * v for v in row) for row in unit(0, 1))
+    for x, y in product(range(4), repeat=2):  # every other relation holds exactly
+        want = add(*(tuple(tuple(k * v for v in row) for row in M[z]) for z, k in enumerate(c[x][y])))
+        assert (oracles.mat_mul(M[x], M[y]) == want) == ((x, y) != (1, 2))
 
 
 # -- the trace screen --------------------------------------------------------------
