@@ -15,7 +15,7 @@ matrixmodule.satisfies_ring_relations on each emitted candidate module.
 
 from __future__ import annotations
 
-from operator import lshift, mul
+from operator import itemgetter, lshift, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import klring
@@ -264,24 +264,42 @@ def restrict_constants(
     name: str = "",
 ) -> BasedRing:
     """Restrict a structure-constant table to a span, deleting coefficients at
-    the deletable indices; raises if any product leaves span + deletable."""
+    the deletable indices; raises if any product leaves span + deletable.
+
+    Each kept row is read in C: one itemgetter projects it onto the span,
+    and one any() over the entries at the positions outside span +
+    deletable tests it, which is the per-entry test a != 0 at those
+    positions.  Labels are spelled out only for a row that fails.
+    """
     allowed = set(keep) | set(deletable)
+    outside = _picker([z for z in range(len(constants.labels)) if z not in allowed])
+    project = _picker(keep)
     labels = tuple(constants.labels[i] for i in keep)
     table = []
     for i in keep:
         row = []
         for j in keep:
             full = constants.c[i][j]
-            bad = [z for z, a in enumerate(full) if a != 0 and z not in allowed]
-            if bad:
-                names = [constants.labels[z] for z in bad]
+            if any(outside(full)):
+                names = [
+                    constants.labels[z] for z, a in enumerate(full) if a != 0 and z not in allowed
+                ]
                 raise TruncationError(
                     f"product {constants.labels[i]}*{constants.labels[j]} has "
                     f"support outside the span: {names}"
                 )
-            row.append(tuple(full[z] for z in keep))
+            row.append(project(full))
         table.append(tuple(row))
     return _checked(BasedRing(labels, tuple(table), keep.index(0) if 0 in keep else 0, name=name))
+
+
+def _picker(indices: Sequence[int]):
+    """A callable taking a row to the tuple of its entries at indices:
+    itemgetter, except that itemgetter of one index returns a bare entry."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices) if indices else lambda row: ()
 
 
 def full_kl_ring(n: int) -> BasedRing:

@@ -30,6 +30,8 @@ __all__ = [
 _FORMATS = {16: "H", 32: "I", 64: "Q"}
 # memoryview.cast reads native byte order: a big-endian buffer lists the top digit first
 _DIGIT_ORDER = 1 if sys.byteorder == "little" else -1
+# bytes.translate table: the zero byte to the digit "0", every other byte to "1"
+_BINARY_DIGITS = b"0" + b"1" * 255
 
 
 class PositivityError(ArithmeticError):
@@ -273,14 +275,26 @@ def compute_cells(
     support of kl(x)kl(y), the right row of x the union over y.
     identity_index is accepted and not read, because perfbench/worker.py
     passes it; the preorders need no distinguished element.
+
+    The supports are read in C, byte-packed: for a row whose entries all lie
+    in range(256), bytes(row) succeeds and int.from_bytes packs entry z as
+    byte z.  In that range an entry is positive exactly when it is non-zero,
+    and OR-ing such ints acts byte by byte, never carrying, so byte z of the
+    union over many rows is non-zero exactly when one of them has a positive
+    entry z.  The unions are taken packed, one plane at a time, and turned
+    into bit masks once per basis element, by one translate of the bytes to
+    the digits "0" and "1".  A row that bytes() refuses (a negative or
+    non-int entry, or one above 255, as in ZD_2n for n >= 128, where
+    kl(w0)kl(w0) = 2n kl(w0)) is read entry by entry with a > 0, for that
+    row only, into bytes 0 and 1.
     """
-    # support[x][y]: bit z set when kl(z) has a positive coefficient in kl(x)kl(y)
-    support = [
-        [sum(1 << z for z, a in enumerate(row) if a > 0) for row in plane]
-        for plane in c
-    ]
-    left_rows = [reduce(or_, column, 0) for column in zip(*support)]
-    right_rows = [reduce(or_, plane, 0) for plane in support]
+    left_bytes, right_rows = [0] * len(labels), []
+    for plane in c:
+        # support[y]: byte z non-zero when kl(z) has a positive coefficient in kl(x)kl(y)
+        support = list(map(_byte_support, plane))
+        left_bytes = list(map(or_, left_bytes, support))
+        right_rows.append(_bit_mask(reduce(or_, support, 0)))
+    left_rows = list(map(_bit_mask, left_bytes))
     left_reach = _closure(left_rows)
     right_reach = _closure(right_rows)
     two_reach = _closure([a | b for a, b in zip(left_rows, right_rows)])
@@ -288,3 +302,18 @@ def compute_cells(
     right, right_leq = _cells_from_reach(labels, right_reach)
     two, two_leq = _cells_from_reach(labels, two_reach)
     return CellPartition(tuple(labels), left, right, two, left_leq, right_leq, two_leq)
+
+
+def _byte_support(row: Sequence[int]) -> int:
+    """One row's support, byte-packed: byte z is non-zero exactly when row[z] > 0."""
+    try:
+        data = bytes(row)
+    except (TypeError, ValueError):  # an entry that is not a byte
+        data = bytes(a > 0 for a in row)
+    return int.from_bytes(data, "little")
+
+
+def _bit_mask(packed: int) -> int:
+    """Bit z set for each non-zero byte z of packed."""
+    digits = packed.to_bytes(max(1, (packed.bit_length() + 7) // 8), "big")
+    return int(digits.translate(_BINARY_DIGITS), 2)

@@ -7,10 +7,14 @@ to every field.  The coordinates are stored as integer numerators over one
 positive common denominator, reduced by their gcd, so that +, x, the
 reduction by the minimal polynomial, signs and floors run on plain ints.
 Signs, order and floors are decided exactly: the value is evaluated at a
-dyadic approximation of theta, refined by bisecting the interval, until the
-error bound from the derivative leaves no doubt (Cohen, *A Course in
-Computational Algebraic Number Theory*).  Floats are for display and
-cross-checks only and never enter a decision.
+dyadic approximation t/2**k of theta until the error bound from the
+derivative leaves no doubt (Cohen, *A Course in Computational Algebraic
+Number Theory*).  t comes from bisecting over the integers, each dyadic
+point placed by the sign of the integer 2**(k deg) * poly(t/2**k), and the
+narrowed bracket is kept for the next k.  Inverses solve a linear system
+over the integers by fraction-free (Bareiss) elimination on the matrix of
+multiplication, so neither path builds a Fraction.  Floats are for display
+and cross-checks only and never enter a decision.
 
 Two kinds of field occur.  QuadNum(a, b, d) is a + b*sqrt(d) in Q(sqrt(d))
 with d square-free, theta = sqrt(d).  two_cos(n) is 2cos(2pi/n), which
@@ -111,13 +115,12 @@ def _reduce(product: list[int], poly: Sequence[int]) -> None:
                     product[base + i] -= c * poly[i]
 
 
-def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and remainder; integers stay integers when den is monic."""
+def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials by a monic den."""
     num, top = list(num), len(den) - 1
     quot = [0] * max(len(num) - top, 1)
     for k in range(len(num) - 1 - top, -1, -1):
-        c = num[k + top] if den[top] == 1 else Fraction(num[k + top]) / den[top]
-        quot[k] = c
+        c = quot[k] = num[k + top]
         if c:  # the slot k + top itself is eliminated and never read again
             for i in range(top):
                 if den[i]:
@@ -155,20 +158,32 @@ class NumberField:
         self._approx: dict[int, int] = {}
 
     def _approximation(self, k: int) -> int:
-        """An integer t with |theta - t/2**k| < 2**-k."""
+        """The integer t = ceil(theta * 2**k), so |theta - t/2**k| < 2**-k.
+
+        Bisects over the integers: theta lies in (low, high)/2**k from
+        low = floor(lo * 2**k) and high = ceil(hi * 2**k), and each step
+        evaluates the scaled polynomial at a midpoint strictly between low
+        and high, a grid point inside (lo, hi), where theta is the only
+        root, so its sign tells the side of theta.  The bracket narrowed to
+        (low, high) is kept for the next k.
+        """
         if k not in self._approx:
-            width = Fraction(1, 1 << k)
-            while self._hi - self._lo > width:
-                mid = (self._lo + self._hi) / 2
-                side = _sign(_scaled_value(self.poly, mid.numerator, mid.denominator))
+            scale = 1 << k
+            low, high = math.floor(self._lo * scale), math.ceil(self._hi * scale)
+            while high - low > 1:
+                mid = (low + high) >> 1
+                side = _sign(_scaled_value(self.poly, mid, scale))
                 if side == 0:
-                    raise ArithmeticError(f"{self.poly} has the rational root {mid}")
+                    raise ArithmeticError(
+                        f"{self.poly} has the rational root {Fraction(mid, scale)}"
+                    )
                 if side == self._lo_sign:
-                    self._lo = mid
+                    low = mid
                 else:
-                    self._hi = mid
-            # theta lies in (t - 1, t + 1) / 2**k
-            self._approx[k] = math.floor(self._lo * (1 << k)) + 1
+                    high = mid
+            self._lo = max(self._lo, Fraction(low, scale))
+            self._hi = min(self._hi, Fraction(high, scale))
+            self._approx[k] = high
         return self._approx[k]
 
     def _enclose(self, ints: Sequence[int], k: int) -> tuple[int, int, int]:
@@ -354,16 +369,34 @@ class FieldElement:
             raise ZeroDivisionError("division by zero")
         if self.field is None:
             return FieldElement._make(None, [self.den], self.num[0])
-        # extended Euclid over Q: r0 = s0 * f and r1 = s1 * f mod poly, where
-        # f = den * self; the gcd is a non-zero constant as poly is irreducible
-        r0, s0, r1, s1 = list(self.field.poly), [0], list(self.num), [1]
-        while len(r1) > 1:
-            quot, rem = _poly_divmod(r0, r1)
-            step = _poly_mul(quot, s1)
-            s0, s1 = s1, [x - y for x, y in zip_longest(s0, step, fillvalue=0)]
-            r0, r1 = r1, rem
-        num, den = _over_common_denominator([Fraction(c) * self.den / r1[0] for c in s1])
-        return FieldElement._make(self.field, num, den)
+        # self * g = 1 for g = den / f(theta), f = num: solve M y = D den e_0,
+        # where column j of M holds f theta**j reduced, D is the last pivot
+        # of fraction-free (Bareiss) elimination, +-det M, and y = D g is
+        # integral by Cramer's rule; every division below is exact
+        poly = self.field.poly
+        top = len(poly) - 1
+        column = [*self.num, *[0] * (top - len(self.num))]
+        columns = []
+        for _ in range(top):
+            columns.append(column)
+            column = [0, *column]
+            _reduce(column, poly)
+        rows = [[col[i] for col in columns] + [self.den * (i == 0)] for i in range(top)]
+        prev = 1
+        for k in range(top):
+            p = next(r for r in range(k, top) if rows[r][k])  # M is invertible
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row, pivot = rows[k], rows[k][k]
+            for r in range(k + 1, top):
+                row, a = rows[r], rows[r][k]
+                rows[r] = [(pivot * x - a * y) // prev for x, y in zip(row, pivot_row)]
+            prev = pivot
+        y = [0] * top
+        for i in range(top - 1, -1, -1):
+            row = rows[i]
+            rest = sum(row[j] * y[j] for j in range(i + 1, top))
+            y[i] = (prev * row[top] - rest) // row[i]
+        return FieldElement._make(self.field, y, prev)
 
     def __truediv__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)

@@ -274,6 +274,40 @@ def test_truncation_guard_raises_on_bad_span():
         restrict_constants(full, [0, full.index("sts")], deletable=[w0])
 
 
+@pytest.mark.parametrize(
+    "keep, deletable, message",
+    [
+        (["e", "sts"], ["w0"], "product sts*sts has support outside the span: ['s']"),
+        (["e", "sts"], [], "product sts*sts has support outside the span: ['s', 'w0']"),
+        (["e", "st"], ["w0"], "product st*st has support outside the span: ['stst']"),
+    ],
+)
+def test_truncation_error_names_the_first_failing_product_and_its_labels(
+    keep, deletable, message
+):
+    from klcells.basedring import restrict_constants
+    from klcells.klring import structure_constants
+
+    full = structure_constants(5)
+    with pytest.raises(TruncationError) as error:
+        restrict_constants(full, [full.index(x) for x in keep], [full.index(x) for x in deletable])
+    assert str(error.value) == message
+
+
+def test_restriction_to_one_element_or_to_a_closed_span_projects_the_rows():
+    from klcells.basedring import restrict_constants
+    from klcells.klring import KLStructureConstants, structure_constants
+
+    # a one-element span keeps one entry per product: here the identity
+    table = KLStructureConstants(1, ("a", "e"), (), (((1, 0), (0, 1)), ((0, 1), (0, 1))))
+    assert restrict_constants(table, [1]).c == (((1,),),)
+    full = structure_constants(4)
+    # nothing outside span + deletable: Q4 again, with no position to test
+    keep = [full.index(x) for x in subquotient_qn(4).labels]
+    rest = [z for z in range(len(full.labels)) if z not in keep]
+    assert restrict_constants(full, keep, rest).c == subquotient_qn(4).c
+
+
 def test_truncation_soundness_for_the_real_spans():
     # every product of two non-identity basis elements of Q_n stays inside
     # the span plus w0 before truncation

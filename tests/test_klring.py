@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -450,17 +451,12 @@ def _partition(cells):
 
 
 @st.composite
-def _non_negative_tables(draw):
-    """A table of size 1-12 with entries 0, 1 or 2 and at most 3 * size
-    non-zero ones, sparse enough that the preorders have several cells."""
+def _sparse_tables(draw, values=st.integers(min_value=1, max_value=2)):
+    """A table of size 1-12 with at most 3 * size non-zero entries, drawn
+    from values, sparse enough that the preorders have several cells."""
     size = draw(st.integers(min_value=1, max_value=12))
     index = st.integers(min_value=0, max_value=size - 1)
-    entries = draw(
-        st.lists(
-            st.tuples(index, index, index, st.integers(min_value=1, max_value=2)),
-            max_size=3 * size,
-        )
-    )
+    entries = draw(st.lists(st.tuples(index, index, index, values), max_size=3 * size))
     table = [[[0] * size for _ in range(size)] for _ in range(size)]
     for x, y, z, value in entries:
         table[x][y][z] = value
@@ -468,7 +464,7 @@ def _non_negative_tables(draw):
     return labels, tuple(tuple(tuple(row) for row in plane) for plane in table)
 
 
-@given(_non_negative_tables())
+@given(_sparse_tables())
 @settings(max_examples=150, deadline=None)
 def test_cells_match_the_edge_set_oracle(labelled_table):
     labels, c = labelled_table
@@ -480,3 +476,31 @@ def test_cells_of_the_kl_table_match_the_edge_set_oracle(n):
     constants = structure_constants(n)
     cells = compute_cells(constants.labels, constants.c)
     assert _partition(cells) == _oracle_cells(constants.labels, constants.c)
+
+
+# rows that bytes() packs next to rows it refuses: entries of 256 and more,
+# and negative ones
+@given(_sparse_tables(st.sampled_from([1, 2, 255, 256, 300, 2**40, -1, -7, -256])))
+@settings(max_examples=150, deadline=None)
+def test_cells_match_the_edge_set_oracle_with_rows_outside_the_byte_range(labelled_table):
+    labels, c = labelled_table
+    assert _partition(compute_cells(labels, c)) == _oracle_cells(labels, c)
+
+
+def test_cells_read_rows_outside_the_byte_range_entry_by_entry():
+    # one row of each kind in one plane: bytes() refuses -3, 256 and the
+    # Fraction, and a negative entry is no edge
+    labels = ("e", "a", "b", "w")
+    size = len(labels)
+    table = [[[0] * size for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        table[0][i][i] = table[i][0][i] = 1
+    table[1][1] = [0, 1, -3, 0]
+    table[1][2] = [0, 0, 256, 0]
+    table[2][1] = [0, 0, Fraction(1, 2), 0]
+    table[2][2] = [0, 0, 0, 2**40]
+    table[3][3] = [0, 0, 0, 255]
+    c = tuple(tuple(tuple(row) for row in plane) for plane in table)
+    cells = compute_cells(labels, c)
+    assert _partition(cells) == _oracle_cells(labels, c)
+    assert cells.two_sided == (("e",), ("a",), ("b",), ("w",))

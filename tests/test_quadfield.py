@@ -375,3 +375,62 @@ def test_coords_hold_int_for_integral_coordinates():
     assert type(q(Fraction(8, 4)).coords[0]) is int
     assert str(value) == "2+(1/2)√5"
     assert repr(value) == "QuadNum(Fraction(2, 1), Fraction(1, 2), 5)"
+
+
+def _isolated_roots():
+    """(name, minimal polynomial, isolating interval) of sqrt(d) and 2cos(2pi/n)."""
+    out = []
+    for d in (2, 3, 5, 7, 10):
+        root = math.isqrt(d)
+        out.append((f"sqrt{d}", (-d, 0, 1), (root, root + 1)))
+    for n in (5, 7, 16, 24, 64):
+        out.append((f"two_cos{n}", two_cos_minpoly(n), (2 - Fraction(44, 7 * n) ** 2, 2)))
+    return out
+
+
+@pytest.mark.parametrize("root", _isolated_roots(), ids=lambda r: r[0])
+@pytest.mark.parametrize("order", [(32, 64, 128), (128, 32, 64), (64, 128, 32)])
+def test_approximation_is_within_one_step_of_the_root(root, order):
+    # theta lies in ((t - 1)/2**k, (t + 1)/2**k) exactly when the minimal
+    # polynomial changes sign there, as that interval lies in (lo, hi)
+    name, poly, (lo, hi) = root
+    field = quadfield.NumberField(poly, lo, hi, name)
+    got = {}
+    for k in order:
+        t = field._approximation(k)
+        low, high = Fraction(t - 1, 1 << k), Fraction(t + 1, 1 << k)
+        assert lo <= low and high <= hi
+        ends = [quadfield._scaled_value(poly, end.numerator, end.denominator) for end in (low, high)]
+        assert ends[0] * ends[1] < 0
+        got[k] = t
+    # the answer does not depend on the order the precisions were asked in
+    fresh = quadfield.NumberField(poly, lo, hi, name)
+    assert got == {k: fresh._approximation(k) for k in sorted(got)}
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_inverse_matches_the_fraction_reference_in_every_degree(degree):
+    rng = random.Random(f"inverse-{degree}")
+    if degree == 1:
+        for _ in range(50):
+            x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+            assert q(x).inverse() == q(1 / x)
+        return
+    # Q(2**(1/d)): x**d - 2 is irreducible (Eisenstein at 2), one root in (1, 2)
+    fields = [quadfield.NumberField((-2, *[0] * (degree - 1), 1), 1, 2, "θ")]
+    fields += [
+        two_cos(n).field for n in range(5, 65) if len(two_cos_minpoly(n)) - 1 == degree
+    ][:1]
+    for field in fields:
+        theta = quadfield.FieldElement._make(field, [0, 1])
+        for _ in range(30 if degree <= 4 else 8 if degree <= 8 else 3):
+            coords = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(degree)]
+            coords[rng.randrange(degree)] = Fraction(0)  # a missing power as well
+            if not any(coords):
+                continue
+            x = q(0)
+            for c in reversed(coords):
+                x = x * theta + c
+            inverse = x.inverse()
+            assert list(inverse.coords) == _ref_inverse(_ref_strip(coords), field.poly)
+            assert x * inverse == 1

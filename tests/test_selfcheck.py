@@ -2,6 +2,7 @@ import pytest
 
 from klcells import classifier
 from klcells import selfcheck
+from klcells.dihedral import DihedralGroup
 
 
 def test_suite_passes_at_small_exponent():
@@ -87,3 +88,35 @@ def test_a_check_that_exercised_no_case_fails():
     report = selfcheck.SuiteReport((empty,))
     assert not report.ok
     assert report.lines()[0] == "FAIL empty check (0 cases): no case was exercised"
+
+
+def test_dihedral_check_names_every_non_associative_triple(monkeypatch):
+    # a multiply that is wrong on one pair at n = 3: the check must name
+    # exactly the triples where the two bracketings differ, in order
+    multiply = DihedralGroup.multiply
+
+    def broken(self, u, v):
+        if self.n == 3 and u.length == v.length == 1 and u.start == v.start == "s":
+            return u
+        return multiply(self, u, v)
+
+    monkeypatch.setattr(DihedralGroup, "multiply", broken)
+    reported = []
+    result = selfcheck._result
+    monkeypatch.setattr(
+        selfcheck, "_result", lambda name, failures, cases: reported.extend(failures)
+        or result(name, failures, cases)
+    )
+    group = DihedralGroup(3)
+    els = group.elements()
+    expected = [
+        f"n=3: associativity fails at {(u, v, w)}"
+        for u in els
+        for v in els
+        for w in els
+        if group.multiply(group.multiply(u, v), w) != group.multiply(u, group.multiply(v, w))
+    ]
+    check = selfcheck.check_dihedral_arithmetic(3)
+    assert expected and not check.ok
+    assert check.cases == sum((2 * n) ** 3 + 2 * n for n in (2, 3))
+    assert [f for f in reported if "associativity" in f] == expected
