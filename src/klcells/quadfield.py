@@ -6,15 +6,21 @@ rational interval that isolates the real root meant.  Plain rationals belong
 to every field.  The coordinates are stored as integer numerators over one
 positive common denominator, reduced by their gcd, so that +, x, the
 reduction by the minimal polynomial, signs and floors run on plain ints.
-Signs, order and floors are decided exactly: the value is evaluated at a
+
+In Q(sqrt(d)), with theta = +sqrt(d), a value is (n0 + n1 sqrt(d))/den and
+every operation is a closed form in a few integer operations: products,
+inverses den (n0 - n1 sqrt(d))/(n0**2 - d n1**2), conjugates, and signs and
+floors from n0**2 against d n1**2 and isqrt(d n1**2).  In fields of degree
+3 or more, signs, order and floors are decided by evaluating the value at a
 dyadic approximation t/2**k of theta until the error bound from the
 derivative leaves no doubt (Cohen, *A Course in Computational Algebraic
-Number Theory*).  t comes from bisecting over the integers, each dyadic
-point placed by the sign of the integer 2**(k deg) * poly(t/2**k), and the
-narrowed bracket is kept for the next k.  Inverses solve a linear system
-over the integers by fraction-free (Bareiss) elimination on the matrix of
-multiplication, so neither path builds a Fraction.  Floats are for display
-and cross-checks only and never enter a decision.
+Number Theory*); float() uses that approximation in every field.  t comes
+from bisecting over the integers, each dyadic point placed by the sign of
+the integer 2**(k deg) * poly(t/2**k), and the narrowed bracket is kept for
+the next k.  Inverses there solve a linear system over the integers by
+fraction-free (Bareiss) elimination on the matrix of multiplication, so
+neither path builds a Fraction.  Floats are for display and cross-checks
+only and never enter a decision.
 
 Two kinds of field occur.  QuadNum(a, b, d) is a + b*sqrt(d) in Q(sqrt(d))
 with d square-free, theta = sqrt(d).  two_cos(n) is 2cos(2pi/n), which
@@ -95,12 +101,6 @@ def _poly_mul(x: Sequence, y: Sequence) -> list:
     return out
 
 
-def _over_common_denominator(coords: Sequence[Rational]) -> tuple[list[int], int]:
-    """Integer numerators and their least common denominator."""
-    den = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
-
-
 def _reduce(product: list[int], poly: Sequence[int]) -> None:
     """Reduce product modulo the monic poly in place: the top term c theta**k
     is replaced by -c (poly[0] + poly[1] theta + ...) theta**(k - top) until
@@ -146,13 +146,17 @@ class NumberField:
     polynomial poly (degree >= 2, constant term first) inside the open
     interval (lo, hi), which holds no other root.  name renders theta."""
 
-    __slots__ = ("poly", "name", "_lo", "_hi", "_lo_sign", "_bound", "_approx")
+    __slots__ = ("poly", "name", "_lo", "_hi", "_lo_sign", "_bound", "_approx", "_d")
 
     def __init__(self, poly: Sequence[int], lo: Rational, hi: Rational, name: str) -> None:
         self.poly = tuple(poly)
         self.name = name
         self._lo, self._hi = Fraction(lo), Fraction(hi)
         self._lo_sign = _sign(_scaled_value(self.poly, self._lo.numerator, self._lo.denominator))
+        # d when theta = +sqrt(d): x**2 - d is negative at lo exactly when
+        # (lo, hi) isolates the positive root
+        quadratic = len(self.poly) == 3 and not self.poly[1] and self._lo_sign < 0
+        self._d = -self.poly[0] if quadratic else None
         # bounds |x| for every x within 1 of theta
         self._bound = math.ceil(max(abs(self._lo), abs(self._hi))) + 1
         self._approx: dict[int, int] = {}
@@ -231,25 +235,30 @@ _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 class FieldElement:
     """An exact real number: a rational, or an element of a NumberField.
 
-    The constructor, also exported as QuadNum, builds a + b*sqrt(d) with a, b
-    rational and d square-free when b != 0; arithmetic reaches every other
-    element.  The value is sum(num[i] * theta**i) / den with integers num
-    (no trailing zeros) and den > 0 sharing no common factor, so equal values
-    have equal fields, num and den; field is None exactly for rationals.
+    The constructor, also exported as QuadNum, builds a + b*sqrt(d) from an
+    int or Fraction a and b, with d square-free when b != 0; arithmetic
+    reaches every other element.  The value is sum(num[i] * theta**i) / den
+    with integers num (no trailing zeros) and den > 0 sharing no common
+    factor, so equal values have equal fields, num and den; field is None
+    exactly for rationals.  Where theta = +sqrt(d), x, inverse, sign, floor
+    and conjugate are closed forms; in other fields they take the generic
+    path (polynomial reduction, Bareiss, dyadic isolation).
     """
 
     __slots__ = ("field", "num", "den")
 
     def __init__(self, a: Rational = 0, b: Rational = 0, d: int = 1) -> None:
-        a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b))
+        for x in (a, b):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
         if b == 0:
-            self.field, coords = None, (a,)
+            self.field, self.num, self.den = None, (a.numerator,), a.denominator
         elif d <= 1:
             raise ValueError(f"irrational part needs a field, got d={d}")
-        else:
-            self.field, coords = _sqrt_field(d), (a, b)
-        num, self.den = _over_common_denominator(coords)
-        self.num = tuple(num)
+        else:  # both numerators over lcm(dens) share no factor with it
+            self.field, den = _sqrt_field(d), math.lcm(a.denominator, b.denominator)
+            self.num = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+            self.den = den
 
     @classmethod
     def _make(cls, field: NumberField | None, num: list[int], den: int = 1) -> FieldElement:
@@ -305,8 +314,11 @@ class FieldElement:
     def conjugate(self) -> FieldElement:
         """a - b*sqrt(d), for values of the QuadNum view."""
         self._require_quadratic()
-        num = [self.num[0], *(-c for c in self.num[1:])]
-        return FieldElement._make(self.field, num, self.den)
+        if self.field is None:
+            return self
+        value = object.__new__(FieldElement)  # negating b keeps the form reduced
+        value.field, value.num, value.den = self.field, (self.num[0], -self.num[1]), self.den
+        return value
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -327,14 +339,19 @@ class FieldElement:
             return FieldElement._make(None, [other.numerator], other.denominator)
         return None
 
-    def __add__(self, other: object) -> FieldElement:
+    def _add(self, other: object, sign: int) -> FieldElement:
+        """self + sign * other, coordinate by coordinate."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         field = self._join(rhs)
         da, db = self.den, rhs.den
-        num = [x * db + y * da for x, y in zip_longest(self.num, rhs.num, fillvalue=0)]
+        scale = sign * da
+        num = [x * db + y * scale for x, y in zip_longest(self.num, rhs.num, fillvalue=0)]
         return FieldElement._make(field, num, da * db)
+
+    def __add__(self, other: object) -> FieldElement:
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -342,10 +359,7 @@ class FieldElement:
         return FieldElement._make(self.field, [-c for c in self.num], self.den)
 
     def __sub__(self, other: object) -> FieldElement:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self._add(other, -1)
 
     def __rsub__(self, other: object) -> FieldElement:
         return (-self) + other
@@ -357,9 +371,13 @@ class FieldElement:
         if rhs is None:
             return NotImplemented
         field = self._join(rhs)
-        product = _poly_mul(self.num, rhs.num)
-        if field is not None:
-            _reduce(product, field.poly)
+        x, y = self.num, rhs.num
+        if field is None or field._d is None or len(x) + len(y) < 4:
+            product = _poly_mul(x, y)
+            if field is not None:
+                _reduce(product, field.poly)
+        else:  # (x0 + x1 r)(y0 + y1 r) with r*r = d
+            product = [x[0] * y[0] + field._d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]]
         return FieldElement._make(field, product, self.den * rhs.den)
 
     __rmul__ = __mul__
@@ -369,6 +387,11 @@ class FieldElement:
             raise ZeroDivisionError("division by zero")
         if self.field is None:
             return FieldElement._make(None, [self.den], self.num[0])
+        d = self.field._d
+        if d is not None:  # 1/(x0 + x1 r) = (x0 - x1 r)/(x0**2 - d x1**2), never 0
+            x0, x1 = self.num
+            norm = x0 * x0 - d * x1 * x1
+            return FieldElement._make(self.field, [self.den * x0, -self.den * x1], norm)
         # self * g = 1 for g = den / f(theta), f = num: solve M y = D den e_0,
         # where column j of M holds f theta**j reduced, D is the last pivot
         # of fraction-free (Bareiss) elimination, +-det M, and y = D g is
@@ -417,7 +440,11 @@ class FieldElement:
         """Exact sign under the real embedding that sends theta into its interval."""
         if self.field is None:
             return _sign(self.num[0])
-        return self.field._sign_of(self.num)
+        d = self.field._d
+        if d is None:
+            return self.field._sign_of(self.num)
+        x0, x1 = self.num  # x0 + x1 sqrt(d); x0**2 != d x1**2 as x1 != 0
+        return _sign(x1 if x0 * x1 >= 0 or x0 * x0 < d * x1 * x1 else x0)
 
     def __abs__(self) -> FieldElement:
         return -self if self.sign() < 0 else self
@@ -443,7 +470,13 @@ class FieldElement:
         """The largest integer n <= self, decided exactly (math.floor)."""
         if self.field is None:
             return self.num[0] // self.den
-        return self.field._floor_of(self.num, self.den)
+        d = self.field._d
+        if d is None:
+            return self.field._floor_of(self.num, self.den)
+        # x1 sqrt(d) lies strictly between r and r + 1, or -r - 1 and -r
+        x0, x1 = self.num
+        r = math.isqrt(d * x1 * x1)
+        return (x0 + r if x1 > 0 else x0 - r - 1) // self.den
 
     def __float__(self) -> float:
         theta = 0.0 if self.field is None else self.field._approximation(64) / (1 << 64)

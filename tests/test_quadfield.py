@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -434,3 +436,90 @@ def test_inverse_matches_the_fraction_reference_in_every_degree(degree):
             inverse = x.inverse()
             assert list(inverse.coords) == _ref_inverse(_ref_strip(coords), field.poly)
             assert x * inverse == 1
+
+
+def test_constructor_takes_ints_and_fractions_only():
+    for bad in (0.1, "1", Decimal(1)):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            QuadNum(bad)
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            QuadNum(1, bad, 5)
+    # bool is an int
+    assert QuadNum(True) == 1 and type(QuadNum(True).num[0]) is int
+    assert QuadNum(1, True, 5) == QuadNum(1, 1, 5)
+    assert QuadNum(Fraction(3, 4), Fraction(5, 6), 7).coords == (Fraction(3, 4), Fraction(5, 6))
+
+
+# -- the closed forms of Q(sqrt(d)) against the generic path of Q(1 + sqrt(d))
+
+
+@functools.lru_cache(maxsize=None)
+def _shifted_theta(d):
+    """theta = 1 + sqrt(d), root of x**2 - 2x + 1 - d, whose linear term keeps
+    Q(theta) on the generic path."""
+    root = math.isqrt(d)
+    field = quadfield.NumberField((1 - d, -2, 1), 1 + root, 2 + root, "θ")
+    return quadfield.FieldElement._make(field, [0, 1])
+
+
+def _shifted(value, d):
+    """a + b*sqrt(d) as (a - b) + b*theta."""
+    return (value.a - value.b) + value.b * _shifted_theta(d)
+
+
+_big = st.integers(min_value=-(2**200), max_value=2**200)
+_den = st.integers(min_value=1, max_value=10**6)
+_quadratic = st.builds(
+    lambda a, p, b, q: (Fraction(a, p), Fraction(b, q)), _big, _den, _big, _den
+)
+
+
+@given(d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 1001]), x=_quadratic, y=_quadratic)
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_match_the_generic_path(d, x, y):
+    x, y = QuadNum(*x, d), QuadNum(*y, d)
+    gx, gy = _shifted(x, d), _shifted(y, d)
+    for value, image in ((x, gx), (y, gy)):
+        if not value.is_rational:
+            assert value.field._d == d and image.field._d is None
+        assert value.sign() == image.sign()
+        assert math.floor(value) == math.floor(image)
+        if value != 0:
+            assert _shifted(value.inverse(), d) == image.inverse()
+            assert value * value.inverse() == 1
+    assert _shifted(x * y, d) == gx * gy
+    assert _shifted(x + y, d) == gx + gy
+    assert _shifted(x - y, d) == gx - gy
+    assert (x < y) == (gx < gy) and (y < x) == (gy < gx)
+    assert (x == y) == (gx == gy)
+
+
+def test_closed_form_edge_cases():
+    # b cancels: the result is a rational, hashing like the equal Fraction
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for value, want in (
+        (QuadNum(third, half, 5) + QuadNum(third, -half, 5), Fraction(2, 3)),
+        (QuadNum(third, half, 5) - QuadNum(0, half, 5), third),
+        (QuadNum(1, 1, 5) * QuadNum(1, -1, 5), Fraction(-4)),
+        (QuadNum(0, half, 2) * QuadNum(0, half, 2), half),
+    ):
+        assert value.field is None and value == want and hash(value) == hash(want)
+    # a = 0
+    x = QuadNum(0, Fraction(3, 4), 7)  # ≈ 1.98
+    assert x.sign() == 1 and math.floor(x) == 1 and (-x).sign() == -1 and math.floor(-x) == -2
+    assert x.inverse() == QuadNum(0, Fraction(4, 21), 7)
+    # negative values, both signs of b
+    assert QuadNum(-3, -1, 2).sign() == -1 and math.floor(QuadNum(-3, -1, 2)) == -5
+    assert QuadNum(1, -1, 2).sign() == -1 and math.floor(QuadNum(1, -1, 2)) == -1
+    assert QuadNum(-1, 1, 2).sign() == 1 and math.floor(QuadNum(-1, 1, 2)) == 0
+    assert QuadNum(-1, -1, 2) < QuadNum(-2, 1, 2) < 0
+    for value in (x, QuadNum(-3, -1, 2), QuadNum(Fraction(-7, 3), Fraction(2, 9), 1001)):
+        assert value * value.inverse() == 1
+        assert value.conjugate().conjugate() == value
+    # zero has no inverse
+    y = QuadNum(1, 1, 5)
+    for zero in (QuadNum(0), y - y):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            y / zero
