@@ -15,6 +15,7 @@ matrixmodule.satisfies_ring_relations on each emitted candidate module.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter, lshift, mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -322,6 +323,7 @@ def full_kl_ring(n: int) -> BasedRing:
     )
 
 
+@lru_cache(maxsize=None)
 def subquotient_qn(n: int) -> BasedRing:
     """The based ring Q_n on {e} + {alternating s...s words of odd length < n}.
 
@@ -341,6 +343,7 @@ def subquotient_qn(n: int) -> BasedRing:
     return restrict_constants(constants, keep, deletable=[w0], name=f"Q{n}")
 
 
+@lru_cache(maxsize=None)
 def subring_an(n: int) -> BasedRing:
     """The subring A_n on {e, s}; closed in ZD_2n, no truncation involved."""
     if n < 3:

@@ -293,8 +293,8 @@ class FieldElement:
 
     @property
     def is_quadratic(self) -> bool:
-        """True when the value reads a + b*sqrt(d) (the QuadNum view)."""
-        return self.field is None or self.field.poly[1:] == (0, 1)
+        """True when the value reads a + b*sqrt(d), sqrt(d) > 0 (the QuadNum view)."""
+        return self.field is None or self.field._d is not None
 
     def _require_quadratic(self) -> None:
         if not self.is_quadratic:
@@ -305,7 +305,7 @@ class FieldElement:
         a = Fraction(self.num[0], self.den)
         if self.field is None:
             return a, Fraction(0), 1
-        return a, Fraction(self.num[1], self.den), -self.field.poly[0]
+        return a, Fraction(self.num[1], self.den), self.field._d
 
     a = property(lambda self: self._quadratic()[0])
     b = property(lambda self: self._quadratic()[1])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from klcells.classifier import (
     ClassifierError,
     _oracle_equations,
     _perron_limits,
+    _relations,
     _rigidity_holds,
     _Search,
     bruteforce_matrix_modules,
@@ -152,6 +154,42 @@ def test_bound_override_can_lose_solutions_and_flags_nothing_below():
     narrow = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=3)
     assert ((2, 0, 0, 2), (0, 2, 2, 2)) in flats(narrow)
     assert len(narrow.modules) < 4  # entries 4 and 5 are out of reach
+
+
+# the search tree, pinned: how many per-entry steps each classification takes
+# and a digest of the (entry, lower, upper) bounds at every step.  A faster
+# kernel must visit the same tree; bound_exhausted, a heuristic flag raised
+# inside the tree, is pinned with it.
+TREES = [
+    ("Q3", {}, 2, "48076bc9d608cc0b342d8bf6c51ba91d634deacb4f25e9e9a9b52e3b26f84d2d"),
+    ("Q4", {}, 14, "7904fed2cfb11819a39d0642d378fec0ba96413c85c900596738699631859058"),
+    ("Q5", {}, 17, "3afc8e230955fa6770b940511e476ef7301051bccc6920232f61c90a7ded4c66"),
+    ("Q6", {"max_rank": 4}, 573, "793f10be548122dd3a3a6dcb4afba294269359e0a0273bf56ca3cfd14200cbb6"),
+    ("Q6", {}, 1315, "ab70fc2fb99fd7beecd928576d381c66f318671942a7236ecd76d2a8500022c7"),
+    ("Q4", {"bound": 2}, 12, "a9316c71c93384023a1b01b5f75381ea7c210b86a9986cb3588a36b5e7cedac2"),
+    ("Q4", {"bound": 3}, 12, "05b80df6ab00945e207411884afdedc1d104b3b08fc5e1f51c590c99314e1393"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring_id, kwargs, nodes, digest",
+    TREES,
+    ids=["Q3", "Q4", "Q5", "Q6-max_rank4", "Q6", "Q4-bound2", "Q4-bound3"],
+)
+def test_search_visits_the_pinned_tree(monkeypatch, ring_id, kwargs, nodes, digest):
+    steps = []
+    assign = _Search._assign
+
+    def counted(self, k):
+        steps.append((k, tuple(self.lower), tuple(self.upper)))
+        return assign(self, k)
+
+    monkeypatch.setattr(_Search, "_assign", counted)
+    report = classify(ring_id, **kwargs)
+    assert len(steps) == nodes
+    assert hashlib.sha256(repr(steps).encode()).hexdigest() == digest
+    # the flag is pinned where the explicit bound lies below a proven cap
+    assert report.bound_exhausted is (kwargs.get("bound") == 2)
 
 
 # -- proven entry caps ------------------------------------------------------------
@@ -533,8 +571,9 @@ def test_compiled_equations_equal_direct_multiplication(name, rank):
     ring = _compiler_ring(name)
     e = ring.identity
     search = _Search(ring, rank, 1, None, None, None)
+    relations = _relations(ring, rank, None)[2]
     search_eqs = {}
-    for products, rhs, const in search._compile_equations():
+    for products, rhs, const in relations:
         # the first product term is entry (i, 0) of M_x times (0, j) of M_y
         x, i, _ = search.vars[products[0][0]]
         y, _, j = search.vars[products[0][1]]
@@ -550,7 +589,7 @@ def test_compiled_equations_equal_direct_multiplication(name, rank):
         )
         if e not in (x, y)
     }
-    assert len(search_eqs) == len(search._compile_equations())
+    assert len(search_eqs) == len(relations)
     assert set(search_eqs) == set(oracle_eqs) == off_identity
     checked = 0
     for mats in _assignments(ring, name, rank):
@@ -602,7 +641,7 @@ def test_folded_equations_equal_direct_multiplication(n, profile, drops):
         else:
             sources.append(search.vars[rhs[0][1]][0])
     # run(), one step at a time
-    assert search._propagate(range(len(search.equations)))
+    assert search._propagate(search.equations)
     assert search._fold()
     search._assign(0)
     assert search.solutions

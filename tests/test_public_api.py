@@ -125,7 +125,7 @@ def _q3_table():
 # each factory builds a new record on every call; the field is one to assign
 Q = klcells.subquotient_qn
 RECORDS = {
-    "BasedRing": (lambda: Q(3), "name"),
+    "BasedRing": (lambda: Q.__wrapped__(3), "name"),
     "RingViolation": (lambda: RingViolation("shape", (0, 1), "row of wrong length"), "axiom"),
     "RingReport": (lambda: klcells.verify(Q(4)), "ok"),
     "CharacterTable": (_q3_table, "rows"),

@@ -523,3 +523,17 @@ def test_closed_form_edge_cases():
             zero.inverse()
         with pytest.raises(ZeroDivisionError):
             y / zero
+
+
+def test_a_field_isolating_minus_sqrt_d_has_no_quadnum_view():
+    # (-3, -2) isolates -sqrt(5): its generator is not QuadNum(0, 1, 5)
+    field = quadfield.NumberField((-5, 0, 1), -3, -2, "t")
+    t = quadfield.FieldElement._make(field, [0, 1])
+    assert field._d is None and not t.is_quadratic
+    assert repr(t) == "FieldElement(t in Q(t))"
+    for view in (lambda: t.a, lambda: t.b, lambda: t.d, t.conjugate):
+        with pytest.raises(ValueError, match="not of the form"):
+            view()
+    # the generic path still computes with the negative root
+    assert t * t == 5 and t.sign() == -1 and math.floor(t) == -3
+    assert float(t) == pytest.approx(-math.sqrt(5))
