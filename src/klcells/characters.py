@@ -29,6 +29,7 @@ from .quadfield import (
     FieldElement,
     FieldMismatchError,
     NonRealRootsError,
+    _gauss_jordan,
     _integer_view,
     _poly_mul,
     _reduce,
@@ -97,27 +98,36 @@ class CharacterTable(_TableFields):
         by Gauss-Jordan elimination; None if it is singular."""
         size = self.size
         aug = [
-            [self.rows[i][b] for i in range(size)]
-            + [_ONE if k == b else _ZERO for k in range(size)]
-            for b in range(size)
+            [*column, *(_ONE if k == b else _ZERO for k in range(size))]
+            for b, column in enumerate(zip(*self.rows))
         ]
-        for col in range(size):
-            pivot = next((r for r in range(col, size) if aug[r][col] != _ZERO), None)
-            if pivot is None:
-                return None  # character rows should prevent this
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(size):
-                if r != col and aug[r][col] != _ZERO:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+        if len(_gauss_jordan(aug, size)) < size:
+            return None  # character rows should prevent this
         return [row[size:] for row in aug]
 
     @cached_property
-    def _columns(self) -> tuple:
-        """The columns (chi_i(b) for every i) in quadfield's integer view."""
-        return _integer_view(list(zip(*self.rows)))
+    def _orbits(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The Galois orbits of the rows in order of their first row, each with
+        its trace sum_{i in O} chi_i(b) for every b.  A vector m has rational
+        (so integer) traces sum_i m_i chi_i(b) exactly when it is constant on
+        the orbits, so i and k share one exactly when m_i = m_k for every m
+        that zeroes the traces' irrational coordinates; CharacterError if an
+        orbit's traces are not integers."""
+        _, den, columns = _integer_view(list(zip(*self.rows)))
+        equations = [list(coords) for column in columns for coords in column[1:]]
+        pivots = _gauss_jordan(equations, self.size)
+        free = [f for f in range(self.size) if f not in pivots]
+        key = [tuple(int(i == f) for f in free) for i in range(self.size)]
+        for p, equation in zip(pivots, equations):  # key[i]: row i of a kernel basis
+            key[p] = tuple(-equation[f] for f in free)
+        out = []
+        for value in dict.fromkeys(key):
+            members = [i for i, k in enumerate(key) if k == value]
+            sums = [[sum(coords[i] for i in members) for coords in column] for column in columns]
+            if any(rational % den or any(irrational) for rational, *irrational in sums):
+                raise CharacterError(f"the Galois orbit {members} has a non-integral trace")
+            out.append((tuple(members), tuple(sum_b[0] // den for sum_b in sums)))
+        return tuple(out)
 
     @cached_property
     def _inverse_rows(self) -> tuple | None:
@@ -231,10 +241,7 @@ def _exact_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]]:
         if target is None:
             raise _ExactlyUnsolvable
         b = target
-        q = _ZERO
-        for z in range(size):
-            if z != b and ring.c[b][b][z]:
-                q = q + ring.c[b][b][z] * values[z]
+        q = sum((ring.c[b][b][z] * values[z] for z in support), _ZERO)
         if not q.is_rational:
             raise _ExactlyUnsolvable
         try:
@@ -335,10 +342,7 @@ def special_character(table: CharacterTable) -> int:
     the ring is outside the supported setting and raises.
     """
     sums = table._abs_row_sums
-    best = 0
-    for i in range(1, len(sums)):
-        if sums[i] > sums[best]:
-            best = i
+    best = max(range(len(sums)), key=sums.__getitem__)  # the first maximum
     ties = [i for i in range(len(sums)) if i != best and sums[i] == sums[best]]
     if ties:
         raise SpecialCharacterError(

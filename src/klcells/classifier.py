@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from itertools import product as iproduct
-from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .basedring import BasedRing, rigid_generator, subquotient_qn
@@ -185,72 +184,63 @@ def _passes(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool
 # -- rank screening -------------------------------------------------------------
 
 
-def _exact_trace(table: CharacterTable, profile: Sequence[int], b: int) -> int | None:
-    """sum_i profile[i] chi_i(b) when it is an integer, else None, summed on
-    the table's integer columns: every irrational coordinate must cancel to
-    0 and the denominator divide the rational one."""
-    _, den, columns = table._columns
-    rational, *irrational = [sum(map(mul, profile, coords)) for coords in columns[b]]
-    if rational % den or any(irrational):
-        return None
-    return rational // den
-
-
 def feasible_rank_profiles(
     table: CharacterTable, faithful: bool, max_rank: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Multiplicity vectors of rank at most max_rank whose trace data a
     candidate module could carry; max_rank defaults to the rank cap.
 
-    Every profile must give each basis element a non-negative integer trace
-    (irrational parts have to cancel through conjugate pairing, checked by
-    exact arithmetic).  Faithful profiles additionally carry the special
-    character exactly once, act non-trivially somewhere off the identity, and
-    give the doubling generator trace 2*rank: a faithful transitive action
-    forces every diagonal entry of that generator's matrix to be 2 rather
-    than 0, since a 0 there would zero out a whole row of the positive
-    total-action matrix.
+    Every profile must give each basis element a non-negative integer trace,
+    so it takes one multiplicity per Galois orbit of the characters
+    (CharacterTable._orbits), and traces are sums of the orbits' integer
+    ones.  Faithful profiles additionally carry the special character
+    exactly once, act non-trivially somewhere off the identity, and give
+    the doubling generator g trace 2*rank: a faithful transitive action
+    forces every diagonal entry of g's matrix to be 2 rather than 0, since
+    a 0 there would zero out a whole row of the positive total-action
+    matrix.  As chi(g) is 0 or 2, only orbits with trace 2|O| at g qualify.
     """
     ring = table.ring
-    size = ring.size
     special = special_character(table) if faithful else None
     rigid = rigid_generator(ring)
     if max_rank is None:
         max_rank = _perron_limits(table, 1, None, faithful and rigid is not None)[0]
-    profiles = []
-    for rank in range(1, max_rank + 1):
-        for picks in combinations_with_replacement(range(size), rank):
-            m = tuple(picks.count(i) for i in range(size))
-            if special is not None and m[special] != 1:
-                continue
-            if faithful and rigid is not None and _exact_trace(table, m, rigid) != 2 * rank:
-                continue
-            traces = []
-            for b in range(size):
-                value = _exact_trace(table, m, b)
-                if value is None or value < 0:
-                    break
-                traces.append(value)
-            if len(traces) < size:
-                continue
-            if faithful and all(traces[b] == 0 for b in range(size) if b != ring.identity):
-                continue
-            profiles.append(m)
-    profiles.sort(key=lambda m: (sum(m), m))
-    return tuple(profiles)
+
+    def extend(states, members, row, allowed):  # lazily, so depth first
+        for rank, profile, traces in states:
+            for m in allowed:
+                if rank + m * len(members) <= max_rank:
+                    yield (rank + m * len(members),
+                           tuple(m if i in members else k for i, k in enumerate(profile)),
+                           tuple(t + m * v for t, v in zip(traces, row)))
+
+    states = [(0, (0,) * table.size, (0,) * ring.size)]  # (rank, profile, traces)
+    for members, row in table._orbits:
+        allowed = range(max_rank + 1)
+        if faithful and rigid is not None and row[rigid] != 2 * len(members):
+            allowed = (0,)
+        if special in members:
+            allowed = (1,) if 1 in allowed else ()
+        states = extend(states, members, row, allowed)
+    profiles = [
+        profile for rank, profile, traces in states
+        if rank and min(traces) >= 0
+        and (not faithful or any(t for b, t in enumerate(traces) if b != ring.identity))
+    ]
+    return tuple(sorted(profiles, key=lambda m: (sum(m), m)))
 
 
 def profile_traces(table: CharacterTable, profile: Sequence[int]) -> dict[str, int]:
     """Exact integer trace of every basis element under a rank profile."""
-    out = {}
-    for b, label in enumerate(table.ring.labels):
-        value = _exact_trace(table, profile, b)
-        if value is None:
-            raise ClassifierError(
-                f"profile {profile} has non-integral trace at {label}"
-            )
-        out[label] = value
-    return out
+    if len(profile) != table.size:
+        raise ClassifierError(f"profile {tuple(profile)} does not have {table.size} entries")
+    traces = [0] * table.size
+    for members, row in table._orbits:
+        if len({profile[i] for i in members}) > 1:
+            raise ClassifierError(f"profile {tuple(profile)} has an irrational trace: it "
+                                  f"is not constant on the Galois orbit {list(members)}")
+        traces = [t + profile[members[0]] * v for t, v in zip(traces, row)]
+    return dict(zip(table.ring.labels, traces))
 
 
 # -- the bounded search ----------------------------------------------------------

@@ -17,10 +17,10 @@ derivative leaves no doubt (Cohen, *A Course in Computational Algebraic
 Number Theory*); float() uses that approximation in every field.  t comes
 from bisecting over the integers, each dyadic point placed by the sign of
 the integer 2**(k deg) * poly(t/2**k), and the narrowed bracket is kept for
-the next k.  Inverses there solve a linear system over the integers by
-fraction-free (Bareiss) elimination on the matrix of multiplication, so
-neither path builds a Fraction.  Floats are for display and cross-checks
-only and never enter a decision.
+the next k.  Inverses there solve a linear system in the matrix of
+multiplication over Fractions by _gauss_jordan, the one exact elimination,
+which also inverts character tables.  Floats are for display and
+cross-checks only and never enter a decision.
 
 Two kinds of field occur.  QuadNum(a, b, d) is a + b*sqrt(d) in Q(sqrt(d))
 with d square-free, theta = sqrt(d).  two_cos(n) is 2cos(2pi/n), which
@@ -242,7 +242,7 @@ class FieldElement:
     factor, so equal values have equal fields, num and den; field is None
     exactly for rationals.  Where theta = +sqrt(d), x, inverse, sign, floor
     and conjugate are closed forms; in other fields they take the generic
-    path (polynomial reduction, Bareiss, dyadic isolation).
+    path (polynomial reduction, Gauss-Jordan, dyadic isolation).
     """
 
     __slots__ = ("field", "num", "den")
@@ -392,10 +392,8 @@ class FieldElement:
             x0, x1 = self.num
             norm = x0 * x0 - d * x1 * x1
             return FieldElement._make(self.field, [self.den * x0, -self.den * x1], norm)
-        # self * g = 1 for g = den / f(theta), f = num: solve M y = D den e_0,
-        # where column j of M holds f theta**j reduced, D is the last pivot
-        # of fraction-free (Bareiss) elimination, +-det M, and y = D g is
-        # integral by Cramer's rule; every division below is exact
+        # self * g = 1 for g = den / f(theta), f = num: solve M g = den e_0,
+        # where column j of M holds f theta**j reduced
         poly = self.field.poly
         top = len(poly) - 1
         column = [*self.num, *[0] * (top - len(self.num))]
@@ -404,22 +402,10 @@ class FieldElement:
             columns.append(column)
             column = [0, *column]
             _reduce(column, poly)
-        rows = [[col[i] for col in columns] + [self.den * (i == 0)] for i in range(top)]
-        prev = 1
-        for k in range(top):
-            p = next(r for r in range(k, top) if rows[r][k])  # M is invertible
-            rows[k], rows[p] = rows[p], rows[k]
-            pivot_row, pivot = rows[k], rows[k][k]
-            for r in range(k + 1, top):
-                row, a = rows[r], rows[r][k]
-                rows[r] = [(pivot * x - a * y) // prev for x, y in zip(row, pivot_row)]
-            prev = pivot
-        y = [0] * top
-        for i in range(top - 1, -1, -1):
-            row = rows[i]
-            rest = sum(row[j] * y[j] for j in range(i + 1, top))
-            y[i] = (prev * row[top] - rest) // row[i]
-        return FieldElement._make(self.field, y, prev)
+        rows = [[*row, self.den * (i == 0)] for i, row in enumerate(zip(*columns))]
+        _gauss_jordan(rows, top)  # M is invertible: row i ends in g_i
+        den = math.lcm(*(row[top].denominator for row in rows))
+        return FieldElement._make(self.field, [int(row[top] * den) for row in rows], den)
 
     def __truediv__(self, other: object) -> FieldElement:
         rhs = self._coerce(other)
@@ -516,6 +502,26 @@ class FieldElement:
 
 
 QuadNum = FieldElement
+
+
+def _gauss_jordan(rows: list[list], width: int) -> list[int]:
+    """Reduce rows (ints, Fractions or FieldElements) in place to reduced row
+    echelon form in their first width columns, one reciprocal per pivot, and
+    return the pivot columns; later columns ride along as an augmented part."""
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = Fraction(1) / rows[r][col]
+        pivot_row = rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and (factor := row[col]) != 0:
+                rows[i] = [a - factor * b for a, b in zip(row, pivot_row)]
+        pivots.append(col)
+    return pivots
 
 
 def _integer_view(

@@ -70,6 +70,15 @@ def test_profiles_q5_non_faithful_requires_conjugate_balance():
         assert profile[1] == profile[2]
 
 
+@pytest.mark.parametrize("profile", [(0, 1), (0, 1, 1, 1, 5)])
+def test_profile_traces_refuse_a_profile_of_the_wrong_length(profile):
+    # Q6 has four characters: a shorter profile used to read as padded with
+    # zeros and a longer one to lose its tail
+    table = character_table(subquotient_qn(6))
+    with pytest.raises(ClassifierError, match="does not have 4 entries"):
+        profile_traces(table, profile)
+
+
 def test_rigid_generator_detection():
     assert rigid_generator(subquotient_qn(5)) == 1
     assert rigid_generator(subquotient_qn(6)) == 1

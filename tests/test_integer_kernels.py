@@ -1,9 +1,10 @@
 """The integer kernels around the module search against the plain loops they
 replaced (tests/oracles.py): the packed ring-relation re-check, the trace
-screen and trace decompositions on the integer view of a character table,
-the multiplicativity check of candidate characters, and kl(g)kl(w) read off
-a word's first letter and length."""
+screen over Galois orbits and trace decompositions on the integer view of a
+character table, the multiplicativity check of candidate characters, and
+kl(g)kl(w) read off a word's first letter and length."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -12,7 +13,13 @@ import oracles
 import pytest
 
 from klcells import klring
-from klcells.basedring import BasedRing, ring_from_text, subquotient_qn, subring_an
+from klcells.basedring import (
+    BasedRing,
+    ring_from_text,
+    ring_to_text,
+    subquotient_qn,
+    subring_an,
+)
 from klcells.characters import (
     DecompositionError,
     _multiplicative,
@@ -22,10 +29,11 @@ from klcells.characters import (
     special_character,
 )
 from klcells.classifier import (
-    _exact_trace,
+    ClassifierError,
     _perron_limits,
     classify,
     feasible_rank_profiles,
+    profile_traces,
     rigid_generator,
     solve_matrix_modules,
 )
@@ -217,13 +225,112 @@ def test_exact_traces_and_the_screen_equal_the_oracle_up_to_the_rank_cap(name):
         for picks in combinations_with_replacement(range(table.size), rank):
             m = tuple(picks.count(i) for i in range(table.size))
             traces_of[m] = [oracles.exact_trace(table, m, b) for b in range(table.size)]
-            for b, value in enumerate(traces_of[m]):
-                want = value.num[0] if value.is_rational and value.den == 1 else None
-                assert _exact_trace(table, m, b) == want, (m, b)
     for faithful, cap in caps.items():
         assert feasible_rank_profiles(table, faithful) == _oracle_screen(
             table, faithful, cap, traces_of
         )
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_a_lower_rank_limit_keeps_the_profiles_up_to_it(name):
+    table = _table(name)
+    for faithful in (True, False):
+        full = feasible_rank_profiles(table, faithful)
+        cap = _perron_limits(table, 1, None, faithful and rigid_generator(table.ring) is not None)[0]
+        for max_rank in range(cap + 1):
+            want = tuple(m for m in full if sum(m) <= max_rank)
+            assert feasible_rank_profiles(table, faithful, max_rank) == want, max_rank
+
+
+def _ring_file(n):
+    """Q_n read back from its ring file, as classify --ring-file reads it."""
+    return ring_from_text(ring_to_text(subquotient_qn(n)))
+
+
+def _assert_traces_equal_the_oracle(table, profiles):
+    for profile in profiles:
+        traces = profile_traces(table, profile)
+        assert list(traces) == list(table.ring.labels)
+        assert list(traces.values()) == [
+            oracles.exact_trace(table, profile, b) for b in range(table.size)
+        ], profile
+
+
+# the faithful screens past the oracle's reach, as the per-multiset loop gave
+# them; that loop takes seconds at Q11, too slow for a test
+PINNED_FAITHFUL_PROFILES = [
+    (lambda: subquotient_qn(9), (
+        (0, 1, 0, 1, 1), (0, 1, 1, 1, 1), (0, 1, 2, 1, 1), (0, 1, 3, 1, 1),
+    )),
+    (lambda: subquotient_qn(10), (
+        (0, 0, 0, 1, 0, 1), (0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 1, 1), (0, 2, 0, 1, 0, 1),
+        (0, 1, 1, 1, 1, 1), (0, 3, 0, 1, 0, 1), (0, 2, 1, 1, 1, 1),
+    )),
+    (lambda: subquotient_qn(11), ((0, 1, 1, 1, 1, 1),)),
+    (lambda: _ring_file(7), ((0, 1, 1, 1),)),
+    (lambda: _ring_file(8), (
+        (0, 0, 1, 0, 1), (0, 0, 1, 1, 1), (0, 1, 1, 0, 1), (0, 0, 1, 2, 1),
+        (0, 1, 1, 1, 1), (0, 2, 1, 0, 1),
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "ring_of, want", PINNED_FAITHFUL_PROFILES, ids=["Q9", "Q10", "Q11", "Q7-file", "Q8-file"]
+)
+def test_the_faithful_screen_keeps_the_pinned_profiles(ring_of, want):
+    table = character_table(ring_of())
+    assert feasible_rank_profiles(table, faithful=True) == want
+    _assert_traces_equal_the_oracle(table, want)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_profile_traces_equal_the_oracle_on_every_screened_profile(name):
+    table = _table(name)
+    for faithful in (True, False):
+        _assert_traces_equal_the_oracle(table, feasible_rank_profiles(table, faithful))
+
+
+def _gcd_classes(table, n):
+    """The Galois orbits of Q_n's rows as the classes of equal gcd(j, n), with
+    chi_0 alone, each row's j read off floats of its values: chi_0(s) = 0
+    and, for j >= 1, chi_j(s) = 2 and chi_j(sts) = 2 + 2 * 2cos(2 pi j / n).
+    Both values are matched, since chi_0 and chi_{n/3} both read 0 at sts."""
+    labels = table.ring.labels
+    s, sts = labels.index("s"), labels.index("sts")
+    points = {0: (0.0, 0.0)}
+    for j in range(1, n // 2 + 1):
+        points[j] = (2.0, 2 + 4 * math.cos(2 * math.pi * j / n))
+    classes = {}
+    for i, row in enumerate(table.rows):
+        got = (float(row[s]), float(row[sts]))
+        (j,) = [j for j, p in points.items() if math.dist(p, got) < 1e-9]
+        classes.setdefault(math.gcd(j, n) if j else 0, set()).add(i)
+    assert sum(map(len, classes.values())) == table.size == n // 2 + 1
+    return {frozenset(members) for members in classes.values()}
+
+
+@pytest.mark.parametrize("n", range(4, 19))
+def test_orbits_are_the_classes_of_equal_gcd(n):
+    table = character_table(subquotient_qn(n))
+    orbits = table._orbits
+    assert {frozenset(members) for members, _ in orbits} == _gcd_classes(table, n)
+    assert [members[0] for members, _ in orbits] == sorted(m[0] for m, _ in orbits)
+    for members, traces in orbits:
+        indicator = [int(i in members) for i in range(table.size)]
+        assert list(traces) == [
+            oracles.exact_trace(table, indicator, b) for b in range(table.size)
+        ]
+
+
+def test_orbits_of_the_rings_that_are_not_a_q_n():
+    assert [members for members, _ in _table("A4")._orbits] == [(0,), (1,)]
+    assert [members for members, _ in _table("Fib")._orbits] == [(0, 1)]
+
+
+def test_profile_traces_refuse_a_profile_that_is_not_constant_on_an_orbit():
+    with pytest.raises(ClassifierError, match="not constant on the Galois orbit"):
+        profile_traces(_table("Q5"), (0, 1, 0))
 
 
 # -- trace decompositions -----------------------------------------------------------
