@@ -143,6 +143,9 @@ def verify(ring: BasedRing) -> RingReport:
         return RingReport(False, tuple(out))
     if len(set(ring.labels)) != size:
         out.append(RingViolation("labels", (), "labels are not distinct"))
+    if len(c) != size or any(len(plane) != size for plane in c):
+        out.append(RingViolation("shape", (), "not one plane of size rows per label"))
+        return RingReport(False, tuple(out))
     for i in range(size):
         for j in range(size):
             row = c[i][j]
@@ -156,14 +159,17 @@ def verify(ring: BasedRing) -> RingReport:
                     if a < 0
                 )
     e = ring.identity
-    for j in range(size):
-        unit = tuple(int(z == j) for z in range(size))
-        if tuple(c[e][j]) != unit or tuple(c[j][e]) != unit:
-            for z in range(size):
-                if c[e][j][z] != unit[z]:
-                    out.append(RingViolation("left-identity", (j, z), "e*y != y"))
-                if c[j][e][z] != unit[z]:
-                    out.append(RingViolation("right-identity", (j, z), "x*e != x"))
+    if not 0 <= e < size:
+        out.append(RingViolation("identity", (e,), "identity index out of range"))
+    else:
+        for j in range(size):
+            unit = tuple(int(z == j) for z in range(size))
+            if tuple(c[e][j]) != unit or tuple(c[j][e]) != unit:
+                for z in range(size):
+                    if c[e][j][z] != unit[z]:
+                        out.append(RingViolation("left-identity", (j, z), "e*y != y"))
+                    if c[j][e][z] != unit[z]:
+                        out.append(RingViolation("right-identity", (j, z), "x*e != x"))
     # column z of M_x is the product row c[x][z], so the matrices are c
     # itself; entry (v, z) of M_x M_y is coordinate v of x(yz), and that of
     # sum_w c[x][y][w] M_w is coordinate v of (xy)z

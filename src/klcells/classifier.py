@@ -656,6 +656,9 @@ def solve_matrix_modules(
     """
     if rank < 1:
         raise ClassifierError(f"rank must be positive, got {rank}")
+    unknown = sorted(set(traces or ()) - set(ring.labels))
+    if unknown:
+        raise ClassifierError(f"traces name no basis element of the ring: {unknown}")
     names = _resolve_filters(filters)
     rigid_constrained = None
     if "s-rigidity" in names:

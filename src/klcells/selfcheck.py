@@ -6,24 +6,27 @@ Bruhat comparisons are replayed against the subword oracle, and the pruned
 matrix search against the naive enumerator, which sets one entry at a time
 and evaluates each product-relation entry once its last entry is set, with
 no bounds derived from the equations; the KL ring goes through
-basedring.verify, the one checker of the based-ring axioms.  Checks that a
-constructor already makes (the axioms of Q_n and A_n, multiplicativity of the
-character rows) are not repeated.  Each result counts the cases its check
-exercised (triples, pairs, rings, searches, ...), so a run that checks less
-shows it.
+basedring.verify, the one checker of the based-ring axioms.  Expected values
+are compared whole: the closed-form cell partition of each n, its cells and
+all three of its orders, is one CellPartition checked with == against
+compute_cells.  Checks that a constructor already makes (the axioms of Q_n
+and A_n, multiplicativity of the character rows) are not repeated.  Each
+result counts the cases its check exercised (triples, pairs, rings,
+searches, ...), so a run that checks less shows it.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import classifier
-from .basedring import full_kl_ring, subquotient_qn, subring_an, verify as ring_verify
+from .basedring import BasedRing, full_kl_ring, subquotient_qn, subring_an, verify as ring_verify
 from .characters import character_table, decompose, special_character
-from .dihedral import DihedralGroup
-from .klring import compute_cells, structure_constants
+from .dihedral import GENERATORS, DihedralGroup
+from .klring import CellPartition, compute_cells, structure_constants
 from .matrixmodule import canonical_module, module_from_mats, trivial_module
 from .quadfield import QuadNum
 
@@ -63,6 +66,11 @@ class SuiteReport(NamedTuple):
         return out
 
 
+def _ring(name: str) -> BasedRing:
+    """Q_n or A_n, named "Q<n>" or "A<n>"."""
+    return {"Q": subquotient_qn, "A": subring_an}[name[0]](int(name[1:]))
+
+
 def _result(name: str, failures: list[str], cases: int) -> CheckResult:
     if failures or not cases:  # a check that exercised nothing proves nothing
         detail = "; ".join(failures[:4]) or "no case was exercised"
@@ -98,9 +106,7 @@ def check_dihedral_arithmetic(max_n: int) -> CheckResult:
                         for w, a, b in zip(els, left, right)
                         if a != b
                     )
-        census: dict[int, int] = {}
-        for el in els:
-            census[el.length] = census.get(el.length, 0) + 1
+        census = Counter(el.length for el in els)
         expect = {0: 1, n: 1, **{k: 2 for k in range(1, n)}}
         if census != expect:
             failures.append(f"n={n}: length census {census}")
@@ -138,80 +144,49 @@ def check_kl_ring_axioms(max_n: int) -> CheckResult:
     )
 
 
+# the cell orders for every n >= 3, cells in basis order: {e} lies below the
+# two middle one-sided cells, which are incomparable, and {w0} above them;
+# the two-sided order is {e} <= middle <= {w0}
+_ONE_SIDED_LEQ = frozenset(
+    {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 3), (2, 2), (2, 3), (3, 3)}
+)
+_TWO_SIDED_LEQ = frozenset({(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)})
+
+
 def check_cells_closed_form(max_n: int) -> CheckResult:
-    """Cell partitions match the closed-form dihedral description."""
+    """compute_cells returns the closed-form cell partition, compared whole.
+
+    The left cells are {e}, the right-descent classes of s and t, and {w0};
+    the right cells the same with left descents; the two-sided cells {e},
+    the middle and {w0}; each in basis order.  The three orders are the
+    constants above, so a missing or an extra pair in any of them fails.
+    """
     failures = []
     exponents = range(3, max_n + 1)
     for n in exponents:
         group = DihedralGroup(n)
         constants = structure_constants(n)
-        cells = compute_cells(constants.labels, constants.c)
-        els = constants.elements
-        label = {el: constants.labels[i] for i, el in enumerate(els)}
-        middle = frozenset(
-            label[el] for el in els if 0 < el.length < n
+        labels = constants.labels
+        middle = [(x, el) for x, el in zip(labels, constants.elements) if 0 < el.length < n]
+        by_right, by_left = (
+            [tuple(x for x, el in middle if g in descents(el)) for g in GENERATORS]
+            for descents in (group.right_descents, group.left_descents)
         )
-        l_s = frozenset(
-            label[el]
-            for el in els
-            if el.length != n and "s" in group.right_descents(el)
+        want = CellPartition(
+            labels,
+            (("e",), *by_right, ("w0",)),
+            (("e",), *by_left, ("w0",)),
+            (("e",), tuple(x for x, _ in middle), ("w0",)),
+            _ONE_SIDED_LEQ,
+            _ONE_SIDED_LEQ,
+            _TWO_SIDED_LEQ,
         )
-        l_t = frozenset(
-            label[el]
-            for el in els
-            if el.length != n and "t" in group.right_descents(el)
+        got = compute_cells(labels, constants.c)
+        failures.extend(
+            f"n={n}: {field} is {value}, expected {expected}"
+            for field, value, expected in zip(CellPartition._fields, got, want)
+            if value != expected
         )
-        r_s = frozenset(
-            label[el]
-            for el in els
-            if el.length != n and "s" in group.left_descents(el)
-        )
-        r_t = frozenset(
-            label[el]
-            for el in els
-            if el.length != n and "t" in group.left_descents(el)
-        )
-        if {frozenset(cell) for cell in cells.two_sided} != {
-            frozenset({"e"}),
-            middle,
-            frozenset({"w0"}),
-        }:
-            failures.append(f"n={n}: two-sided cells {cells.two_sided}")
-        if {frozenset(cell) for cell in cells.left} != {
-            frozenset({"e"}),
-            l_s,
-            l_t,
-            frozenset({"w0"}),
-        }:
-            failures.append(f"n={n}: left cells {cells.left}")
-        if {frozenset(cell) for cell in cells.right} != {
-            frozenset({"e"}),
-            r_s,
-            r_t,
-            frozenset({"w0"}),
-        }:
-            failures.append(f"n={n}: right cells {cells.right}")
-        # linear two-sided order {e} <= middle <= {w0}
-        e_cell = cells.cell_of("two_sided", "e")
-        w0_cell = cells.cell_of("two_sided", "w0")
-        mid_cell = next(
-            i for i in range(len(cells.two_sided)) if i not in (e_cell, w0_cell)
-        )
-        needed = {(e_cell, mid_cell), (mid_cell, w0_cell), (e_cell, w0_cell)}
-        if not needed <= cells.two_sided_leq:
-            failures.append(f"n={n}: two-sided order misses {needed}")
-        if (w0_cell, e_cell) in cells.two_sided_leq:
-            failures.append(f"n={n}: two-sided order not antisymmetric")
-        # left order: L_e below both middles, middles incomparable, w0 on top
-        le = cells.cell_of("left", "e")
-        lw0 = cells.cell_of("left", "w0")
-        ls = cells.cell_of("left", sorted(l_s)[0])
-        lt = cells.cell_of("left", sorted(l_t)[0])
-        want = {(le, ls), (le, lt), (ls, lw0), (lt, lw0), (le, lw0)}
-        if not want <= cells.left_leq:
-            failures.append(f"n={n}: left order misses {want - cells.left_leq}")
-        if (ls, lt) in cells.left_leq or (lt, ls) in cells.left_leq:
-            failures.append(f"n={n}: L_s and L_t should be incomparable")
     return _result(
         "cell partitions match the closed-form description", failures, len(exponents)
     )
@@ -225,12 +200,10 @@ def check_subquotient_rings(max_n: int) -> CheckResult:
     failures = []
     exponents = range(3, max_n + 1)
     for n in exponents:
-        ring = subquotient_qn(n)
-        want_size = 1 + (n - 1 + 1) // 2
-        if ring.size != want_size:
-            failures.append(f"n={n}: basis size {ring.size} != {want_size}")
-        sub = subring_an(n)
-        if sub.c != subring_an(3).c:
+        size = subquotient_qn(n).size
+        if size != 1 + n // 2:
+            failures.append(f"n={n}: basis size {size} != {1 + n // 2}")
+        if subring_an(n).c != subring_an(3).c:
             failures.append(f"n={n}: A_n table depends on n")
     if subquotient_qn(3).c != subring_an(3).c:
         failures.append("Q_3 does not coincide with A_3")
@@ -269,12 +242,9 @@ def check_reference_tables() -> CheckResult:
     """The Q_4, Q_5 and Q_6 multiplication tables match their reference data."""
     failures = []
     for name, table in _EXPECTED_TABLES.items():
-        ring = subquotient_qn(int(name[1:]))
+        ring = _ring(name)
         for (lx, ly), want in table.items():
-            row = ring.product(lx, ly)
-            got = {
-                ring.labels[z]: v for z, v in enumerate(row) if v
-            }
+            got = {ring.labels[z]: v for z, v in enumerate(ring.product(lx, ly)) if v}
             if got != want:
                 failures.append(f"{name}: {lx}*{ly} = {got}, expected {want}")
     return _result(
@@ -306,9 +276,8 @@ def check_quadfield() -> CheckResult:
             failures.append(f"conjugation is not multiplicative for {x}, {y}")
         if (x + y).conjugate() != x.conjugate() + y.conjugate():
             failures.append(f"conjugation is not additive for {x}, {y}")
-        if x != QuadNum(Fraction(0)):
-            if x * x.inverse() != QuadNum(Fraction(1)):
-                failures.append(f"inverse fails for {x}")
+        if x != QuadNum(Fraction(0)) and x * x.inverse() != QuadNum(Fraction(1)):
+            failures.append(f"inverse fails for {x}")
         want = (float(x) > float(y)) - (float(x) < float(y))
         got = (x - y).sign()
         if abs(float(x) - float(y)) > 1e-9 and got != want:
@@ -333,30 +302,25 @@ _EXPECTED_CHARACTERS = {
         ("1", "2", "0", "-2"),
         ("1", "2", "4", "2"),
     ),
+    "A4": (("1", "0"), ("1", "2")),
 }
 
 
 def check_characters() -> CheckResult:
-    """Character tables and special characters.
+    """Character tables, and the special character in the last row.
 
     character_table returns only rows it has checked to be multiplicative.
     """
     failures = []
     for name, want in _EXPECTED_CHARACTERS.items():
-        ring = subquotient_qn(int(name[1:]))
-        table = character_table(ring)
-        rendered = tuple(tuple(str(v) for v in row) for row in table.rows)
+        table = character_table(_ring(name))
+        rendered = tuple(tuple(map(str, row)) for row in table.rows)
         if rendered != want:
             failures.append(f"{name}: table {rendered} != {want}")
         if special_character(table) != table.size - 1:
             failures.append(f"{name}: special character misplaced")
-    an = character_table(subring_an(4))
-    if tuple(tuple(str(v) for v in row) for row in an.rows) != (("1", "0"), ("1", "2")):
-        failures.append("A_n: unexpected character table")
-    if special_character(an) != 1:
-        failures.append("A_n: special character should be the doubling one")
     return _result(
-        "character tables and special characters", failures, len(_EXPECTED_CHARACTERS) + 1
+        "character tables and special characters", failures, len(_EXPECTED_CHARACTERS)
     )
 
 
@@ -413,8 +377,7 @@ def check_rank_two_candidate_sets() -> CheckResult:
         want = tuple(
             flat for rank, flat in classifier.EXPECTED_CANDIDATES[ring_id] if rank == 2
         )
-        ring = subquotient_qn(int(ring_id[1:]))
-        outcome = classifier.solve_matrix_modules(ring, 2, ["s-rigidity"])
+        outcome = classifier.solve_matrix_modules(_ring(ring_id), 2, ["s-rigidity"])
         got = tuple(m.flat() for m in outcome.modules)
         if got != want:
             failures.append(f"{ring_id}: got {got}")
@@ -422,20 +385,13 @@ def check_rank_two_candidate_sets() -> CheckResult:
             failures.append(f"{ring_id}: search not complete up to its proven caps")
     # raw solution set over Q5 with the generator pinned to 2I:
     # a = d = 1 with bc = 5, or {a, d} = {0, 2} with bc = 4
-    ring = subquotient_qn(5)
-    raw = classifier.solve_matrix_modules(ring, 2, ["s-rigidity"], dedupe=False)
-    flats = {
-        m.flat()[1]
-        for m in raw.modules
-        if m.flat()[0] == (2, 0, 0, 2)
+    want_raw = {
+        (1, 1, 5, 1), (1, 5, 1, 1),
+        (0, 1, 4, 2), (0, 2, 2, 2), (0, 4, 1, 2),
+        (2, 1, 4, 0), (2, 2, 2, 0), (2, 4, 1, 0),
     }
-    want_raw = set()
-    for b in range(1, 6):
-        if 5 % b == 0:
-            want_raw.add((1, b, 5 // b, 1))
-    for a, d in ((0, 2), (2, 0)):
-        for b in (1, 2, 4):
-            want_raw.add((a, b, 4 // b, d))
+    raw = classifier.solve_matrix_modules(_ring("Q5"), 2, ["s-rigidity"], dedupe=False)
+    flats = {m.flat()[1] for m in raw.modules if m.flat()[0] == (2, 0, 0, 2)}
     if flats != want_raw:
         failures.append(f"Q5 raw solution set mismatch: {sorted(flats)}")
     # cases: one search per ring and the raw solution set
@@ -445,11 +401,8 @@ def check_rank_two_candidate_sets() -> CheckResult:
 def check_search_oracle_equivalence(max_n: int = 8) -> CheckResult:
     """Pruned DFS equals the entry-by-entry naive enumerator at entry bound 8."""
     failures = []
-    cases = [(subring_an(4), 1), (subring_an(4), 2)]
-    for n in (4, 5, 6):
-        if n <= max_n:
-            cases.append((subquotient_qn(n), 1))
-            cases.append((subquotient_qn(n), 2))
+    rings = [subring_an(4)] + [subquotient_qn(n) for n in (4, 5, 6) if n <= max_n]
+    cases = [(ring, rank) for ring in rings for rank in (1, 2)]
     for ring, rank in cases:
         fast = classifier.solve_matrix_modules(ring, rank, bound=8)
         slow = classifier.bruteforce_matrix_modules(ring, rank, 8)

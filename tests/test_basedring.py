@@ -121,6 +121,22 @@ def test_verify_flags_negative_entry():
     assert any(v.axiom == "positivity" for v in report.violations)
 
 
+def test_verify_reports_a_table_with_too_few_planes():
+    ring = BasedRing(("e", "s"), (((1, 0), (0, 1)),))
+    assert verify(ring).violations == (
+        RingViolation("shape", (), "not one plane of size rows per label"),
+    )
+    assert verify(ring).violations == _plain_violations(ring)
+
+
+def test_verify_reports_an_identity_outside_the_basis():
+    ring = BasedRing(("e",), (((1,),),), identity=3)
+    assert verify(ring).violations == (
+        RingViolation("identity", (3,), "identity index out of range"),
+    )
+    assert verify(ring).violations == _plain_violations(ring)
+
+
 def _plain_violations(ring):
     """Every based-ring violation, found by plain loops over coordinates;
     the order and the messages are the ones verify reports."""
@@ -130,6 +146,9 @@ def _plain_violations(ring):
         return (RingViolation("involution", (), "not a permutation of the basis"),)
     if len(set(ring.labels)) != size:
         out.append(RingViolation("labels", (), "labels are not distinct"))
+    if len(c) != size or any(len(c[i]) != size for i in range(len(c))):
+        out.append(RingViolation("shape", (), "not one plane of size rows per label"))
+        return tuple(out)
     for i in range(size):
         for j in range(size):
             if len(c[i][j]) != size:
@@ -140,7 +159,9 @@ def _plain_violations(ring):
                     message = f"coefficient {c[i][j][z]} < 0"
                     out.append(RingViolation("positivity", (i, j, z), message))
     e = ring.identity
-    for j in range(size):
+    if e not in range(size):
+        out.append(RingViolation("identity", (e,), "identity index out of range"))
+    for j in range(size if e in range(size) else 0):
         for z in range(size):
             want = 1 if z == j else 0
             if c[e][j][z] != want:

@@ -1097,6 +1097,11 @@ def test_classify_rejects_bad_ids():
         classify("custom")
 
 
+def test_solve_rejects_traces_of_unknown_labels():
+    with pytest.raises(ClassifierError, match="bogus"):
+        solve_matrix_modules(subquotient_qn(4), 2, ["s-rigidity"], traces={"bogus": 2})
+
+
 def test_zero_module_is_transitive_rank_one_only():
     ring = subquotient_qn(4)
     zero = trivial_module(ring)

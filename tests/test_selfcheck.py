@@ -120,3 +120,27 @@ def test_dihedral_check_names_every_non_associative_triple(monkeypatch):
     assert expected and not check.ok
     assert check.cases == sum((2 * n) ** 3 + 2 * n for n in (2, 3))
     assert [f for f in reported if "associativity" in f] == expected
+
+
+@pytest.mark.parametrize(
+    "field, pair",
+    [("left_leq", (3, 0)), ("right_leq", (3, 0)), ("two_sided_leq", (2, 0))],
+)
+def test_cell_check_compares_every_order_whole(monkeypatch, field, pair):
+    # one extra pair (w0 below e) in any of the three orders is a failure
+    # that names the order it is in
+    compute_cells = selfcheck.compute_cells
+
+    def one_pair_too_many(*args):
+        cells = compute_cells(*args)
+        return cells._replace(**{field: getattr(cells, field) | {pair}})
+
+    monkeypatch.setattr(selfcheck, "compute_cells", one_pair_too_many)
+    result = selfcheck.check_cells_closed_form(4)
+    assert not result.ok
+    assert field in result.detail
+
+
+def test_cell_check_passes_well_past_the_suite_default():
+    result = selfcheck.check_cells_closed_form(24)
+    assert result.ok and result.cases == 22
