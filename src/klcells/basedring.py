@@ -9,8 +9,9 @@ deleted from products), and its subring A_n spanned by e and s alone.
 
 It also holds the one kernel that checks ring relations
 M_x M_y = sum_z c[x][y][z] M_z on packed ints, _relation_mismatches: verify
-runs it on the left regular module, whose relations are associativity, and
-matrixmodule.satisfies_ring_relations on each emitted candidate module.
+runs it on the left regular module, whose relations are associativity,
+first for the relations of a generating set alone (Light's test), and
+matrixmodule.satisfies_ring_relations on each module the search keeps.
 """
 
 from __future__ import annotations
@@ -134,6 +135,14 @@ def verify(ring: BasedRing) -> RingReport:
     (xy)z and x(yz) for every z at once as two packed ints, exactly for
     entries of any sign, and only a pair (x, y) whose sides differ is
     unpacked to name its failing (z, v).
+
+    When both identity axioms hold, the pairs (x, g) with g in
+    _generators(c, e) are checked first, and all pairs only if one fails, so
+    the report is the same (Light's test; Clifford & Preston, vol. 1).  Over
+    Q, N = {a : (xa)y = x(ay) for all x, y} is a subspace that holds e, and
+    for a, b in N, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so
+    N is a subalgebra.  Passed pairs put the generators in N, hence every
+    element the walk reaches, and N is the whole ring.
     """
     out: list[RingViolation] = []
     size = ring.size
@@ -159,6 +168,7 @@ def verify(ring: BasedRing) -> RingReport:
                     if a < 0
                 )
     e = ring.identity
+    before = len(out)
     if not 0 <= e < size:
         out.append(RingViolation("identity", (e,), "identity index out of range"))
     else:
@@ -173,14 +183,15 @@ def verify(ring: BasedRing) -> RingReport:
     # column z of M_x is the product row c[x][z], so the matrices are c
     # itself; entry (v, z) of M_x M_y is coordinate v of x(yz), and that of
     # sum_w c[x][y][w] M_w is coordinate v of (xy)z
-    for x, y, x_yz, xy_z, width in _relation_mismatches(c, c):
-        left = _unpack(xy_z, width, size * size)
-        right = _unpack(x_yz, width, size * size)
-        out.extend(
-            RingViolation("associativity", (x, y, *divmod(k, size)), f"{a} != {b}")
-            for k, (a, b) in enumerate(zip(left, right))
-            if a != b
-        )
+    if len(out) > before or any(_relation_mismatches(c, c, _generators(c, e))):
+        for x, y, x_yz, xy_z, width in _relation_mismatches(c, c):
+            left = _unpack(xy_z, width, size * size)
+            right = _unpack(x_yz, width, size * size)
+            out.extend(
+                RingViolation("associativity", (x, y, *divmod(k, size)), f"{a} != {b}")
+                for k, (a, b) in enumerate(zip(left, right))
+                if a != b
+            )
     inv = ring.involution
     for x in range(size):
         for y in range(size):
@@ -197,7 +208,9 @@ def verify(ring: BasedRing) -> RingReport:
 
 
 def _relation_mismatches(
-    c: Sequence[Sequence[Sequence[int]]], columns: Sequence[Sequence[Sequence[int]]]
+    c: Sequence[Sequence[Sequence[int]]],
+    columns: Sequence[Sequence[Sequence[int]]],
+    ys: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """Every (x, y) with M_x M_y != sum_z c[x][y][z] M_z, lazily, in index order.
 
@@ -207,7 +220,8 @@ def _relation_mismatches(
     2^width, so _unpack(side, width, rank * rank) reads them back column by
     column.  M_x M_y is sum_u col_u(M_x) * row_u(M_y), with column u packed
     at digits i and row u at digits j*rank, one big-int product per u; the
-    combination is sum_z c[x][y][z] times M_z packed whole.
+    combination is sum_z c[x][y][z] times M_z packed whole.  Only y in ys
+    (default: all) are checked, and only their rows packed.
 
     Soundness, with no sign assumption: let A be the largest |entry| of a
     matrix, C the largest column sum of |entries| of a matrix and S the
@@ -228,16 +242,37 @@ def _relation_mismatches(
     width = (top * max(column_sum, spread)).bit_length() + 1
     at_i = [width * i for i in range(rank)]
     at_j = [width * rank * j for j in range(rank)]
+    ys = range(len(columns)) if ys is None else ys
     packed = [[sum(map(lshift, col, at_i)) for col in cols] for cols in columns]
-    rows = [[sum(map(lshift, row, at_j)) for row in zip(*cols)] for cols in columns]
+    rows = {y: [sum(map(lshift, row, at_j)) for row in zip(*columns[y])] for y in ys}
     whole = [sum(map(lshift, cols, at_j)) for cols in packed]
     for x, plane in enumerate(c):
         column_of_x = packed[x]
-        for y, coeffs in enumerate(plane):
+        for y in ys:
             product = sum(map(mul, column_of_x, rows[y]))
-            combination = sum(map(mul, coeffs, whole))
+            combination = sum(map(mul, plane[y], whole))
             if product != combination:
                 yield x, y, product, combination, width
+
+
+def _generators(c: Sequence[Sequence[Sequence[int]]], e: int) -> list[int]:
+    """A generating set read off the table c with identity e, in index
+    order, b being one unless it is the last coordinate off e of a row a*g
+    with a = e or a < b and g an earlier generator: every other term of that
+    row is e or earlier, so b is a rational combination of products of
+    generators.  {s, t} for ZD_2n and {s, sts} for Q_n."""
+    generators, reached, tops = [], [e], set()
+    for b in range(len(c)):
+        if b == e:
+            continue
+        rows = [c[b][g] for g in generators]
+        if b not in tops:
+            generators.append(b)
+            rows += [c[a][b] for a in reached] + [c[b][b]]
+        reached.append(b)
+        tops.update(max((z for z, v in enumerate(row) if v and z != e), default=-1)
+                    for row in rows)
+    return generators
 
 
 def _unpack(packed: int, width: int, count: int) -> list[int]:
@@ -312,8 +347,8 @@ def _picker(indices: Sequence[int]):
 def full_kl_ring(n: int) -> BasedRing:
     """The KL ring ZD_2n as a based ring whose involution is inversion.
 
-    It is not passed through verify here: associativity costs O(size^5) and
-    the ring has 2n basis elements.  structure_constants already refuses
+    It is not passed through verify here: associativity takes seconds at
+    n = 64, even on a generating set.  structure_constants already refuses
     negative constants and a failing identity.
     """
     constants = klring.structure_constants(n)

@@ -12,11 +12,11 @@ pass, without iterating to a fixpoint.  After a first pass over every
 equation, the entries whose ends meet become constants and the equations
 left as 0 = 0 are dropped: under s-rigidity the doubling generator is fixed
 at 2I, and most relations that read it go.  Both prunings are sound, and
-every emitted module is re-verified by full matrix multiplication and its
+every kept module is re-verified by full matrix multiplication and its
 traces afterwards.  A naive enumerator with none of that machinery doubles
 as an independent oracle: it assigns the same entries one at a time over the
-whole range and evaluates each entry of each product relation exactly once,
-as soon as the last entry it reads is set.
+whole range and evaluates each entry of each product relation exactly, at
+every value of the last entry it reads.
 
 Proven entry caps (Kildetoft & Mazorchuk, *Special modules over positively
 based algebras*; Mazorchuk & Miemietz, *Transitive 2-representations of
@@ -682,9 +682,9 @@ def solve_matrix_modules(
     search.run()
     kept = []
     for module in search.solutions:
-        if not satisfies_ring_relations(ring, module):  # independent re-check
-            continue
         if not is_transitive(module):
+            continue
+        if not satisfies_ring_relations(ring, module):  # independent re-check
             continue
         if traces is not None and any(
             module.trace(label) != t for label, t in traces.items()
@@ -749,15 +749,15 @@ def bruteforce_matrix_modules(
     0..bound; under s-rigidity the doubling generator's diagonal entries range
     over {0, 2} and its other entries are 0.  Entry (i, j) of every relation
     M_x M_y = sum_z c[x][y][z] M_z with x, y != e is one equation
-    (_oracle_equations; the relations through e hold identically).  It is
-    attached to the last of its entries in assignment order and summed in
-    full, term by term, exactly when that entry is set, so every equation is
-    checked exactly once, on known values only; a value is kept when all of
-    them sum to 0.  Nothing is bounded, capped or forced, and the
-    enumeration is complete up to the bound.  Leaves are tested for
-    transitivity and the filters' checks and deduped by canonical form.
-    Intended for small ranks and bounds as an independent cross-check of the
-    pruned search.
+    (_oracle_equations; the relations through e hold identically), attached
+    to the last of its entries in assignment order, k.  Once per node its
+    terms that do not read k are summed into a0, and the coefficient of k in
+    those that read it once into a1; a value v of k is kept when
+    a0 + (a1 + a2*v)*v == 0, a2 the coefficient of k*k, for every equation
+    attached to k.  Nothing is bounded, capped or forced, and the enumeration
+    is complete up to the bound.  Leaves are tested for transitivity and the
+    filters' checks and deduped by canonical form.  Intended for small ranks
+    and bounds as an independent cross-check of the pruned search.
     """
     names = _resolve_filters(filters)
     rigid = None
@@ -773,11 +773,16 @@ def bruteforce_matrix_modules(
     # every entry, then a fixed slot holding 1 for the identity's diagonal
     values = [0] * len(cells) + [1]
 
-    # checks[k]: the equations whose last entry in assignment order is k
-    checks: list[list[tuple[tuple[int, int, int], ...]]] = [[] for _ in cells]
+    # checks[k]: the equations whose last entry is k, as their terms that do
+    # not read k, (coefficient, other entry) of those that read k once, and a2
+    checks: list[list[tuple[list, list, int]]] = [[] for _ in cells]
     for terms in _oracle_equations(ring, rank, index).values():
         last = max(k for _, u, v in terms for k in (u, v) if k < len(cells))
-        checks[last].append(terms)
+        checks[last].append((
+            [(c, u, v) for c, u, v in terms if last not in (u, v)],
+            [(c, v if u == last else u) for c, u, v in terms if (u == last) != (v == last)],
+            sum(c for c, u, v in terms if u == v == last),
+        ))
 
     results: dict[tuple, MatrixModule] = {}
 
@@ -798,16 +803,20 @@ def bruteforce_matrix_modules(
             canon = canonical_module(module)
             results.setdefault(canon.key(), canon)
             return
-        here = checks[k]
+        parts = []
+        for fixed, once, a2 in checks[k]:
+            a0 = a1 = 0
+            for c, u, v in fixed:
+                a0 += c * values[u] * values[v]
+            for c, u in once:
+                a1 += c * values[u]
+            parts.append((a0, a1, a2))
         for value in domains[k]:
-            values[k] = value
-            for terms in here:
-                total = 0
-                for c, u, v in terms:
-                    total += c * values[u] * values[v]
-                if total:
+            for a0, a1, a2 in parts:
+                if a0 + (a1 + a2 * value) * value:
                     break
             else:
+                values[k] = value
                 assign(k + 1)
 
     assign(0)
@@ -957,12 +966,15 @@ def classify(
     and annotate every candidate against the bundled status data.  Without
     s-rigidity the searches are raw per-rank runs without trace pinning,
     which surfaces any extra algebraic solutions; a rank override forces a
-    single raw search.  Profiles are screened up to the rank cap, or up to
-    max_rank when that is lower.  The regression check against the bundled
-    candidates applies to a complete run under s-rigidity alone.  A ring
-    without a full character table (non-commutative, not split semisimple,
-    or neither a Q_n nor quadratic) raises ClassifierError.
+    single raw search, at most max_rank.  Profiles are screened up to the
+    rank cap, or up to max_rank when that is lower.  The regression check
+    against the bundled candidates applies to a complete run under
+    s-rigidity alone.  A ring without a full character table
+    (non-commutative, not split semisimple, or neither a Q_n nor quadratic)
+    raises ClassifierError.
     """
+    if rank is not None and max_rank is not None and rank > max_rank:
+        raise ClassifierError(f"rank {rank} exceeds max_rank {max_rank}")
     # dedupe, preserving order; transitivity is always applied and listed first
     names = dict.fromkeys(_resolve_filters(filters))
     filter_names = [name for name in names if name != "transitive"]

@@ -505,6 +505,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("classify needs exactly one of --n or --ring-file")
         if args.max_rank is not None and args.max_rank < 1:
             parser.error("--max-rank must be at least 1")
+        if args.rank is not None and args.max_rank is not None and args.rank > args.max_rank:
+            parser.error("--rank must not exceed --max-rank")
         if args.bound is not None and args.bound < 0:
             parser.error("--bound must be non-negative")
     if args.command == "verify" and args.max_n < SMALLEST_MAX_N:

@@ -93,6 +93,7 @@ def satisfies_ring_relations(ring: BasedRing, module: MatrixModule) -> bool:
     Both sides of every relation are compared as packed ints by the kernel
     that basedring.verify runs on the left regular module, which also holds
     the argument that the comparison is exact; the first mismatch decides.
+    Every relation is checked: the ring need not have passed verify.
     """
     rank, mats = module.rank, module.mats
     if mats[ring.identity] != identity_matrix(rank):

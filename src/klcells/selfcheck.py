@@ -3,9 +3,9 @@
 Each check returns a CheckResult; run_suite collects them all.  The checks
 favor independent recomputation over trusting the code paths they exercise:
 Bruhat comparisons are replayed against the subword oracle, and the pruned
-matrix search against the naive enumerator, which sets one entry at a time
-and evaluates each product-relation entry once its last entry is set, with
-no bounds derived from the equations; the KL ring goes through
+matrix search against the naive enumerator, which sets one entry at a time,
+sums each relation entry's settled terms once per node and tests every value
+of its last entry exactly, with no bounds derived; the KL ring goes through
 basedring.verify, the one checker of the based-ring axioms.  Expected values
 are compared whole: the closed-form cell partition of each n, its cells and
 all three of its orders, is one CellPartition checked with == against
@@ -27,7 +27,7 @@ from .basedring import BasedRing, full_kl_ring, subquotient_qn, subring_an, veri
 from .characters import character_table, decompose, special_character
 from .dihedral import GENERATORS, DihedralGroup
 from .klring import CellPartition, compute_cells, structure_constants
-from .matrixmodule import canonical_module, module_from_mats, trivial_module
+from .matrixmodule import MatrixModule, canonical_module, module_from_mats, trivial_module
 from .quadfield import QuadNum
 
 __all__ = ["CheckResult", "SuiteReport", "SMALLEST_MAX_N", "run_suite"]
@@ -368,9 +368,9 @@ def check_rank_profiles() -> CheckResult:
     return _result("feasible rank profiles", failures, len(cases))
 
 
-def check_rank_two_candidate_sets() -> CheckResult:
-    """The rigidity-filtered rank-2 searches over Q4 and Q5 reproduce the
-    rank-2 entries of classifier.EXPECTED_CANDIDATES."""
+def check_rank_two_candidate_sets(raw_q5: tuple[MatrixModule, ...]) -> CheckResult:
+    """The rank-2 s-rigid searches over Q4 and Q5 reproduce the rank-2 entries
+    of classifier.EXPECTED_CANDIDATES, and raw_q5 the raw set derived below."""
     failures = []
     ring_ids = ("Q4", "Q5")
     for ring_id in ring_ids:
@@ -390,8 +390,7 @@ def check_rank_two_candidate_sets() -> CheckResult:
         (0, 1, 4, 2), (0, 2, 2, 2), (0, 4, 1, 2),
         (2, 1, 4, 0), (2, 2, 2, 0), (2, 4, 1, 0),
     }
-    raw = classifier.solve_matrix_modules(_ring("Q5"), 2, ["s-rigidity"], dedupe=False)
-    flats = {m.flat()[1] for m in raw.modules if m.flat()[0] == (2, 0, 0, 2)}
+    flats = {m.flat()[1] for m in raw_q5 if m.flat()[0] == (2, 0, 0, 2)}
     if flats != want_raw:
         failures.append(f"Q5 raw solution set mismatch: {sorted(flats)}")
     # cases: one search per ring and the raw solution set
@@ -414,18 +413,17 @@ def check_search_oracle_equivalence(max_n: int = 8) -> CheckResult:
     return _result("pruned search equals naive enumeration (bound 8)", failures, len(cases))
 
 
-def check_canonicalization() -> CheckResult:
+def check_canonicalization(raw_q5: tuple[MatrixModule, ...]) -> CheckResult:
+    """Canonical forms of the raw rank-2 Q5 solutions are minimal fixed points."""
     failures = []
-    ring = subquotient_qn(5)
-    outcome = classifier.solve_matrix_modules(ring, 2, ["s-rigidity"], dedupe=False)
-    for module in outcome.modules:
+    for module in raw_q5:
         canon = canonical_module(module)
         if canonical_module(canon) != canon:
             failures.append(f"canonicalization not idempotent on {module.flat()}")
         if canon.key() > module.key():
             failures.append(f"canonical form is not minimal for {module.flat()}")
     return _result(
-        "canonicalization idempotence and minimality", failures, len(outcome.modules)
+        "canonicalization idempotence and minimality", failures, len(raw_q5)
     )
 
 
@@ -458,6 +456,8 @@ def run_suite(max_n: int = 8) -> SuiteReport:
     """
     if max_n < SMALLEST_MAX_N:
         raise ValueError(f"max_n must be at least {SMALLEST_MAX_N}, got {max_n}")
+    # the raw rank-2 Q5 solutions under s-rigidity, read by two checks
+    raw_q5 = classifier.solve_matrix_modules(_ring("Q5"), 2, ["s-rigidity"], dedupe=False).modules
     results = (
         check_dihedral_arithmetic(max_n),
         check_bruhat_oracle(max_n),
@@ -469,9 +469,9 @@ def run_suite(max_n: int = 8) -> SuiteReport:
         check_characters(),
         check_cell_module_decompositions(),
         check_rank_profiles(),
-        check_rank_two_candidate_sets(),
+        check_rank_two_candidate_sets(raw_q5),
         check_search_oracle_equivalence(max_n),
-        check_canonicalization(),
+        check_canonicalization(raw_q5),
         check_classification_regression(),
     )
     return SuiteReport(results)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from klcells.basedring import (
     subring_an,
     verify,
 )
+from klcells.basedring import _generators
 from klcells.klring import compute_cells
 
 
@@ -220,28 +223,125 @@ def test_verify_matches_plain_loops_on_integer_tables(ring):
 
 _real_rings = [subquotient_qn(n) for n in (3, 5, 8)] + [full_kl_ring(n) for n in (2, 3)]
 
-
-@given(
-    st.sampled_from(_real_rings),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=5),
-            st.integers(min_value=0, max_value=5),
-            st.integers(min_value=0, max_value=5),
-            st.sampled_from((-1, 1, 2, 2**20, -(2**20), 2**45)),
-        ),
-        max_size=3,
+# (x, y, z, delta): add delta to the coefficient of z in x*y, indices taken
+# modulo what the test allows
+_changes = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from((-1, 1, 2, 2**20, -(2**20), 2**45)),
     ),
+    max_size=3,
 )
+
+
+def _changed(ring, changes):
+    table = [[list(row) for row in plane] for plane in ring.c]
+    for x, y, z, delta in changes:
+        table[x][y][z] += delta
+    frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
+    return BasedRing(ring.labels, frozen, ring.identity, ring.involution)
+
+
+@given(st.sampled_from(_real_rings), _changes)
 @settings(max_examples=150, deadline=None)
 def test_verify_matches_plain_loops_on_corrupted_rings(ring, changes):
     # a few wrong entries in a true ring: most triples still associate
-    table = [[list(row) for row in plane] for plane in ring.c]
-    for x, y, z, delta in changes:
-        table[x % ring.size][y % ring.size][z % ring.size] += delta
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    corrupted = BasedRing(ring.labels, frozen, ring.identity, ring.involution)
+    size = ring.size
+    corrupted = _changed(ring, [(x % size, y % size, z % size, d) for x, y, z, d in changes])
     assert verify(corrupted).violations == _plain_violations(corrupted)
+
+
+@given(st.sampled_from(_real_rings), _changes)
+@settings(max_examples=150, deadline=None)
+def test_verify_matches_plain_loops_when_only_products_off_the_identity_change(ring, changes):
+    # e is basis element 0 and the products x*y with x, y != e change, so the
+    # identity axioms still hold: verify tries the generating set first and
+    # must fall back to every pair whenever one of its pairs fails
+    off = ring.size - 1
+    corrupted = _changed(
+        ring, [(1 + x % off, 1 + y % off, z % ring.size, d) for x, y, z, d in changes]
+    )
+    plain = _plain_violations(corrupted)
+    assert not any(v.axiom.endswith("identity") for v in plain)
+    assert verify(corrupted).violations == plain
+
+
+def _generator_labels(ring):
+    return tuple(ring.labels[g] for g in _generators(ring.c, ring.identity))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_full_kl_ring_is_generated_by_s_and_t(n):
+    ring = full_kl_ring(n)
+    assert _generator_labels(ring) == ("s", "t")
+    assert _span_of_products(ring, _generators(ring.c, ring.identity)) == ring.size
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_the_subquotient_ring_is_generated_by_s_and_sts(n):
+    ring = subquotient_qn(n)
+    assert _generator_labels(ring) == (("s",) if n == 3 else ("s", "sts"))
+    assert _span_of_products(ring, _generators(ring.c, ring.identity)) == ring.size
+
+
+def _span_of_products(ring, generators):
+    """The rank over Q of the span of e and every product of generators,
+    closed by right multiplication with a generator until it stops growing;
+    independent of the reach walk in _generators."""
+    size, c = ring.size, ring.c
+    echelon = {}  # pivot -> row with a 1 there and 0 at every other pivot
+
+    def add(vector):
+        for pivot, row in echelon.items():
+            if vector[pivot]:
+                vector = [a - vector[pivot] * b for a, b in zip(vector, row)]
+        pivot = next((z for z, a in enumerate(vector) if a), None)
+        if pivot is None:
+            return False
+        vector = [a / vector[pivot] for a in vector]
+        for other, row in echelon.items():
+            if row[pivot]:
+                echelon[other] = [a - row[pivot] * b for a, b in zip(row, vector)]
+        echelon[pivot] = vector
+        return True
+
+    unit = [Fraction(int(z == ring.identity)) for z in range(size)]
+    frontier = [unit] if add(unit) else []
+    while frontier:
+        vector = frontier.pop()
+        for g in generators:
+            product = [
+                sum(a * c[x][g][z] for x, a in enumerate(vector)) for z in range(size)
+            ]
+            if add(product):
+                frontier.append(product)
+    return len(echelon)
+
+
+# the products of a, b and c off e: all zero, or a*a = b*b = a, where
+# (b*b)*a = a but b*(b*a) = 0; no row reaches a later element, so the walk
+# takes every element but e as a generator
+_ZERO_PRODUCTS = {}
+_A_SQUARES = {(1, 1): (0, 1, 0, 0), (2, 2): (0, 1, 0, 0)}
+
+
+@pytest.mark.parametrize("products", [_ZERO_PRODUCTS, _A_SQUARES], ids=["zero", "a-squares"])
+def test_a_ring_that_needs_every_element_as_a_generator_verifies_as_before(products):
+    size = 4
+    unit = [tuple(int(z == j) for z in range(size)) for j in range(size)]
+    c = tuple(
+        tuple(
+            unit[y] if x == 0 else unit[x] if y == 0 else products.get((x, y), (0,) * size)
+            for y in range(size)
+        )
+        for x in range(size)
+    )
+    ring = BasedRing(("e", "a", "b", "c"), c)
+    assert _generator_labels(ring) == ("a", "b", "c")
+    assert verify(ring).violations == _plain_violations(ring)
+    assert verify(ring).ok == (products is _ZERO_PRODUCTS)
 
 
 def test_verify_reads_an_associativity_digit_at_the_top_of_the_width():

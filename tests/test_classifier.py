@@ -1097,6 +1097,12 @@ def test_classify_rejects_bad_ids():
         classify("custom")
 
 
+def test_classify_rejects_a_rank_above_max_rank():
+    with pytest.raises(ClassifierError, match="rank 2 exceeds max_rank 1"):
+        classify("Q5", rank=2, max_rank=1)
+    assert classify("Q5", rank=2, max_rank=2).candidates
+
+
 def test_solve_rejects_traces_of_unknown_labels():
     with pytest.raises(ClassifierError, match="bogus"):
         solve_matrix_modules(subquotient_qn(4), 2, ["s-rigidity"], traces={"bogus": 2})

@@ -444,10 +444,11 @@ def test_usage_errors_exit_two(capsys):
         ["ring", "--full-kl", "--n", "0"],
         ["classify", "--n", "5", "--max-rank", "0"],
         ["classify", "--n", "5", "--bound", "-1"],
+        ["classify", "--n", "5", "--rank", "2", "--max-rank", "1"],
         ["verify", "--max-n", "1"],
     ],
     ids=["cells-n2", "characters-n2", "full-kl-n0", "max-rank-0", "bound-negative",
-         "verify-max-n1"],
+         "rank-above-max-rank", "verify-max-n1"],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
