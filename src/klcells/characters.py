@@ -169,12 +169,13 @@ def _multiplicative(ring: BasedRing, row, xs) -> bool:
 
 
 def _closed_form_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]] | None:
-    """The closed-form characters of Q_n, n in {2(size - 1), 2 size - 1}, when
-    they verify on this ring, read with its basis e, b_0 = s, b_1 = sts, ...
-    in the order the multiplication gives; None otherwise.  b_0 is the one
-    element with b_0 b_0 = 2 b_0 (rigid_generator); for each choice of sts
-    (in index order), b_{k+1} is the one element not yet read in sts * b_k,
-    if that chain covers the basis.  Q3 has no sts and goes to the quadratic solver.
+    """The closed-form characters of Q_n when they verify on this ring, read
+    with its basis e, b_0 = s, b_1 = sts, ... in the order the multiplication
+    gives; None otherwise.  b_0 is the one element with b_0 b_0 = 2 b_0
+    (rigid_generator); for each choice of sts (in index order), b_{k+1} is
+    the one element not yet read in sts * b_k, if that chain covers the basis;
+    n is odd, 2 size - 1, when sts * b_last has a b_last term (coefficient 2),
+    and 2(size - 1) otherwise.  Q3 has no sts and goes to the quadratic solver.
 
     The check is multiplicativity against the generators s and sts only.
     That suffices on such a chain: sts * b_k has a non-zero b_{k+1}
@@ -198,22 +199,22 @@ def _closed_form_rows(ring: BasedRing) -> list[tuple[FieldElement, ...]] | None:
         if len(chain) < len(basis):
             continue
         order = [e, *chain]
-        for n in (2 * size - 2, 2 * size - 1):
-            lam = two_cos(n)
-            cheb = [FieldElement(2), lam]  # cheb[m] = P_m(lambda) = 2cos(2pi m/n)
-            for _ in range(2, n):
-                cheb.append(lam * cheb[-1] - cheb[-2])
-            rows = [[_ONE] + [_ZERO] * (size - 1)]
-            for j in range(1, n // 2 + 1):
-                values = [_ONE, FieldElement(2)]
-                for m in range(1, size - 1):
-                    values.append(values[-1] + 2 * cheb[m * j % n])
-                rows.append(values)
-            rows = [tuple(row[order.index(b)] for b in range(size)) for row in rows]
-            if len(set(rows)) == size and all(
-                _multiplicative(ring, row, (s, sts)) for row in rows
-            ):
-                return rows
+        n = 2 * size - 1 if ring.c[sts][chain[-1]][chain[-1]] else 2 * size - 2
+        lam = two_cos(n)
+        cheb = [FieldElement(2), lam]  # cheb[m] = P_m(lambda) = 2cos(2pi m/n)
+        for _ in range(2, n):
+            cheb.append(lam * cheb[-1] - cheb[-2])
+        rows = [[_ONE] + [_ZERO] * (size - 1)]
+        for j in range(1, n // 2 + 1):
+            values = [_ONE, FieldElement(2)]
+            for m in range(1, size - 1):
+                values.append(values[-1] + 2 * cheb[m * j % n])
+            rows.append(values)
+        rows = [tuple(row[order.index(b)] for b in range(size)) for row in rows]
+        if len(set(rows)) == size and all(
+            _multiplicative(ring, row, (s, sts)) for row in rows
+        ):
+            return rows
     return None
 
 

@@ -635,6 +635,14 @@ class _Search:
         self.solutions.append(module_from_mats(self.ring, rank, mats))
 
 
+def _check_range(rank: int | None, bound: int | None) -> None:
+    """Refuse a rank below 1 and a negative bound; None passes."""
+    if rank is not None and rank < 1:
+        raise ClassifierError(f"rank must be at least 1, got {rank}")
+    if bound is not None and bound < 0:
+        raise ClassifierError(f"bound must be at least 0, got {bound}")
+
+
 def solve_matrix_modules(
     ring: BasedRing,
     rank: int,
@@ -652,10 +660,10 @@ def solve_matrix_modules(
     proven cap (_perron_limits), and by bound too when bound is given.  A
     ring without an exact character table has no caps and needs a bound.
     The outcome records whether any consistent branch pressed against a
-    limit that is not a proven cap.
+    limit that is not a proven cap.  A rank below 1 or a negative bound
+    raises ClassifierError.
     """
-    if rank < 1:
-        raise ClassifierError(f"rank must be positive, got {rank}")
+    _check_range(rank, bound)
     unknown = sorted(set(traces or ()) - set(ring.labels))
     if unknown:
         raise ClassifierError(f"traces name no basis element of the ring: {unknown}")
@@ -759,6 +767,7 @@ def bruteforce_matrix_modules(
     filters' checks and deduped by canonical form.  Intended for small ranks
     and bounds as an independent cross-check of the pruned search.
     """
+    _check_range(rank, bound)
     names = _resolve_filters(filters)
     rigid = None
     if "s-rigidity" in names:
@@ -971,8 +980,12 @@ def classify(
     against the bundled candidates applies to a complete run under
     s-rigidity alone.  A ring without a full character table
     (non-commutative, not split semisimple, or neither a Q_n nor quadratic)
-    raises ClassifierError.
+    raises ClassifierError, as do a rank or max_rank below 1, a rank above
+    max_rank and a negative bound.
     """
+    _check_range(rank, bound)
+    if max_rank is not None and max_rank < 1:
+        raise ClassifierError(f"max rank must be at least 1, got {max_rank}")
     if rank is not None and max_rank is not None and rank > max_rank:
         raise ClassifierError(f"rank {rank} exceeds max_rank {max_rank}")
     # dedupe, preserving order; transitivity is always applied and listed first

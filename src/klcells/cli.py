@@ -329,12 +329,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         # based-ring axiom, is a usage error, like a malformed one
         try:
             with open(args.ring_file, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise RingFormatError(exc) from exc
-        try:
-            ring: str | BasedRing = ring_from_text(text)
-        except RingError as exc:
+                ring: str | BasedRing = ring_from_text(handle.read())
+        except (OSError, UnicodeDecodeError, RingError) as exc:
             raise RingFormatError(exc) from exc
     else:
         ring = f"Q{args.n}"
@@ -503,12 +499,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "classify":
         if bool(args.ring_file) == (args.n is not None):
             parser.error("classify needs exactly one of --n or --ring-file")
-        if args.max_rank is not None and args.max_rank < 1:
-            parser.error("--max-rank must be at least 1")
-        if args.rank is not None and args.max_rank is not None and args.rank > args.max_rank:
-            parser.error("--rank must not exceed --max-rank")
-        if args.bound is not None and args.bound < 0:
-            parser.error("--bound must be non-negative")
     if args.command == "verify" and args.max_n < SMALLEST_MAX_N:
         parser.error(f"verify needs --max-n >= {SMALLEST_MAX_N}")
     try:

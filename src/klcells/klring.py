@@ -212,12 +212,6 @@ class CellPartition(NamedTuple):
     right_leq: frozenset[tuple[int, int]]
     two_sided_leq: frozenset[tuple[int, int]]
 
-    def cell_of(self, kind: str, label: str) -> int:
-        for i, cell in enumerate(getattr(self, kind)):
-            if label in cell:
-                return i
-        raise KeyError(label)
-
 
 def _closure(rows: list[int]) -> list[int]:
     """Reflexive-transitive closure of a relation given by bit-mask rows.

@@ -35,3 +35,8 @@ def flag_tables():
 def all_words(letters: str, max_len: int):
     for length in range(max_len + 1):
         yield from ("".join(w) for w in itertools.product(letters, repeat=length))
+
+
+def cell_of(cells, kind, label):
+    """The index of the cell of the given kind that holds label."""
+    return next(i for i, cell in enumerate(getattr(cells, kind)) if label in cell)

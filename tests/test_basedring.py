@@ -21,6 +21,8 @@ from klcells.basedring import (
 from klcells.basedring import _generators
 from klcells.klring import compute_cells
 
+from conftest import cell_of
+
 
 def as_dict(ring, x, y):
     return {ring.labels[z]: v for z, v in enumerate(ring.product(x, y)) if v}
@@ -373,8 +375,8 @@ def test_cells_of_subquotients():
             frozenset({"e"}),
             frozenset(ring.labels) - {"e"},
         }
-        e_cell = cells.cell_of("two_sided", "e")
-        top = cells.cell_of("two_sided", "s")
+        e_cell = cell_of(cells, "two_sided", "e")
+        top = cell_of(cells, "two_sided", "s")
         assert (e_cell, top) in cells.two_sided_leq
         assert (top, e_cell) not in cells.two_sided_leq
         # left, right and two-sided cells all agree here

@@ -19,6 +19,7 @@ from klcells.characters import (
     decompose,
     special_character,
 )
+from klcells.characters import _closed_form_rows
 from klcells.matrixmodule import module_from_mats, trivial_module
 from klcells.quadfield import QuadNum
 
@@ -49,6 +50,36 @@ def test_character_table_is_built_once_per_ring():
     assert character_table(copy) is not character_table(subquotient_qn(5))
     assert character_table(copy).ring.name == "custom"
     assert character_table(copy).rows == character_table(subquotient_qn(5)).rows
+
+
+def _backwards(ring):
+    """The same ring, read from a ring file that lists its basis backwards."""
+    image = {label: ring.labels[i] for label, i in zip(ring.labels, ring.involution)}
+    labels = ring.labels[::-1]
+    lines = []
+    for line in ring_to_text(ring).splitlines():
+        if line.startswith("labels "):
+            line = "labels " + " ".join(labels)
+        elif line.startswith("involution "):
+            line = "involution " + " ".join(image[label] for label in labels)
+        lines.append(line)
+    return ring_from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_closed_form_reads_n_off_the_table(n):
+    # along the chain s, sts, ststs, ..., n is odd exactly when sts times the
+    # last element has a term in that element: coefficient 2 for odd n, else 0
+    for ring in (subquotient_qn(n), _backwards(subquotient_qn(n))):
+        sts, last = ring.index("sts"), ring.index(max(ring.labels, key=len))
+        assert ring.c[sts][last][last] == (2 if n % 2 else 0)
+        # the rows of the n the rule picks verify, and they are Q_n's
+        rows = _closed_form_rows(ring)
+        assert rows is not None
+        order = [ring.index(label) for label in subquotient_qn(n).labels]
+        assert {tuple(row[b] for b in order) for row in rows} == set(
+            character_table(subquotient_qn(n)).rows
+        )
 
 
 def test_q5_character_table_exactly():

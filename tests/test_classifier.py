@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -258,6 +259,18 @@ def test_rank_cap_values(n, want):
     profiles = feasible_rank_profiles(table, faithful=True)
     assert profiles == feasible_rank_profiles(table, faithful=True, max_rank=want)
     assert max(sum(p) for p in profiles) <= want
+
+
+def test_faithful_rank_screens_past_the_bundled_rings_within_a_minute():
+    # the screens before the Galois-orbit rank screen did not finish in a minute
+    start = time.perf_counter()
+    counts = {
+        n: len(feasible_rank_profiles(character_table(subquotient_qn(n)), faithful=True))
+        for n in (12, 13, 16)
+    }
+    elapsed = time.perf_counter() - start
+    assert counts == {12: 79, 13: 1, 16: 22}
+    assert elapsed < 60.0
 
 
 def test_q4_excluded_candidate_sits_on_its_cap():
@@ -1101,6 +1114,28 @@ def test_classify_rejects_a_rank_above_max_rank():
     with pytest.raises(ClassifierError, match="rank 2 exceeds max_rank 1"):
         classify("Q5", rank=2, max_rank=1)
     assert classify("Q5", rank=2, max_rank=2).candidates
+
+
+# each call with its refused value and the accepted value at the edge of its range
+_RANGED_CALLS = {
+    "classify-rank": (lambda v: classify("Q5", rank=v), 0, 1),
+    "classify-bound": (lambda v: classify("Q5", bound=v), -1, 0),
+    "classify-max-rank": (lambda v: classify("Q5", max_rank=v), 0, 1),
+    "solve-rank": (lambda v: solve_matrix_modules(subquotient_qn(5), v), 0, 1),
+    "solve-bound": (lambda v: solve_matrix_modules(subquotient_qn(5), 2, bound=v), -1, 0),
+    "bruteforce-rank": (lambda v: bruteforce_matrix_modules(subquotient_qn(4), v, 2), 0, 1),
+    "bruteforce-bound": (lambda v: bruteforce_matrix_modules(subquotient_qn(4), 1, v), -1, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "call, refused, accepted", _RANGED_CALLS.values(), ids=list(_RANGED_CALLS)
+)
+def test_out_of_range_arguments_raise(call, refused, accepted):
+    # an out-of-range value would search nothing and pass vacuously
+    with pytest.raises(ClassifierError):
+        call(refused)
+    call(accepted)
 
 
 def test_solve_rejects_traces_of_unknown_labels():

@@ -211,6 +211,36 @@ def test_numpy_is_never_imported(argv):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def _cli_process(*argv, **env):
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_cli_starts_without_importing_dataclasses_or_inspect():
+    # both are slow to load; see ROADMAP.md
+    imported = _cli_process("-X", "importtime", "-m", "klcells", "classify", "--n", "3")
+    modules = [line.rsplit("|", 1)[-1].strip() for line in imported.stderr.decode().splitlines()]
+    assert "klcells.cli" in modules
+    assert not {"dataclasses", "inspect"} & set(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells", "--n", "64", "--format", "structured"),
+    ("ring", "--n", "64", "--full-kl", "--format", "structured"),
+], ids=["cells-n64", "full-kl-n64"])
+def test_structured_output_is_byte_identical_across_interpreters(argv):
+    # string hashing is randomized per interpreter; no set order may leak out
+    first, second = (
+        _cli_process("-m", "klcells", *argv, PYTHONHASHSEED=seed).stdout for seed in ("1", "2")
+    )
+    assert first == second
+    if argv[0] == "cells":
+        payload = json.loads(first)
+        assert (len(payload["full_ring"]["left"]), len(payload["subquotient"]["left"])) == (4, 2)
+
+
 def test_closed_stdout_exits_one_without_a_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -451,9 +481,13 @@ def test_usage_errors_exit_two(capsys):
          "rank-above-max-rank", "verify-max-n1"],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    # argparse exits for the CLI's own checks; main returns 2 for the
+    # classifier's ClassifierError
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -517,6 +551,20 @@ def test_naming_the_default_filter_keeps_the_regression_check(capsys):
     code, out, _ = run_cli(capsys, "classify", "--n", "4", "--filter", "s-rigidity")
     assert code == 0
     assert out.splitlines()[-1] == "realized classes: 3 (regression check: ok)"
+
+
+@pytest.mark.parametrize("name", ["faithful", "special-mult-one"])
+def test_requested_filter_applies_to_every_q4_candidate(capsys, name):
+    code, out, _ = run_cli(capsys, "classify", "--n", "4", "--filter", name,
+                           "--format", "structured")
+    assert code == 0
+    candidates = json.loads(out)["candidates"]
+    assert candidates
+    for candidate in candidates:
+        # the zero module is not faithful, nor has V3, Q4's special character
+        assert any(any(flat) for _, flat in candidate["matrices"])
+        if name == "special-mult-one":
+            assert candidate["multiplicities"][2] == 1
 
 
 def test_text_classify_builds_its_character_table_once(capsys, monkeypatch):

@@ -12,6 +12,8 @@ from klcells import klring
 from klcells.dihedral import GENERATORS, DihedralGroup
 from klcells.klring import PositivityError, compute_cells, structure_constants
 
+from conftest import cell_of
+
 # uncached, so that the large tables built here do not stay alive all session
 _uncached = structure_constants.__wrapped__
 
@@ -354,9 +356,9 @@ def test_cells_full_ring():
         {"s", "t", "st", "ts", "sts", "tst", "stst", "tsts"}
     )
     assert middle in as_sets
-    e_cell = cells.cell_of("two_sided", "e")
-    w0_cell = cells.cell_of("two_sided", "w0")
-    mid_cell = cells.cell_of("two_sided", "s")
+    e_cell = cell_of(cells, "two_sided", "e")
+    w0_cell = cell_of(cells, "two_sided", "w0")
+    mid_cell = cell_of(cells, "two_sided", "s")
     assert (e_cell, mid_cell) in cells.two_sided_leq
     assert (mid_cell, w0_cell) in cells.two_sided_leq
     assert (w0_cell, mid_cell) not in cells.two_sided_leq
@@ -364,8 +366,8 @@ def test_cells_full_ring():
     left_sets = {frozenset(cell) for cell in cells.left}
     assert frozenset({"s", "ts", "sts", "tsts"}) in left_sets
     assert frozenset({"t", "st", "tst", "stst"}) in left_sets
-    ls = cells.cell_of("left", "s")
-    lt = cells.cell_of("left", "t")
+    ls = cell_of(cells, "left", "s")
+    lt = cell_of(cells, "left", "t")
     assert (ls, lt) not in cells.left_leq and (lt, ls) not in cells.left_leq
     # right cells are indexed by first letters instead
     right_sets = {frozenset(cell) for cell in cells.right}
