@@ -32,7 +32,6 @@ from .characters import (
 )
 from .classifier import (
     ANNOTATIONS,
-    BUNDLED_RING_IDS,
     Candidate,
     ClassificationReport,
     ClassifierError,
@@ -119,7 +118,6 @@ __all__ = [
     "satisfies_ring_relations",
     "trivial_module",
     "ANNOTATIONS",
-    "BUNDLED_RING_IDS",
     "Candidate",
     "ClassificationReport",
     "ClassifierError",

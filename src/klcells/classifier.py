@@ -39,11 +39,13 @@ M_b[i][j] <= floor(mu(b) R), maximized over every mu left, in exact
 FieldElement arithmetic (rho = 4+sqrt(5) at Q5).  With no mu left, no
 transitive module exists and every cap is 0.
 
-Candidates for the bundled rings are annotated with their status in the
-classification of simple transitive actions: which ones are realized by cell
+Candidates for the named rings Q_n and A_n are annotated with their status in
+the classification of simple transitive actions: which ones are realized by cell
 constructions, which are realized by an extra construction, and which are
 excluded by categorical arguments that an integer search cannot reproduce.
-Those exclusions are data, not derivations, and the notes say so.
+Those exclusions are data, not derivations, and the notes say so.  The zero
+module's status is derived: listed only when it is a module, it is the cell
+2-representation of the identity cell {e}, realized-cell for every named ring.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from itertools import combinations
 from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .basedring import BasedRing, rigid_generator, subquotient_qn
+from .basedring import BasedRing, rigid_generator, subquotient_qn, subring_an
 from .characters import (
     CharacterError,
     CharacterTable,
@@ -84,7 +86,6 @@ __all__ = [
     "bruteforce_matrix_modules",
     "bundled_ring",
     "classify",
-    "BUNDLED_RING_IDS",
     "ANNOTATIONS",
     "EXPECTED_CANDIDATES",
     "REALIZED_COUNTS",
@@ -179,6 +180,15 @@ def _passes(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool
     """Whether module passes the check of every named filter."""
     checks = (_FILTERS[name][1] for name in names)
     return all(check(ring, module) for check in checks if check is not None)
+
+
+def _admitted(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool:
+    """Whether module is transitive, satisfies the ring relations and passes every named filter."""
+    return (
+        is_transitive(module)
+        and satisfies_ring_relations(ring, module)
+        and _passes(ring, module, names)
+    )
 
 
 # -- rank screening -------------------------------------------------------------
@@ -688,19 +698,11 @@ def solve_matrix_modules(
         ring, rank, bound, caps, traces, rigid_constrained, symmetry_break=dedupe
     )
     search.run()
-    kept = []
-    for module in search.solutions:
-        if not is_transitive(module):
-            continue
-        if not satisfies_ring_relations(ring, module):  # independent re-check
-            continue
-        if traces is not None and any(
-            module.trace(label) != t for label, t in traces.items()
-        ):
-            continue
-        if not _passes(ring, module, names):
-            continue
-        kept.append(module)
+    kept = [  # every module re-checked independently of the search
+        module for module in search.solutions
+        if all(module.trace(label) == t for label, t in (traces or {}).items())
+        and _admitted(ring, module, names)
+    ]
     if dedupe:
         seen: dict[tuple, MatrixModule] = {}
         for module in kept:
@@ -832,10 +834,8 @@ def bruteforce_matrix_modules(
     return tuple(sorted(results.values(), key=lambda m: m.key()))
 
 
-# -- classification of the bundled rings -------------------------------------------
+# -- classification of the named rings ----------------------------------------------
 
-
-BUNDLED_RING_IDS = ("Q3", "Q4", "Q5", "Q6")
 
 _NOTE_ZERO = (
     "the rank-one action where every non-identity basis element acts by zero "
@@ -870,24 +870,18 @@ _NOTE_FAILS_RIGIDITY = (
 # keys are (rank, flattened non-identity matrices in basis order)
 ANNOTATIONS: dict[str, dict[tuple, tuple[str, str]]] = {
     "Q3": {
-        (1, ((0,),)): ("realized-cell", _NOTE_ZERO),
         (1, ((2,),)): ("realized-cell", _NOTE_TOP_CELL),
     },
     "Q4": {
-        (1, ((0,), (0,))): ("realized-cell", _NOTE_ZERO),
         (1, ((2,), (2,))): ("realized-extra", _NOTE_EXTRA),
         (2, ((2, 0, 0, 2), (0, 2, 2, 0))): ("realized-cell", _NOTE_TOP_CELL),
         (2, ((2, 0, 0, 2), (0, 1, 4, 0))): ("excluded", _NOTE_EXCL_SWAP),
     },
     "Q5": {
-        (1, ((0,), (0,))): ("realized-cell", _NOTE_ZERO),
         (2, ((2, 0, 0, 2), (0, 2, 2, 2))): ("realized-cell", _NOTE_TOP_CELL),
         (2, ((2, 0, 0, 2), (1, 1, 5, 1))): ("excluded", _NOTE_EXCL_SELF_EXT),
         (2, ((2, 0, 0, 2), (0, 4, 1, 2))): ("excluded", _NOTE_EXCL_SPLIT),
         (2, ((2, 0, 0, 2), (0, 1, 4, 2))): ("excluded", _NOTE_EXCL_SWAP),
-    },
-    "Q6": {
-        (1, ((0,), (0,), (0,))): ("realized-cell", _NOTE_ZERO),
     },
 }
 
@@ -915,12 +909,19 @@ EXPECTED_CANDIDATES: dict[str, tuple[tuple, ...]] = {
 REALIZED_COUNTS = {"Q3": 2, "Q4": 3, "Q5": 2}
 
 
-def bundled_ring(ring_id: str) -> BasedRing:
-    if ring_id not in BUNDLED_RING_IDS:
-        raise ClassifierError(
-            f"unknown ring id {ring_id!r}; bundled: {BUNDLED_RING_IDS}"
-        )
-    return subquotient_qn(int(ring_id[1:]))
+def bundled_ring(name: str) -> BasedRing:
+    """The ring Q_n or A_n named "Q<n>" or "A<n>", n >= 3, spelled as the
+    constructors name it: n in plain decimal with no sign, leading zero,
+    underscore or space ("Q05", "Q+5", "Q5_0", " Q5" and "q5" are refused).
+    Any other name raises ClassifierError."""
+    make = {"Q": subquotient_qn, "A": subring_an}.get(name[:1])
+    try:
+        n = int(name[1:])
+    except ValueError:
+        n = 0
+    if make is None or n < 3 or f"{name[0]}{n}" != name:
+        raise ClassifierError(f"unknown ring name {name!r}; named rings are Q<n> and A<n>, n >= 3")
+    return make(n)
 
 
 class Candidate(NamedTuple):
@@ -966,13 +967,15 @@ def classify(
 ) -> ClassificationReport:
     """End-to-end candidate classification for one ring.
 
-    ring is a bundled ring id or a BasedRing, reported as "custom" and left
-    unannotated.  filters name filters from named_filters(); transitivity
-    is always applied.  Default pipeline: screen faithful rank profiles,
-    search each profile with its exact trace budget under s-rigidity,
-    prepend the rank-one zero module (the one transitive non-faithful
-    candidate) when it passes the filters, as every searched module must,
-    and annotate every candidate against the bundled status data.  Without
+    ring is a name bundled_ring accepts or a BasedRing, reported as "custom"
+    and left unannotated.  filters name filters from named_filters();
+    transitivity is always applied.  Default pipeline: screen faithful rank
+    profiles, search each profile with its exact trace budget under
+    s-rigidity, prepend the rank-one zero module (the one transitive
+    non-faithful candidate) only when it is a module and passes the filters,
+    as every searched module must, and annotate every candidate of a named
+    ring: the zero module's status is derived (realized-cell), the others
+    come from the bundled status data.  Without
     s-rigidity the searches are raw per-rank runs without trace pinning,
     which surfaces any extra algebraic solutions; a rank override forces a
     single raw search, at most max_rank.  Profiles are screened up to the
@@ -991,10 +994,8 @@ def classify(
     # dedupe, preserving order; transitivity is always applied and listed first
     names = dict.fromkeys(_resolve_filters(filters))
     filter_names = [name for name in names if name != "transitive"]
-    if isinstance(ring, BasedRing):
-        ring_id = "custom"
-    else:
-        ring_id, ring = ring, bundled_ring(ring)
+    named = not isinstance(ring, BasedRing)
+    ring_id, ring = (ring, bundled_ring(ring)) if named else ("custom", ring)
     try:
         table = character_table(ring)  # the table the caps and filters read
     except CharacterError as exc:  # the ring is outside what the search supports
@@ -1018,7 +1019,7 @@ def classify(
     found: dict[tuple, MatrixModule] = {}
     # the one transitive non-faithful candidate, always rank one
     zero = canonical_module(trivial_module(ring))
-    if _passes(ring, zero, filter_names):
+    if _admitted(ring, zero, filter_names):
         found[zero.key()] = zero
     outcomes = [
         solve_matrix_modules(ring, r, filter_names, bound=bound, traces=t)
@@ -1036,19 +1037,20 @@ def classify(
             mults: tuple[int, ...] | None = decompose(table, module)
         except DecompositionError:
             mults = None
-        if key in annotations:
-            status, note = annotations[key]
-        elif ring_id in ANNOTATIONS:
-            # classified rings: rigidity failures are genuine exclusions;
-            # for merely bundled rings they stay unresolved but say why
-            if not _rigidity_holds(ring, module):
-                settled = ring_id in REALIZED_COUNTS
-                status = "excluded" if settled else "unresolved"
-                note = _NOTE_FAILS_RIGIDITY
-            else:
-                status, note = "unresolved", _NOTE_UNRESOLVED
-        else:
+        if not named:
             status, note = "unresolved", "custom ring: no annotation data"
+        elif key == zero.key():
+            status, note = "realized-cell", _NOTE_ZERO
+        elif key in annotations:
+            status, note = annotations[key]
+        elif not _rigidity_holds(ring, module):
+            # classified rings: rigidity failures are genuine exclusions;
+            # for the other named rings they stay unresolved but say why
+            settled = ring_id in REALIZED_COUNTS
+            status = "excluded" if settled else "unresolved"
+            note = _NOTE_FAILS_RIGIDITY
+        else:
+            status, note = "unresolved", _NOTE_UNRESOLVED
         candidates.append(Candidate(module, mults, status, note))
 
     # the one completeness verdict: every faithful profile up to the rank cap

@@ -462,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chars.set_defaults(func=cmd_characters)
 
     cls = sub.add_parser("classify", help="classify transitive matrix modules")
-    cls.add_argument("--n", type=int, help="use the bundled ring Q_n")
+    cls.add_argument("--n", type=int, help="use the ring Q_n, for any n >= 3")
     cls.add_argument(
         "--ring-file", help="classify a user-supplied ring (serialization format)"
     )

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import classifier
-from .basedring import BasedRing, full_kl_ring, subquotient_qn, subring_an, verify as ring_verify
+from .basedring import full_kl_ring, subquotient_qn, subring_an, verify as ring_verify
 from .characters import character_table, decompose, special_character
 from .dihedral import GENERATORS, DihedralGroup
 from .klring import CellPartition, compute_cells, structure_constants
@@ -64,11 +64,6 @@ class SuiteReport(NamedTuple):
             f"({status})"
         )
         return out
-
-
-def _ring(name: str) -> BasedRing:
-    """Q_n or A_n, named "Q<n>" or "A<n>"."""
-    return {"Q": subquotient_qn, "A": subring_an}[name[0]](int(name[1:]))
 
 
 def _result(name: str, failures: list[str], cases: int) -> CheckResult:
@@ -242,7 +237,7 @@ def check_reference_tables() -> CheckResult:
     """The Q_4, Q_5 and Q_6 multiplication tables match their reference data."""
     failures = []
     for name, table in _EXPECTED_TABLES.items():
-        ring = _ring(name)
+        ring = classifier.bundled_ring(name)
         for (lx, ly), want in table.items():
             got = {ring.labels[z]: v for z, v in enumerate(ring.product(lx, ly)) if v}
             if got != want:
@@ -313,7 +308,7 @@ def check_characters() -> CheckResult:
     """
     failures = []
     for name, want in _EXPECTED_CHARACTERS.items():
-        table = character_table(_ring(name))
+        table = character_table(classifier.bundled_ring(name))
         rendered = tuple(tuple(map(str, row)) for row in table.rows)
         if rendered != want:
             failures.append(f"{name}: table {rendered} != {want}")
@@ -377,7 +372,8 @@ def check_rank_two_candidate_sets(raw_q5: tuple[MatrixModule, ...]) -> CheckResu
         want = tuple(
             flat for rank, flat in classifier.EXPECTED_CANDIDATES[ring_id] if rank == 2
         )
-        outcome = classifier.solve_matrix_modules(_ring(ring_id), 2, ["s-rigidity"])
+        ring = classifier.bundled_ring(ring_id)
+        outcome = classifier.solve_matrix_modules(ring, 2, ["s-rigidity"])
         got = tuple(m.flat() for m in outcome.modules)
         if got != want:
             failures.append(f"{ring_id}: got {got}")
@@ -457,7 +453,9 @@ def run_suite(max_n: int = 8) -> SuiteReport:
     if max_n < SMALLEST_MAX_N:
         raise ValueError(f"max_n must be at least {SMALLEST_MAX_N}, got {max_n}")
     # the raw rank-2 Q5 solutions under s-rigidity, read by two checks
-    raw_q5 = classifier.solve_matrix_modules(_ring("Q5"), 2, ["s-rigidity"], dedupe=False).modules
+    raw_q5 = classifier.solve_matrix_modules(
+        subquotient_qn(5), 2, ["s-rigidity"], dedupe=False
+    ).modules
     results = (
         check_dihedral_arithmetic(max_n),
         check_bruhat_oracle(max_n),

@@ -40,3 +40,18 @@ def all_words(letters: str, max_len: int):
 def cell_of(cells, kind, label):
     """The index of the cell of the given kind that holds label."""
     return next(i for i, cell in enumerate(getattr(cells, kind)) if label in cell)
+
+
+# ring files of two rings whose product x*x has an e term, so that the zero
+# module breaks a ring relation, and the candidate keys classify must list
+# for each without s-rigidity: Fibonacci (x*x = e + x) and Z/2 (x*x = e)
+ZERO_FREE_RINGS = {
+    "fibonacci": (
+        "labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\nc x x e 1\nc x x x 1\n",
+        [(2, ((0, 1, 1, 1),))],
+    ),
+    "z2": (
+        "labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\nc x x e 1\n",
+        [(1, ((1,),))],
+    ),
+}

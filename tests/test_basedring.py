@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,14 @@ def test_the_full_kl_ring_is_generated_by_s_and_t(n):
     ring = full_kl_ring(n)
     assert _generator_labels(ring) == ("s", "t")
     assert _span_of_products(ring, _generators(ring.c, ring.identity)) == ring.size
+
+
+def test_the_full_kl_ring_at_n_64_is_generated_by_s_and_t_and_verifies_within_a_minute():
+    start = time.perf_counter()
+    ring = full_kl_ring(64)
+    assert _generator_labels(ring) == ("s", "t")
+    assert verify(ring).ok
+    assert time.perf_counter() - start < 60.0
 
 
 @pytest.mark.parametrize("n", range(3, 25))

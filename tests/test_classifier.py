@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from klcells.basedring import ring_from_text, subquotient_qn, subring_an
+from klcells.basedring import ring_from_text, ring_to_text, subquotient_qn, subring_an
 from klcells.characters import character_table, decompose, special_character
 from klcells.classifier import (
     EXPECTED_CANDIDATES,
@@ -16,6 +16,7 @@ from klcells.classifier import (
     _rigidity_holds,
     _Search,
     bruteforce_matrix_modules,
+    bundled_ring,
     classify,
     feasible_rank_profiles,
     named_filters,
@@ -31,6 +32,8 @@ from klcells.matrixmodule import (
     satisfies_ring_relations,
     trivial_module,
 )
+
+from conftest import ZERO_FREE_RINGS
 
 I2 = ((2, 0), (0, 2))
 
@@ -1105,9 +1108,56 @@ def test_naming_the_default_filter_keeps_the_regression_check():
 
 def test_classify_rejects_bad_ids():
     with pytest.raises(ClassifierError):
-        classify("Q7")
+        classify("Q05")
     with pytest.raises(ClassifierError):
         classify("custom")
+
+
+@pytest.mark.parametrize(
+    "name", [f"Q{n}" for n in range(3, 13)] + [f"A{n}" for n in range(3, 9)]
+)
+def test_bundled_ring_takes_every_name_the_constructors_give(name):
+    assert bundled_ring(name).name == name
+
+
+@pytest.mark.parametrize(
+    "name", ["Q2", "A2", "Q05", "Q+5", "Q5_0", " Q5", "q5", "ZD8", "custom", ""]
+)
+def test_bundled_ring_refuses_every_other_name(name):
+    with pytest.raises(ClassifierError, match="unknown ring name"):
+        bundled_ring(name)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_named_rings_past_the_annotated_ones_classify_like_their_ring_files(n):
+    named = classify(f"Q{n}")
+    custom = classify(ring_from_text(ring_to_text(subquotient_qn(n))))
+    assert [(c.module.key(), c.multiplicities) for c in named.candidates] == [
+        (c.module.key(), c.multiplicities) for c in custom.candidates
+    ]
+    assert named.complete and named.matches_expected is None
+    zero = canonical_module(trivial_module(named.ring)).key()
+    assert {c.module.key(): c.status for c in named.candidates} == {
+        c.module.key(): "realized-cell" if c.module.key() == zero else "unresolved"
+        for c in custom.candidates
+    }
+
+
+def test_the_zero_module_of_a4_is_realized_by_the_identity_cell():
+    report = classify("A4")
+    assert [(c.module.key(), c.status) for c in report.candidates] == [
+        ((1, ((0,),)), "realized-cell"),
+        ((1, ((2,),)), "unresolved"),
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_FREE_RINGS))
+def test_classify_lists_the_zero_module_only_when_it_is_a_module(kind):
+    text, want = ZERO_FREE_RINGS[kind]
+    ring = ring_from_text(text)
+    assert not satisfies_ring_relations(ring, trivial_module(ring))
+    report = classify(ring, filters=[])
+    assert [c.module.key() for c in report.candidates] == want
 
 
 def test_classify_rejects_a_rank_above_max_rank():

@@ -12,6 +12,8 @@ from klcells.basedring import ring_from_text
 from klcells.cli import _build_parser, main
 from klcells.matrixmodule import canonical_module, module_from_mats
 
+from conftest import ZERO_FREE_RINGS
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -114,6 +116,39 @@ def test_ring_file_round_trip(tmp_path, capsys):
     assert [c["matrices"] for c in payload["candidates"]] == [
         c["matrices"] for c in bundled["candidates"]
     ]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_classify_n_past_the_annotated_rings_lists_what_its_ring_file_lists(n, tmp_path, capsys):
+    code, text, _ = run_cli(capsys, "ring", "--n", str(n), "--qn", "--format", "ringfile")
+    assert code == 0
+    path = tmp_path / f"q{n}.ring"
+    path.write_text(text, encoding="utf-8")
+    runs = []
+    for source in (["--n", str(n)], ["--ring-file", str(path)]):
+        code, out, _ = run_cli(capsys, "classify", *source, "--format", "structured")
+        assert code == 0
+        runs.append([
+            (c["rank"], c["matrices"], c["multiplicities"])
+            for c in json.loads(out)["candidates"]
+        ])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_FREE_RINGS))
+def test_ring_file_classify_lists_the_zero_module_only_when_it_is_a_module(
+    kind, tmp_path, capsys
+):
+    text, want = ZERO_FREE_RINGS[kind]
+    path = tmp_path / f"{kind}.ring"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "classify", "--ring-file", str(path), "--no-filter", "s-rigidity",
+        "--format", "structured",
+    )
+    assert code == 0
+    got = [(c["rank"], c["matrices"]) for c in json.loads(out)["candidates"]]
+    assert got == [(rank, [["x", list(flat[0])]]) for rank, flat in want]
 
 
 def _reordered_ring_text(text, labels):
@@ -476,9 +511,10 @@ def test_usage_errors_exit_two(capsys):
         ["classify", "--n", "5", "--bound", "-1"],
         ["classify", "--n", "5", "--rank", "2", "--max-rank", "1"],
         ["verify", "--max-n", "1"],
+        ["classify", "--n", "2"],
     ],
     ids=["cells-n2", "characters-n2", "full-kl-n0", "max-rank-0", "bound-negative",
-         "rank-above-max-rank", "verify-max-n1"],
+         "rank-above-max-rank", "verify-max-n1", "classify-n2"],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
     # argparse exits for the CLI's own checks; main returns 2 for the

@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
     "ANNOTATIONS",
-    "BUNDLED_RING_IDS",
     "BasedRing",
     "Candidate",
     "CellPartition",
