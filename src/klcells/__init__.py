@@ -1,9 +1,9 @@
 """Exact Kazhdan-Lusztig combinatorics of dihedral groups.
 
 Builds the integral group ring of D_2n in its Kazhdan-Lusztig basis, the
-subquotient rings Q_n and subrings A_n it induces, their exact character
-tables over the real fields Q(2cos(2pi/n)), and the exhaustive classification of
-transitive non-negative-integer matrix modules over them.
+subquotient rings Q_n it induces, their exact character tables over the real
+fields Q(2cos(2pi/n)), and the exhaustive classification of transitive
+non-negative-integer matrix modules over them.
 """
 
 from .basedring import (
@@ -17,7 +17,6 @@ from .basedring import (
     ring_from_text,
     ring_to_text,
     subquotient_qn,
-    subring_an,
     verify,
 )
 from .characters import (
@@ -99,7 +98,6 @@ __all__ = [
     "ring_from_text",
     "ring_to_text",
     "subquotient_qn",
-    "subring_an",
     "verify",
     # characters
     "CharacterError",

@@ -3,9 +3,9 @@
 Houses the generic container (labels, non-negative integer structure
 constants, an anti-involution permuting the basis), its one axiom checker
 verify, and the constructors used throughout: the full KL ring ZD_2n with
-inversion as its involution, the subquotient ring Q_n spanned by e and the KL
-elements that start and end with s (with the longest-element coefficient
-deleted from products), and its subring A_n spanned by e and s alone.
+inversion as its involution, and the subquotient ring Q_n spanned by e and
+the KL elements that start and end with s (with the longest-element
+coefficient deleted from products).
 
 It also holds the one kernel that checks ring relations
 M_x M_y = sum_z c[x][y][z] M_z on packed ints, _relation_mismatches: verify
@@ -33,7 +33,6 @@ __all__ = [
     "restrict_constants",
     "full_kl_ring",
     "subquotient_qn",
-    "subring_an",
     "verify",
     "rigid_generator",
     "ring_products",
@@ -68,7 +67,7 @@ class BasedRing(_RingFields):
     c[x][y][z] is the coefficient of basis element z in the product x * y.
     The involution is a permutation of basis indices acting as an
     anti-automorphism; it defaults to the identity permutation, which is
-    right for Q_n and A_n, whose basis words are palindromes.
+    right for Q_n, whose basis words are palindromes.
 
     A named tuple of its five fields: rings compare and hash by every field,
     name included.
@@ -382,15 +381,6 @@ def subquotient_qn(n: int) -> BasedRing:
     ]
     w0 = len(constants.elements) - 1
     return restrict_constants(constants, keep, deletable=[w0], name=f"Q{n}")
-
-
-@lru_cache(maxsize=None)
-def subring_an(n: int) -> BasedRing:
-    """The subring A_n on {e, s}; closed in ZD_2n, no truncation involved."""
-    if n < 3:
-        raise ValueError(f"subring needs n >= 3, got {n}")
-    constants = klring.structure_constants(n)
-    return restrict_constants(constants, [0, constants.index("s")], name=f"A{n}")
 
 
 def rigid_generator(ring: BasedRing) -> int | None:

@@ -39,13 +39,17 @@ M_b[i][j] <= floor(mu(b) R), maximized over every mu left, in exact
 FieldElement arithmetic (rho = 4+sqrt(5) at Q5).  With no mu left, no
 transitive module exists and every cap is 0.
 
-Candidates for the named rings Q_n and A_n are annotated with their status in
-the classification of simple transitive actions: which ones are realized by cell
-constructions, which are realized by an extra construction, and which are
-excluded by categorical arguments that an integer search cannot reproduce.
-Those exclusions are data, not derivations, and the notes say so.  The zero
-module's status is derived: listed only when it is a module, it is the cell
-2-representation of the identity cell {e}, realized-cell for every named ring.
+Candidates for the named rings Q_n are annotated with their status in the
+classification of simple transitive actions: realized by a cell construction,
+realized by an extra construction, excluded by a categorical argument that an
+integer search cannot reproduce, or unresolved.  The cell statuses are
+derived, one rule per cell: the zero module, listed only when it is a module,
+is the cell 2-representation of the identity cell {e}, and the ideal module,
+the ring acting on its own non-identity span by M_x[z][y] = c[x][y][z]
+(x, y, z != e), is the decategorified cell 2-representation of the s-H-cell
+(Mazorchuk & Miemietz, *Cell 2-representations of finitary 2-categories*).
+The extra construction and the exclusions are data (ANNOTATIONS), not
+derivations, and the notes say so.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from itertools import combinations
 from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .basedring import BasedRing, rigid_generator, subquotient_qn, subring_an
+from .basedring import BasedRing, rigid_generator, subquotient_qn
 from .characters import (
     CharacterError,
     CharacterTable,
@@ -867,18 +871,14 @@ _NOTE_FAILS_RIGIDITY = (
     "generator act diagonally with entries 0 or 2"
 )
 
-# keys are (rank, flattened non-identity matrices in basis order)
+# keys are (rank, flattened non-identity matrices in basis order); the zero
+# and ideal modules are left out, as classify derives their status
 ANNOTATIONS: dict[str, dict[tuple, tuple[str, str]]] = {
-    "Q3": {
-        (1, ((2,),)): ("realized-cell", _NOTE_TOP_CELL),
-    },
     "Q4": {
         (1, ((2,), (2,))): ("realized-extra", _NOTE_EXTRA),
-        (2, ((2, 0, 0, 2), (0, 2, 2, 0))): ("realized-cell", _NOTE_TOP_CELL),
         (2, ((2, 0, 0, 2), (0, 1, 4, 0))): ("excluded", _NOTE_EXCL_SWAP),
     },
     "Q5": {
-        (2, ((2, 0, 0, 2), (0, 2, 2, 2))): ("realized-cell", _NOTE_TOP_CELL),
         (2, ((2, 0, 0, 2), (1, 1, 5, 1))): ("excluded", _NOTE_EXCL_SELF_EXT),
         (2, ((2, 0, 0, 2), (0, 4, 1, 2))): ("excluded", _NOTE_EXCL_SPLIT),
         (2, ((2, 0, 0, 2), (0, 1, 4, 2))): ("excluded", _NOTE_EXCL_SWAP),
@@ -910,18 +910,25 @@ REALIZED_COUNTS = {"Q3": 2, "Q4": 3, "Q5": 2}
 
 
 def bundled_ring(name: str) -> BasedRing:
-    """The ring Q_n or A_n named "Q<n>" or "A<n>", n >= 3, spelled as the
-    constructors name it: n in plain decimal with no sign, leading zero,
-    underscore or space ("Q05", "Q+5", "Q5_0", " Q5" and "q5" are refused).
-    Any other name raises ClassifierError."""
-    make = {"Q": subquotient_qn, "A": subring_an}.get(name[:1])
+    """The ring Q_n named "Q<n>", n >= 3, spelled as the constructor names
+    it: n in plain decimal with no sign, leading zero, underscore or space
+    ("Q05", "Q+5", "Q5_0", " Q5" and "q5" are refused).  Any other name
+    raises ClassifierError."""
     try:
         n = int(name[1:])
     except ValueError:
         n = 0
-    if make is None or n < 3 or f"{name[0]}{n}" != name:
-        raise ClassifierError(f"unknown ring name {name!r}; named rings are Q<n> and A<n>, n >= 3")
-    return make(n)
+    if n < 3 or f"Q{n}" != name:
+        raise ClassifierError(f"unknown ring name {name!r}; named rings are Q<n>, n >= 3")
+    return subquotient_qn(n)
+
+
+def _ideal_module(ring: BasedRing) -> MatrixModule:
+    """The ring acting on its own non-identity span: M_x[z][y] = c[x][y][z]
+    for x, y, z != e, so column y of M_x is the product x*y off e."""
+    others = [b for b in range(ring.size) if b != ring.identity]
+    mats = {x: tuple(tuple(ring.c[x][y][z] for y in others) for z in others) for x in others}
+    return module_from_mats(ring, len(others), mats)
 
 
 class Candidate(NamedTuple):
@@ -974,8 +981,10 @@ def classify(
     s-rigidity, prepend the rank-one zero module (the one transitive
     non-faithful candidate) only when it is a module and passes the filters,
     as every searched module must, and annotate every candidate of a named
-    ring: the zero module's status is derived (realized-cell), the others
-    come from the bundled status data.  Without
+    ring: the zero module and the ideal module are realized-cell by rule
+    (see the module docstring), the others take the bundled status data.
+    The ideal module has rank size - 1, and its canonical form is built only
+    when some candidate has that rank.  Without
     s-rigidity the searches are raw per-rank runs without trace pinning,
     which surfaces any extra algebraic solutions; a rank override forces a
     single raw search, at most max_rank.  Profiles are screened up to the
@@ -1029,6 +1038,10 @@ def classify(
         for module in outcome.modules:
             found.setdefault(module.key(), module)
 
+    # one rule per cell: the key of each cell module -> its note
+    cells = {zero.key(): _NOTE_ZERO}
+    if named and any(r == ring.size - 1 for r, _ in found):
+        cells[canonical_module(_ideal_module(ring)).key()] = _NOTE_TOP_CELL
     annotations = ANNOTATIONS.get(ring_id, {})
     candidates = []
     for key in sorted(found):
@@ -1039,8 +1052,8 @@ def classify(
             mults = None
         if not named:
             status, note = "unresolved", "custom ring: no annotation data"
-        elif key == zero.key():
-            status, note = "realized-cell", _NOTE_ZERO
+        elif key in cells:
+            status, note = "realized-cell", cells[key]
         elif key in annotations:
             status, note = annotations[key]
         elif not _rigidity_holds(ring, module):

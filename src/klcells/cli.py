@@ -25,7 +25,6 @@ from .basedring import (
     ring_products,
     ring_to_text,
     subquotient_qn,
-    subring_an,
 )
 from .characters import CharacterTable, character_table, special_character
 from .classifier import (
@@ -210,17 +209,8 @@ def _characters_payload(table: CharacterTable) -> dict:
 # -- subcommands ------------------------------------------------------------------
 
 
-def _pick_ring(args: argparse.Namespace) -> tuple[str, BasedRing]:
-    if args.which == "qn":
-        return f"Q{args.n}", subquotient_qn(args.n)
-    if args.which == "an":
-        return f"A{args.n}", subring_an(args.n)
-    ring = full_kl_ring(args.n)
-    return ring.name, ring
-
-
 def cmd_ring(args: argparse.Namespace) -> int:
-    name, ring = _pick_ring(args)
+    ring = (full_kl_ring if args.which == "full-kl" else subquotient_qn)(args.n)
     if args.format == "ringfile":
         sys.stdout.write(ring_to_text(ring))
         return 0
@@ -232,7 +222,7 @@ def cmd_ring(args: argparse.Namespace) -> int:
             }
         )
         return 0
-    print(f"multiplication table of {name} (n = {args.n}),", "basis:", ", ".join(ring.labels))
+    print(f"multiplication table of {ring.name} (n = {args.n}),", "basis:", ", ".join(ring.labels))
     print(_multiplication_grid(ring.labels, lambda x, y: ring.c[x][y]))
     return 0
 
@@ -439,9 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument(
         "--qn", dest="which", action="store_const", const="qn",
         help="subquotient ring Q_n (default)",
-    )
-    which.add_argument(
-        "--an", dest="which", action="store_const", const="an", help="subring A_n"
     )
     which.add_argument(
         "--full-kl", dest="which", action="store_const", const="full-kl",

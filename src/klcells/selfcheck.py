@@ -9,8 +9,8 @@ of its last entry exactly, with no bounds derived; the KL ring goes through
 basedring.verify, the one checker of the based-ring axioms.  Expected values
 are compared whole: the closed-form cell partition of each n, its cells and
 all three of its orders, is one CellPartition checked with == against
-compute_cells.  Checks that a constructor already makes (the axioms of Q_n
-and A_n, multiplicativity of the character rows) are not repeated.  Each
+compute_cells.  Checks that a constructor already makes (the axioms of Q_n,
+multiplicativity of the character rows) are not repeated.  Each
 result counts the cases its check exercised (triples, pairs, rings,
 searches, ...), so a run that checks less shows it.
 """
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import classifier
-from .basedring import full_kl_ring, subquotient_qn, subring_an, verify as ring_verify
+from .basedring import full_kl_ring, subquotient_qn, verify as ring_verify
 from .characters import character_table, decompose, special_character
 from .dihedral import GENERATORS, DihedralGroup
 from .klring import CellPartition, compute_cells, structure_constants
@@ -188,9 +188,9 @@ def check_cells_closed_form(max_n: int) -> CheckResult:
 
 
 def check_subquotient_rings(max_n: int) -> CheckResult:
-    """Q_n has the right basis and A_n the same table for every n.
+    """Q_n has 1 + n // 2 basis elements for every n.
 
-    Both constructors already refuse a ring that fails verify.
+    The constructor already refuses a ring that fails verify.
     """
     failures = []
     exponents = range(3, max_n + 1)
@@ -198,11 +198,7 @@ def check_subquotient_rings(max_n: int) -> CheckResult:
         size = subquotient_qn(n).size
         if size != 1 + n // 2:
             failures.append(f"n={n}: basis size {size} != {1 + n // 2}")
-        if subring_an(n).c != subring_an(3).c:
-            failures.append(f"n={n}: A_n table depends on n")
-    if subquotient_qn(3).c != subring_an(3).c:
-        failures.append("Q_3 does not coincide with A_3")
-    return _result("subquotient rings Q_n and subrings A_n", failures, len(exponents))
+    return _result("subquotient rings Q_n: basis sizes", failures, len(exponents))
 
 
 _EXPECTED_TABLES = {
@@ -297,7 +293,7 @@ _EXPECTED_CHARACTERS = {
         ("1", "2", "0", "-2"),
         ("1", "2", "4", "2"),
     ),
-    "A4": (("1", "0"), ("1", "2")),
+    "Q3": (("1", "0"), ("1", "2")),
 }
 
 
@@ -396,7 +392,7 @@ def check_rank_two_candidate_sets(raw_q5: tuple[MatrixModule, ...]) -> CheckResu
 def check_search_oracle_equivalence(max_n: int = 8) -> CheckResult:
     """Pruned DFS equals the entry-by-entry naive enumerator at entry bound 8."""
     failures = []
-    rings = [subring_an(4)] + [subquotient_qn(n) for n in (4, 5, 6) if n <= max_n]
+    rings = [subquotient_qn(n) for n in (3, 4, 5, 6) if n <= max_n]
     cases = [(ring, rank) for ring in rings for rank in (1, 2)]
     for ring, rank in cases:
         fast = classifier.solve_matrix_modules(ring, rank, bound=8)
@@ -425,8 +421,9 @@ def check_canonicalization(raw_q5: tuple[MatrixModule, ...]) -> CheckResult:
 
 def check_classification_regression() -> CheckResult:
     """Default classify runs reproduce the bundled candidate keys and realized
-    counts.  Statuses are copied from ANNOTATIONS, so the realized counts are
-    what catches corrupted status data."""
+    counts.  The cell statuses come from classify's rules and the others
+    from ANNOTATIONS, so the realized counts are what catches a broken rule
+    or corrupted status data."""
     failures = []
     for ring_id, want_count in classifier.REALIZED_COUNTS.items():
         report = classifier.classify(ring_id)

@@ -210,7 +210,7 @@ def test_criterion_10_property_suites():
     assert not failures, [f"{r.name}: {r.detail}" for r in failures]
     # the suite covers: KL constants positive + associative (n <= 8), the
     # closed-form cell partitions, Bruhat vs the subword oracle, and the
-    # pruned search vs naive enumeration at bound 8 on Q4/Q5/Q6/A_n
+    # pruned search vs naive enumeration at bound 8 on Q3/Q4/Q5/Q6
     names = " | ".join(r.name for r in report.results)
     for needle in ("associativity", "cell partitions", "subword", "naive"):
         assert needle in names

@@ -16,7 +16,6 @@ from klcells.basedring import (
     ring_products,
     ring_to_text,
     subquotient_qn,
-    subring_an,
     verify,
 )
 from klcells.basedring import _generators
@@ -54,20 +53,6 @@ def test_q6_table_is_the_reference_one():
     assert as_dict(ring, "sts", "ststs") == {"sts": 2}
     assert as_dict(ring, "ststs", "sts") == {"sts": 2}
     assert as_dict(ring, "s", "ststs") == {"ststs": 2}
-
-
-def test_subring_an():
-    ring = subring_an(4)
-    assert ring.labels == ("e", "s")
-    assert as_dict(ring, "s", "s") == {"s": 2}
-    assert as_dict(ring, "e", "s") == {"s": 1}
-    tables = {subring_an(n).c for n in range(3, 9)}
-    assert len(tables) == 1  # n-independent
-
-
-def test_q3_equals_a3():
-    assert subquotient_qn(3).labels == subring_an(3).labels
-    assert subquotient_qn(3).c == subring_an(3).c
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -118,7 +103,7 @@ def test_verify_accepts_a_decrement_that_happens_to_stay_a_ring():
 
 
 def test_verify_flags_negative_entry():
-    ring = subring_an(3)
+    ring = subquotient_qn(3)
     table = [[list(row) for row in plane] for plane in ring.c]
     table[1][1][0] = -1
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
@@ -390,9 +375,8 @@ def test_cells_of_subquotients():
         assert (top, e_cell) not in cells.two_sided_leq
         # left, right and two-sided cells all agree here
         assert cells.left == cells.two_sided == cells.right
-    an_ring = subring_an(5)
-    an = compute_cells(an_ring.labels, an_ring.c, an_ring.identity)
-    assert an.two_sided == (("e",), ("s",))
+    q3 = subquotient_qn(3)
+    assert compute_cells(q3.labels, q3.c, q3.identity).two_sided == (("e",), ("s",))
 
 
 def test_truncation_guard_raises_on_bad_span():
@@ -463,7 +447,7 @@ def test_subquotient_rejects_small_n():
 
 
 def test_serialization_round_trip():
-    for build in (lambda: subquotient_qn(5), lambda: subquotient_qn(6), lambda: subring_an(4)):
+    for build in (lambda: subquotient_qn(5), lambda: subquotient_qn(6), lambda: subquotient_qn(3)):
         ring = build()
         text = ring_to_text(ring)
         back = ring_from_text(text, name=ring.name)
@@ -476,7 +460,7 @@ def test_serialization_round_trip():
 
 
 def test_serialized_form_lists_positive_quadruples():
-    text = ring_to_text(subring_an(3))
+    text = ring_to_text(subquotient_qn(3))
     lines = [line for line in text.splitlines() if line.startswith("c ")]
     assert "c s s s 2" in lines
     assert "c e s s 1" in lines

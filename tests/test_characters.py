@@ -8,7 +8,6 @@ from klcells.basedring import (
     ring_from_text,
     ring_to_text,
     subquotient_qn,
-    subring_an,
 )
 from klcells.characters import (
     CharacterError,
@@ -109,8 +108,8 @@ def test_q6_character_table_exactly():
     )
 
 
-def test_an_character_table():
-    table = character_table(subring_an(6))
+def test_q3_character_table():
+    table = character_table(subquotient_qn(3))
     assert rendered(table) == (("1", "0"), ("1", "2"))
 
 
@@ -234,7 +233,7 @@ def test_special_characters():
     assert special_character(character_table(subquotient_qn(5))) == 2
     assert special_character(character_table(subquotient_qn(4))) == 2
     assert special_character(character_table(subquotient_qn(6))) == 3
-    assert special_character(character_table(subring_an(4))) == 1
+    assert special_character(character_table(subquotient_qn(3))) == 1
 
 
 def test_special_magnitudes_are_the_documented_ones():

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from klcells.basedring import ring_from_text, ring_to_text, subquotient_qn, subring_an
+from klcells.basedring import ring_from_text, ring_to_text, subquotient_qn
 from klcells.characters import character_table, decompose, special_character
 from klcells.classifier import (
+    ANNOTATIONS,
     EXPECTED_CANDIDATES,
     ClassifierError,
     _oracle_equations,
@@ -86,7 +87,7 @@ def test_profile_traces_refuse_a_profile_of_the_wrong_length(profile):
 def test_rigid_generator_detection():
     assert rigid_generator(subquotient_qn(5)) == 1
     assert rigid_generator(subquotient_qn(6)) == 1
-    assert rigid_generator(subring_an(3)) == 1
+    assert rigid_generator(subquotient_qn(3)) == 1
 
 
 # -- the bounded search ---------------------------------------------------------
@@ -139,8 +140,8 @@ def test_q4_rank_one_candidates():
     assert flats(outcome) == [((0,), (0,)), ((2,), (2,))]
 
 
-def test_an_rank_one_dichotomy():
-    outcome = solve_matrix_modules(subring_an(5), 1, ["s-rigidity"])
+def test_q3_rank_one_dichotomy():
+    outcome = solve_matrix_modules(subquotient_qn(3), 1, ["s-rigidity"])
     assert flats(outcome) == [((0,),), ((2,),)]
 
 
@@ -376,8 +377,8 @@ def test_capped_search_equals_bruteforce_above_the_caps(n, profile, bound):
 
 # rank 2 without pinned traces, the oracle run one past the largest proven cap
 UNPINNED_ABOVE_CAP_CASES = [
-    ("A4", (), 4),
-    ("A4", ("s-rigidity",), 0),  # s-rigidity fixes every entry
+    ("Q3", (), 4),
+    ("Q3", ("s-rigidity",), 0),  # s-rigidity fixes every entry
     ("Q4", (), 8),
     ("Q4", ("s-rigidity",), 8),
     ("Q5", (), 16),
@@ -522,8 +523,8 @@ def test_canonicalization_is_lex_minimal_over_all_permutations():
 @pytest.mark.parametrize(
     "make_ring, rank",
     [
-        (lambda: subring_an(4), 1),
-        (lambda: subring_an(4), 2),
+        (lambda: subquotient_qn(3), 1),
+        (lambda: subquotient_qn(3), 2),
         (lambda: subquotient_qn(4), 1),
         (lambda: subquotient_qn(5), 1),
         (lambda: subquotient_qn(6), 1),
@@ -560,7 +561,7 @@ def _residuals(ring, rank, mats):
     return out
 
 
-# the Fibonacci ring, t*t = e + t: unlike A_n and Q_n, a product of
+# the Fibonacci ring, t*t = e + t: unlike Q_n, a product of
 # non-identity basis elements reaches the identity
 FIBONACCI_TEXT = "labels e t\nidentity e\nc e e e 1\nc e t t 1\nc t e t 1\nc t t e 1\nc t t t 1\n"
 
@@ -570,7 +571,7 @@ def _compiler_ring(name):
 
 
 def _assignments(ring, name, rank):
-    """Every assignment with entries <= 1 (A4, Q4 and Q5 at rank 2, the
+    """Every assignment with entries <= 1 (Q3, Q4 and Q5 at rank 2, the
     Fibonacci ring at ranks 2 and 3); seeded random ones with entries <= 8
     for Q6 at ranks 2 and 3."""
     others = [b for b in range(ring.size) if b != ring.identity]
@@ -590,7 +591,7 @@ def _assignments(ring, name, rank):
 
 @pytest.mark.parametrize(
     "name, rank",
-    [("A4", 2), ("Q4", 2), ("Q5", 2), ("Q6", 2), ("Q6", 3), ("Fib", 2), ("Fib", 3)],
+    [("Q3", 2), ("Q4", 2), ("Q5", 2), ("Q6", 2), ("Q6", 3), ("Fib", 2), ("Fib", 3)],
 )
 def test_compiled_equations_equal_direct_multiplication(name, rank):
     ring = _compiler_ring(name)
@@ -723,14 +724,14 @@ def test_folded_equations_equal_direct_multiplication(n, profile, drops):
 
 
 SMALL_RINGS = {
-    "A4": lambda: subring_an(4),
+    "Q3": lambda: subquotient_qn(3),
     "Q4": lambda: subquotient_qn(4),
     "Q5": lambda: subquotient_qn(5),
     "Q6": lambda: subquotient_qn(6),
 }
 
 
-@pytest.mark.parametrize("name, count", [("A4", 0), ("Q4", 2), ("Q5", 4), ("Q6", 7)])
+@pytest.mark.parametrize("name, count", [("Q3", 0), ("Q4", 2), ("Q5", 4), ("Q6", 7)])
 def test_pruned_search_equals_bruteforce_at_rank_three(name, count):
     ring = SMALL_RINGS[name]()
     fast = solve_matrix_modules(ring, 3, bound=3)
@@ -739,7 +740,7 @@ def test_pruned_search_equals_bruteforce_at_rank_three(name, count):
     assert len(slow) == count
 
 
-@pytest.mark.parametrize("name", ["A4", "Q4", "Q5"])
+@pytest.mark.parametrize("name", ["Q3", "Q4", "Q5"])
 def test_bruteforce_equals_plain_enumeration(name):
     # every tuple of rank-2 matrices with entries <= 2, tested whole
     ring = SMALL_RINGS[name]()
@@ -1111,17 +1112,17 @@ def test_classify_rejects_bad_ids():
         classify("Q05")
     with pytest.raises(ClassifierError):
         classify("custom")
+    with pytest.raises(ClassifierError):
+        classify("A4")  # the ring on e and s is named Q3 only
 
 
-@pytest.mark.parametrize(
-    "name", [f"Q{n}" for n in range(3, 13)] + [f"A{n}" for n in range(3, 9)]
-)
+@pytest.mark.parametrize("name", [f"Q{n}" for n in range(3, 13)])
 def test_bundled_ring_takes_every_name_the_constructors_give(name):
     assert bundled_ring(name).name == name
 
 
 @pytest.mark.parametrize(
-    "name", ["Q2", "A2", "Q05", "Q+5", "Q5_0", " Q5", "q5", "ZD8", "custom", ""]
+    "name", ["Q2", "A2", "A3", "Q05", "Q+5", "Q5_0", " Q5", "q5", "ZD8", "custom", ""]
 )
 def test_bundled_ring_refuses_every_other_name(name):
     with pytest.raises(ClassifierError, match="unknown ring name"):
@@ -1136,19 +1137,55 @@ def test_named_rings_past_the_annotated_ones_classify_like_their_ring_files(n):
         (c.module.key(), c.multiplicities) for c in custom.candidates
     ]
     assert named.complete and named.matches_expected is None
-    zero = canonical_module(trivial_module(named.ring)).key()
+    cells = {canonical_module(trivial_module(named.ring)).key(), _ideal_key(named.ring)}
     assert {c.module.key(): c.status for c in named.candidates} == {
-        c.module.key(): "realized-cell" if c.module.key() == zero else "unresolved"
+        c.module.key(): "realized-cell" if c.module.key() in cells else "unresolved"
         for c in custom.candidates
     }
 
 
-def test_the_zero_module_of_a4_is_realized_by_the_identity_cell():
-    report = classify("A4")
-    assert [(c.module.key(), c.status) for c in report.candidates] == [
-        ((1, ((0,),)), "realized-cell"),
-        ((1, ((2,),)), "unresolved"),
-    ]
+def _ideal_key(ring):
+    """The canonical key of the ring acting on its own non-identity span,
+    M_x[z][y] = c[x][y][z] for x, y, z != e, built from the table alone."""
+    others = [b for b in range(ring.size) if b != ring.identity]
+    mats = {x: tuple(tuple(ring.c[x][y][z] for y in others) for z in others) for x in others}
+    return canonical_module(module_from_mats(ring, len(others), mats)).key()
+
+
+# the ideal module's key in Q3-Q5: the top cell's module of the paper's classification
+FORMER_TOP_CELL_KEYS = {
+    "Q3": (1, ((2,),)),
+    "Q4": (2, ((2, 0, 0, 2), (0, 2, 2, 0))),
+    "Q5": (2, ((2, 0, 0, 2), (0, 2, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_ideal_module_is_a_candidate_realized_by_its_cell(n):
+    report = classify(f"Q{n}")
+    ideal = _ideal_key(report.ring)
+    if f"Q{n}" in FORMER_TOP_CELL_KEYS:
+        assert ideal == FORMER_TOP_CELL_KEYS[f"Q{n}"]
+    statuses = {c.module.key(): (c.status, c.note) for c in report.candidates}
+    assert statuses[ideal] == (
+        "realized-cell",
+        "the decategorified cell construction attached to the top two-sided cell",
+    )
+
+
+@pytest.mark.parametrize("ring_id", ["Q3", "Q4", "Q5"])
+def test_no_annotation_decides_a_module_that_a_rule_decides(ring_id):
+    ring = bundled_ring(ring_id)
+    ruled = {canonical_module(trivial_module(ring)).key(), _ideal_key(ring)}
+    assert not ruled & set(ANNOTATIONS.get(ring_id, {}))
+
+
+def test_the_ideal_rule_costs_nothing_below_the_ideal_rank():
+    # the Q20 ideal module has rank 10: its canonical form alone would take
+    # minutes, so classify builds it only when a candidate has that rank
+    start = time.perf_counter()
+    classify("Q20", max_rank=2)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("kind", sorted(ZERO_FREE_RINGS))

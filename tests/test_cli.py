@@ -92,10 +92,16 @@ def test_full_kl_ring_carries_inversion(n, capsys):
     assert payload["involution"] == [_reversed_label(label) for label in payload["labels"]]
 
 
-def test_ring_an(capsys):
-    code, out, _ = run_cli(capsys, "ring", "--n", "5", "--an")
-    assert code == 0
-    assert "2s" in out
+def test_ring_refuses_the_retired_an_option():
+    # Q3 is the ring on e and s; no option names it twice
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "klcells", "ring", "--n", "5", "--an"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --an" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ring_file_round_trip(tmp_path, capsys):
@@ -732,10 +738,11 @@ def test_verify_quick(capsys):
 
 
 def test_verify_detects_corrupted_annotations(capsys, monkeypatch):
+    # an exclusion turned realized: Q5 then has 3 realized classes, not 2
     bad = dict(classifier.ANNOTATIONS)
     bad_q5 = dict(bad["Q5"])
-    key = (2, ((2, 0, 0, 2), (0, 2, 2, 2)))
-    bad_q5[key] = ("excluded", "corrupted")
+    key = (2, ((2, 0, 0, 2), (0, 1, 4, 2)))
+    bad_q5[key] = ("realized-extra", "corrupted")
     bad["Q5"] = bad_q5
     monkeypatch.setattr(classifier, "ANNOTATIONS", bad)
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3")

@@ -35,11 +35,11 @@ def _run(capsys, *argv):
 def test_verify_output_keeps_its_digests(capsys):
     code, out = _run(capsys, "verify", "--max-n", "8")
     assert code == 0
-    assert _digest(out) == "3d9781e485077615a54b7f167fcaad8c2621f4bb0084aad7c087b791808ec92f"
+    assert _digest(out) == "65dd0750da226264735d3b9a059ec50f3bb4699a31f465115d274430c954a9ee"
     code, out = _run(capsys, "verify", "--max-n", "8", "--format", "structured")
     assert code == 0
     assert _json_digest(_without_meta(json.loads(out))) == (
-        "19f444113352ff76250ad6218d6d1d74322c756ca590e528d93b557c241c4955"
+        "8ac2424a80593481bc4ee2226d5d31e39c1f7e8b45c581caeb4d5798a0870b8a"
     )
 
 
@@ -81,7 +81,7 @@ _PINS = [
     (_classify("--n", "5"), "no meta",
      "81213359588bfc61c95c9fb4317e5db571b687a60798e85e67c4911026861dd3", None),
     (_classify("--n", "6"), "no meta",
-     "2e23a11114a86693f82032bdd2983c819ae7635890026effde1a80291d9174e2", None),
+     "ae7852dbee290e6fbcf1293138c7d040e17355ae4cf732f70c455ba15bb75ea9", None),
     # Q7 is the one cubic field classified here: exact signs and inverses of degree 3
     (_classify("--ring-file", "q7.ring"), "no meta",
      "3b74862438f89e13b1e28a2a835d26cbd1fe8a43ec162080e502211b20d3c0e9",
@@ -96,7 +96,7 @@ _PINS = [
      "af579aa1a3af811bef783a8b3afe120a9ee23e148913cdfebf6fda335c5800bd",
      (_bound_exhausted, False)),
     (_classify("--n", "6", "--max-rank", "4", "--bound", "8"), "with meta",
-     "789a1b09e902450d4e39534866c7791793be0c52f70d7fc11fc6340a6f56a909",
+     "49cfdafb54c33975c06b5be18e17db031d537dab41beb95078a402b65fc6fa5f",
      (_bound_exhausted, True)),
     (("classify", "--n", "3"), "text",
      "e358b4af6ff766e2d769d46a122ccd6a52344d2ce54123f7f456ba7bff2a74df", None),
@@ -105,7 +105,7 @@ _PINS = [
     (("classify", "--n", "5"), "text",
      "610b60b5299a23752d5eec6cc86deae9f44a03f023ef6ede6b03e540711a1867", None),
     (("classify", "--n", "6"), "text",
-     "2341dba1d734073ed2a9509a7136f0ebd604dfda697dd8052c0c48b3b1e26ed8", None),
+     "094f6e4ad11f53f4ecbc3acdafac224eeae39add1686da85b3d91f7c75a962ec", None),
     (("classify", "--ring-file", "q7.ring"), "text",
      "44c672b418d8f9e7d138f132f416712a6f302cc0232a2af6bf1c400cbfd51595", None),
     (("classify", "--ring-file", "q8.ring"), "text",

@@ -18,7 +18,6 @@ from klcells.basedring import (
     ring_from_text,
     ring_to_text,
     subquotient_qn,
-    subring_an,
 )
 from klcells.characters import (
     DecompositionError,
@@ -45,7 +44,6 @@ FIBONACCI = "labels e t\nidentity e\nc e e e 1\nc e t t 1\nc t e t 1\nc t t e 1\
 
 RINGS = {
     **{f"Q{n}": (lambda n=n: subquotient_qn(n)) for n in range(3, 9)},
-    "A4": lambda: subring_an(4),
     "Fib": lambda: ring_from_text(FIBONACCI),
 }
 
@@ -324,7 +322,6 @@ def test_orbits_are_the_classes_of_equal_gcd(n):
 
 
 def test_orbits_of_the_rings_that_are_not_a_q_n():
-    assert [members for members, _ in _table("A4")._orbits] == [(0,), (1,)]
     assert [members for members, _ in _table("Fib")._orbits] == [(0, 1)]
 
 
@@ -353,7 +350,7 @@ def test_decompose_equals_the_oracle_on_every_candidate(name):
         ("Q5", {"irrational", "negative", "non-integral"}),
         ("Q6", {"negative", "non-integral"}),
         ("Q7", {"irrational", "negative", "non-integral"}),
-        ("A4", {"negative", "non-integral"}),
+        ("Q3", {"negative", "non-integral"}),
         ("Fib", {"irrational"}),
     ],
 )

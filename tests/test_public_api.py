@@ -66,7 +66,6 @@ PUBLIC_NAMES = [
     "special_character",
     "structure_constants",
     "subquotient_qn",
-    "subring_an",
     "trivial_module",
     "verify",
 ]

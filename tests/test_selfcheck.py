@@ -70,7 +70,7 @@ def test_case_counts_of_the_costliest_checks_at_max_n_eight():
     dihedral = selfcheck.check_dihedral_arithmetic(8)
     assert dihedral.cases == sum((2 * n) ** 3 + 2 * n for n in range(2, 9)) == 10430
     assert selfcheck.check_quadfield().cases == 200
-    # A4, Q4, Q5 and Q6, each at ranks 1 and 2
+    # Q3, Q4, Q5 and Q6, each at ranks 1 and 2
     assert selfcheck.check_search_oracle_equivalence(8).cases == 4 * 2
 
 
