@@ -15,6 +15,7 @@ import pytest
 from klcells import klring
 from klcells.basedring import (
     BasedRing,
+    restrict_constants,
     ring_from_text,
     ring_to_text,
     subquotient_qn,
@@ -40,10 +41,19 @@ from klcells.dihedral import GENERATORS, DihedralGroup
 from klcells.matrixmodule import MatrixModule, module_from_mats, satisfies_ring_relations
 from klcells.quadfield import FieldElement, FieldMismatchError, QuadNum, _integer_view, two_cos
 
+def _a4():
+    """The paper's A_4: the span of e and s in the rank-4 dihedral KL ring,
+    closed without truncation.  Its table is Q3's, reached by restriction
+    rather than by the subquotient construction."""
+    constants = klring.structure_constants(4)
+    return restrict_constants(constants, [0, constants.index("s")], name="A4")
+
+
 FIBONACCI = "labels e t\nidentity e\nc e e e 1\nc e t t 1\nc t e t 1\nc t t e 1\nc t t t 1\n"
 
 RINGS = {
     **{f"Q{n}": (lambda n=n: subquotient_qn(n)) for n in range(3, 9)},
+    "A4": _a4,
     "Fib": lambda: ring_from_text(FIBONACCI),
 }
 
@@ -322,6 +332,7 @@ def test_orbits_are_the_classes_of_equal_gcd(n):
 
 
 def test_orbits_of_the_rings_that_are_not_a_q_n():
+    assert [members for members, _ in _table("A4")._orbits] == [(0,), (1,)]
     assert [members for members, _ in _table("Fib")._orbits] == [(0, 1)]
 
 
