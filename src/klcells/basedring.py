@@ -348,7 +348,8 @@ def full_kl_ring(n: int) -> BasedRing:
 
     It is not passed through verify here: associativity takes seconds at
     n = 64, even on a generating set.  structure_constants already refuses
-    negative constants and a failing identity.
+    a w0 coefficient that is not a non-negative integer, and a failing
+    identity.
     """
     constants = klring.structure_constants(n)
     group = DihedralGroup(n)

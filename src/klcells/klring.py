@@ -3,20 +3,19 @@
 For dihedral groups the basis element attached to w is the plain Bruhat sum
 kl(w) = sum of all v <= w with coefficient 1, and the structure constants
 kl(x) * kl(y) = sum_z c[x][y][z] kl(z) are non-negative integers.  This module
-builds that table from the dihedral multiplication rule for kl(g) * kl(w),
-without expanding anything in the group ring, one whole plane c[x] at a time
-as a single packed int, and computes the left/right/two-sided cell
-partitions any such table induces.
+writes that table down in closed form, twice a truncated Clebsch-Gordan rule
+read off Lusztig's dihedral multiplication rule, without expanding anything
+in the group ring or multiplying group elements, and computes the
+left/right/two-sided cell partitions any such table induces.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import NamedTuple, Sequence
 
-from .dihedral import GENERATORS, DihedralElement, DihedralGroup
+from .dihedral import DihedralElement, DihedralGroup
 
 __all__ = [
     "KLStructureConstants",
@@ -26,17 +25,13 @@ __all__ = [
     "compute_cells",
 ]
 
-# memoryview format of an unsigned digit of each width; lower case reads it signed
-_FORMATS = {16: "H", 32: "I", 64: "Q"}
-# memoryview.cast reads native byte order: a big-endian buffer lists the top digit first
-_DIGIT_ORDER = 1 if sys.byteorder == "little" else -1
 # bytes.translate table: the zero byte to the digit "0", every other byte to "1"
 _BINARY_DIGITS = b"0" + b"1" * 255
 
 
 class PositivityError(ArithmeticError):
-    """A structure constant came out negative or above its proven bound;
-    indicates an implementation bug."""
+    """A structure constant came out negative or not an integer, or the
+    identity axiom failed; indicates an implementation bug."""
 
 
 class KLStructureConstants(NamedTuple):
@@ -59,131 +54,128 @@ class KLStructureConstants(NamedTuple):
 def structure_constants(n: int) -> KLStructureConstants:
     """Compute (and cache) the full KL structure constant table for D_2n.
 
-    Rows come from the dihedral left-multiplication rule at v = 1 (Lusztig,
-    Hecke algebras with unequal parameters, dihedral chapter): for a generator
-    g, kl(g)kl(w) = 2 kl(w) if g is a left descent of w, and otherwise
-    kl(gw) + kl(hw), where h is the first letter of w and the second term
-    drops when l(w) < 2.  A word x = g x' of length k then gives
-    kl(x) = kl(g)kl(x') - kl(h x') (the second term only for k >= 3), so the
-    rows follow one another in length order; w0 is taken as the word
-    starting with s.
+    Notation: a_l is the alternating word of length l starting with the
+    letter a, a_0 = e and a_n = w0.  The augmentation (every w to 1) is a
+    ring map, and eps(kl w) = #{v <= w} is 1, 2l or 2n for e, a_l or w0.
+    For 0 < i < n and 0 <= j <= n, the band B(i, j) is the lengths
+    |i - j| + 1, |i - j| + 3, ... below min(i + j, 2n - i - j): there are
+    k = (min(i + j, 2n - i - j) - |i - j|) / 2 >= 0 of them, summing to
+    k(|i - j| + k), and B(i, 0) and B(i, n) are empty.
 
-    Each plane is one int: c[x][y][z] is the digit at position y*size + z,
-    W bits a digit.  kl(g) * (-) maps kl(z) to terms kl(z + d) with a
-    coefficient b; grouping the terms by (d, b) gives one digit mask per
-    group, repeated in every row slot, so the whole product is a few
-    mask-shift-multiply-adds and no term leaves its row.  With A that
-    product on c[x'] and D the plane c[h x'], the subtraction is
-    ((A | G) - D) ^ G with G the top bit of every digit: a digit whose
-    difference is negative borrows only its own guard bit, so every digit
-    ends as its W-bit two's complement and a set guard bit marks a negative
-    coefficient.
+    Lusztig's rule at v = 1 (Hecke algebras with unequal parameters,
+    dihedral chapter), for a generator g and w != e: kl(g)kl(w) = 2 kl(w)
+    when w starts with g or is w0, and kl(g)kl(b_l) = kl(g_{l+1}) +
+    kl(g_{l-1}) for b != g, the second term only for l >= 2.  Inversion
+    keeps the Bruhat order, so it reverses products of the kl(w), and
+    kl(a_l)kl(g) = 2 kl(a_l) when a_l ends in g, kl(a_{l+1}) + kl(a_{l-1})
+    otherwise.  As v kl(w0) = kl(w0) = kl(w0) v for every v,
+    kl(x)kl(w0) = kl(w0)kl(x) = eps(kl x) kl(w0), and e is the unit: these
+    are the rows and columns of e and w0.
 
-    The width is proven.  The augmentation epsilon(w) = 1 is a ring map,
-    and epsilon(kl w) = #{v <= w} lies between 1 and 2n.  Applying it to
-    kl(x)kl(y) gives sum_z c[x][y][z] epsilon(kl z) = epsilon(kl x)
-    epsilon(kl y), so every entry is at most 4n^2; every coefficient of
-    kl(g)kl(x')kl(y) is likewise at most 2 * 2(n - 1) * 2n < 8n^2, since
-    l(x') < n.  W = (8n^2).bit_length() + 1, rounded up to 16, 32 or 64,
-    keeps every digit of A and D below 2^(W-1): the sum forming A never
-    carries and the guard bits start clear.  One more guard test checks
-    every entry of the new plane against 4n^2, so an entry out of that range
-    raises instead of wrapping; the plane is then read back into rows in C.
-    Only the planes of the last two lengths are kept packed.
+    Claim: let x = a_i, 0 < i < n, end in the letter m, let b != m and
+    0 < j < n.  Away from w0, kl(x)kl(m_j) is (S) 2 kl(a_l) summed over
+    B(i, j), and kl(x)kl(b_j) is (O) kl(a_l) summed over B(i, j + 1) and
+    over B(i, j - 1).  Each product is thus the sum over two bands, and its
+    kl(w0) coefficient is forced, as eps(kl w0) = 2n: it is
+    (eps(kl x) eps(kl y) - sum_{z != w0} c_z eps(kl z)) / 2n, with each
+    band's part an arithmetic series.  PositivityError is raised unless it
+    is a non-negative integer.
+
+    (S), by induction on j.  At j = 1, kl(x)kl(m) = 2 kl(x) and
+    B(i, 1) = {i}.  From j to j + 1 < n, with g the letter m_j does not end
+    in: kl(m_{j+1}) = kl(m_j)kl(g) - kl(m_{j-1}), with no last term at
+    j = 1, where B(i, 0) is empty.  Each l in B(i, j) = {L, ..., U} is
+    i + j + 1 mod 2, so a_l ends like m_j, not in g, and kl(a_l)kl(g) =
+    kl(a_{l+1}) + kl(a_{l-1}); kl(w0)kl(g) = 2 kl(w0).  Away from w0,
+    kl(x)kl(m_j)kl(g) is then 2 kl(a_l) over L - 1 and U + 1 once and over
+    L + 1, ..., U - 1 twice, dropping 0 (the rule's l >= 2) and n (w0).
+    Two bands of one parity that start at p and p' and end at q and q' (an
+    empty one ends 2 below its start) together cover a length as often as
+    p, p' lie at or below it less q, q' below it.
+    B(i, j - 1) and B(i, j + 1) start at L - 1 and L + 1 in some order, or
+    both at L + 1 = 2 when i = j, where 0 is dropped; they end at U - 1 and
+    U + 1 in some order, or both at U - 1 when i + j = n, where U + 1 = n.
+    So subtracting B(i, j - 1) leaves B(i, j + 1).
+
+    (O).  m does not start b_j, so kl(m)kl(b_j) = kl(m_{j+1}) +
+    kl(m_{j-1}), the second term only for j >= 2, and kl(x)kl(m) =
+    2 kl(x).  So 2 kl(x)kl(b_j) is (S) at j + 1 plus (S) at j - 1, where
+    kl(x)kl(w0) at j + 1 = n has nothing away from w0 and B(i, n) is empty,
+    and the term at j - 1 = 0 is absent and B(i, 0) is empty.
+
+    Both rules are symmetric in i and j: B(i, j) = B(j, i), and the two
+    bands of (O) start at |i - j - 1| + 1 and |i - j + 1| + 1 and end where
+    i + j alone fixes, so by the count above they cover what those of (j, i)
+    cover; the rows of (i, j) and (j, i) are built once.  Swapping s and t
+    keeps lengths, so sigma(kl w) = kl(sigma w) and c[sigma x][sigma y]
+    [sigma z] = c[x][y][z]: the planes of the words starting with s follow
+    the rule, and those starting with t are their images.  A row is its two
+    bands laid out at the indices of the a_l, one slice of a zero-padded
+    template, followed by its kl(w0) coefficient.
     """
     group = DihedralGroup(n)
     elements = group.elements()
     labels = tuple(group.label(el) for el in elements)
-    index = {el: i for i, el in enumerate(elements)}
-    size = len(elements)
-    bound = 4 * n * n
-    width, guard = _digit_layout(n, size * size)
-    fmt, digit = _FORMATS[width], (1 << width) - 1
-    # digit by digit, v + limit sets the guard bit exactly when v > bound
-    limit = _repeat((1 << (width - 1)) - bound - 1, width, size * size)
-    diagonal = _repeat(1, width * (size + 1), size)
-    gens = {g: group.element(g) for g in GENERATORS}
-    # left[g]: kl(g) * (-) on a plane, as (bit shift, coefficient, mask) per group
-    left = {}
-    for g in GENERATORS:
-        groups: dict[tuple[int, int], int] = {}
-        for z, w in enumerate(elements):
-            for target, b in _left_terms(group, g, w, index):
-                key = (width * (target - z), b)
-                groups[key] = groups.get(key, 0) | digit << width * z
-        left[g] = [
-            (shift, b, _repeat(mask, width * size, size))
-            for (shift, b), mask in groups.items()
-        ]
-    planes = {0: diagonal}
-    table = [_rows(diagonal, size, width, fmt)]
-    for i, x in enumerate(elements[1:], 1):
-        g = x.start or "s"
-        shorter = group.multiply(gens[g], x)
-        base = planes[index[shorter]]
-        drop = 0
-        if x.length >= 3:
-            drop = planes[index[group.multiply(gens[shorter.start], shorter)]]
-        plane = 0
-        for shift, b, mask in left[g]:
-            part = base & mask
-            plane += b * (part << shift if shift >= 0 else part >> -shift)
-        plane = ((plane | guard) - drop) ^ guard
-        if plane & guard:
-            rows = _rows(plane, size, width, fmt.lower())
-            j = next(j for j, row in enumerate(rows) if min(row) < 0)
+    size = 2 * n  # index 2l - 1 is s_l, 2l is t_l, and size - 1 is w0
+    zero = (0,) * size
+    unit = tuple(zero[:z] + (1,) + zero[z + 1 :] for z in range(size))
+    eps = tuple(2 * el.length or 1 for el in elements)
+    swap = itemgetter(0, *(z + 1 if z % 2 else z - 1 for z in range(1, size - 1)), size - 1)
+    templates: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+
+    def row(x: int, y: int, bands: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+        """kl(x)kl(y) from its two bands, each (first length, count)."""
+        (first, k), (second, m) = bands
+        left = eps[x] * eps[y] - 2 * (k * (first + k - 1) + m * (second + m - 1))
+        c, rest = divmod(left, size)
+        if rest or c < 0:
             raise PositivityError(
-                f"negative coefficient in kl({labels[i]})*kl({labels[j]}): {list(rows[j])}"
+                f"kl(w0) coefficient {left}/{size} in kl({labels[x]})*kl({labels[y]}) "
+                "is not a non-negative integer"
             )
-        rows = _rows(plane, size, width, fmt)
-        if (plane + limit) & guard:
-            j = next(j for j, row in enumerate(rows) if max(row) > bound)
-            raise PositivityError(
-                f"coefficient above 4n^2 = {bound} in kl({labels[i]})*kl({labels[j]}): "
-                f"{list(rows[j])}"
+        low = min(first, second)
+        key = (first - low, k, second - low, m)
+        if key not in templates:
+            # the word of length low + d sits at index size - 1 + 2d
+            body = [0] * (3 * size)
+            for d, count in ((first - low, k), (second - low, m)):
+                at = slice(size - 1 + 2 * d, size - 1 + 2 * d + 4 * count, 4)
+                body[at] = [a + 1 for a in body[at]]
+            templates[key] = tuple(body)
+        return templates[key][size - 2 * low : 2 * size - 1 - 2 * low] + (c,)
+
+    rows = {}
+    for i in range(1, n):
+        for j in range(i, n):
+            same, other = _bands(n, i, j)
+            # m_j is s_j (index 2j - 1) when i is odd, t_j (index 2j) when even
+            rows[i, j] = rows[j, i] = (
+                row(2 * i - 1, 2 * j - i % 2, same),
+                row(2 * i - 1, 2 * j - 1 + i % 2, other),
             )
-        table.append(rows)
-        planes[i] = plane
-        # elements run by length, two of each: no later plane reads plane i - 4
-        planes.pop(i - 4, None)
+    table = [unit]
+    for i in range(1, n):
+        plane = [unit[2 * i - 1]]
+        for j in range(1, n):
+            same, other = rows[i, j]
+            plane += (same, other) if i % 2 else (other, same)
+        plane = (*plane, zero[:-1] + (eps[2 * i - 1],))
+        table += [plane, tuple(map(swap, swap(plane)))]
+    table.append(tuple(zero[:-1] + (e,) for e in eps))
     constants = KLStructureConstants(n, labels, elements, tuple(table))
     _check_identity_axioms(constants)
     return constants
 
 
-def _digit_layout(n: int, count: int) -> tuple[int, int]:
-    """Digit width W for ZD_2n, and the mask of the top bit of `count` digits."""
-    width = next(w for w in _FORMATS if w > (8 * n * n).bit_length())
-    return width, _repeat(1 << (width - 1), width, count)
-
-
-def _repeat(value: int, bits: int, count: int) -> int:
-    """`count` copies of a `bits`-bit value side by side (bits a multiple of 8)."""
-    return int.from_bytes(value.to_bytes(bits // 8, "little") * count, "little")
-
-
-def _rows(plane: int, size: int, width: int, fmt: str) -> tuple[tuple[int, ...], ...]:
-    """The size x size digits of a packed plane as rows, read in C."""
-    data = plane.to_bytes(width // 8 * size * size, sys.byteorder)
-    digits = memoryview(data).cast(fmt)[::_DIGIT_ORDER]
-    return tuple(zip(*[iter(digits)] * size))
-
-
-def _left_terms(
-    group: DihedralGroup, g: str, w: DihedralElement, index: dict[DihedralElement, int]
-) -> tuple[tuple[int, int], ...]:
-    """kl(g) * kl(w) in the KL basis, as (index, coefficient) pairs, read off
-    w's first letter and length l: g is a left descent of w exactly when w
-    is w0 or starts with g; otherwise gw is the word of length l + 1 that
-    starts with g (w0 at length n), and hw, h = w's first letter, the word
-    of length l - 1 that starts with g."""
-    length = w.length
-    if length and w.start in (g, None):
-        return ((index[w], 2),)
-    up = DihedralElement(g if length + 1 < group.n else None, length + 1)
-    if length < 2:
-        return ((index[up], 1),)
-    return ((index[up], 1), (index[DihedralElement(g, length - 1)], 1))
+def _bands(n: int, i: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The two bands, each (first length, count), of kl(a_i)kl(m_j) and of
+    kl(a_i)kl(b_j), 0 < i, j < n, m the last letter of a_i and b the other:
+    B(i, j) twice, and B(i, j + 1) and B(i, j - 1)."""
+    down, same, up = (
+        (abs(i - k) + 1, (min(i + k, 2 * n - i - k) - abs(i - k)) // 2)
+        for k in (j - 1, j, j + 1)
+    )
+    return (same, same), (up, down)
 
 
 def _check_identity_axioms(constants: KLStructureConstants) -> None:

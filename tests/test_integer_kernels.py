@@ -2,7 +2,8 @@
 replaced (tests/oracles.py): the packed ring-relation re-check, the trace
 screen over Galois orbits and trace decompositions on the integer view of a
 character table, the multiplicativity check of candidate characters, and
-kl(g)kl(w) read off a word's first letter and length."""
+the planes kl(s)kl(w) and kl(t)kl(w) of the KL table against the descent
+rule."""
 
 import math
 from fractions import Fraction
@@ -15,10 +16,12 @@ import pytest
 from klcells import klring
 from klcells.basedring import (
     BasedRing,
+    full_kl_ring,
     restrict_constants,
     ring_from_text,
     ring_to_text,
     subquotient_qn,
+    verify,
 )
 from klcells.characters import (
     DecompositionError,
@@ -97,14 +100,26 @@ def _perturbations(module):
 
 
 def test_left_terms_read_off_the_first_letter_match_the_descent_rule():
+    # the planes of s and t are kl(g)kl(w) for every w; with the identity and
+    # associativity they determine the whole table, for n past the O(n^3) oracles
     for n in range(2, 65):
         group = DihedralGroup(n)
         elements = group.elements()
         index = {el: i for i, el in enumerate(elements)}
+        planes = klring.structure_constants.__wrapped__(n).c
         for g in GENERATORS:
-            for w in elements:
-                got = klring._left_terms(group, g, w, index)
-                assert got == oracles.left_terms(group, g, w, index), (n, g, w)
+            for y, w in enumerate(elements):
+                want = [0] * len(elements)
+                for z, b in oracles.left_terms(group, g, w, index):
+                    want[z] += b
+                assert planes[index[group.element(g)]][y] == tuple(want), (n, g, w)
+
+
+@pytest.mark.parametrize("n", [25, 37, 47, 59])
+def test_full_kl_rings_past_the_recurrence_cases_verify(n):
+    # identity and associativity, checked by basedring.verify; the test above
+    # checks the generator planes at the same n
+    assert verify(full_kl_ring(n)).ok
 
 
 # -- the packed ring-relation re-check ------------------------------------------
