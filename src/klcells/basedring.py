@@ -127,13 +127,14 @@ def verify(ring: BasedRing) -> RingReport:
 
     The report lists every violation, check by check (involution, labels,
     shape and positivity, identity, associativity, anti-involution) and, in
-    each check, in index order.  Every check compares whole rows first and
-    spells out coordinates only for a row that fails.  Associativity is
-    checked as the relations of the left regular module, whose matrix M_x
-    has the product row c[x][z] as column z: _relation_mismatches compares
-    (xy)z and x(yz) for every z at once as two packed ints, exactly for
-    entries of any sign, and only a pair (x, y) whose sides differ is
-    unpacked to name its failing (z, v).
+    each check, in index order; a constant that is not an int ends it, as a
+    shape error does.  Every check compares whole rows first and spells out
+    coordinates only for a row that fails.  Associativity is checked as the
+    relations of the left regular module, whose matrix M_x has the product
+    row c[x][z] as column z: _relation_mismatches compares (xy)z and x(yz)
+    for every z at once as two packed ints, exactly for entries of any
+    sign, and only a pair (x, y) whose sides differ is unpacked to name its
+    failing (z, v).
 
     When both identity axioms hold, the pairs (x, g) with g in
     _generators(c, e) are checked first, and all pairs only if one fails, so
@@ -142,6 +143,14 @@ def verify(ring: BasedRing) -> RingReport:
     for a, b in N, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so
     N is a subalgebra.  Passed pairs put the generators in N, hence every
     element the walk reaches, and N is the whole ring.
+
+    With no identity or associativity violation, the anti-involution is
+    likewise checked first on the pairs (x, y) with y = e or a generator.
+    For phi the linear map of inv, Y = {y : phi(xy) = phi(y)phi(x) for all
+    x} is a subspace that holds e iff inv[e] = e, and for a, b in Y,
+    phi(x(ab)) = phi((xa)b) = phi(b)phi(a)phi(x) = phi(ab)phi(x), the last
+    step by b in Y at x = a.  So Y is the whole ring once it holds e and
+    the generators.
     """
     out: list[RingViolation] = []
     size = ring.size
@@ -160,6 +169,10 @@ def verify(ring: BasedRing) -> RingReport:
             if len(row) != size:
                 out.append(RingViolation("shape", (i, j), "row of wrong length"))
                 return RingReport(False, tuple(out))
+            if {*map(type, row)} != {int}:
+                z, a = next((z, a) for z, a in enumerate(row) if type(a) is not int)
+                out.append(RingViolation("shape", (i, j, z), f"coefficient {a!r} is not an int"))
+                return RingReport(False, tuple(out))
             if min(row) < 0:
                 out.extend(
                     RingViolation("positivity", (i, j, z), f"coefficient {a} < 0")
@@ -168,6 +181,7 @@ def verify(ring: BasedRing) -> RingReport:
                 )
     e = ring.identity
     before = len(out)
+    generators = _generators(c, e) if 0 <= e < size else []
     if not 0 <= e < size:
         out.append(RingViolation("identity", (e,), "identity index out of range"))
     else:
@@ -182,7 +196,7 @@ def verify(ring: BasedRing) -> RingReport:
     # column z of M_x is the product row c[x][z], so the matrices are c
     # itself; entry (v, z) of M_x M_y is coordinate v of x(yz), and that of
     # sum_w c[x][y][w] M_w is coordinate v of (xy)z
-    if len(out) > before or any(_relation_mismatches(c, c, _generators(c, e))):
+    if len(out) > before or any(_relation_mismatches(c, c, generators)):
         for x, y, x_yz, xy_z, width in _relation_mismatches(c, c):
             left = _unpack(xy_z, width, size * size)
             right = _unpack(x_yz, width, size * size)
@@ -192,18 +206,26 @@ def verify(ring: BasedRing) -> RingReport:
                 if a != b
             )
     inv = ring.involution
-    for x in range(size):
-        for y in range(size):
+    if len(out) > before or any(_involution_mismatches(c, inv, [e, *generators])):
+        for x, y in _involution_mismatches(c, inv, range(size)):
             row, image = c[x][y], c[inv[y]][inv[x]]
-            if tuple(row) != tuple(map(image.__getitem__, inv)):
-                out.extend(
-                    RingViolation(
-                        "anti-involution", (x, y, z), f"{row[z]} != {image[inv[z]]}"
-                    )
-                    for z in range(size)
-                    if row[z] != image[inv[z]]
-                )
+            out.extend(
+                RingViolation("anti-involution", (x, y, z), f"{row[z]} != {image[inv[z]]}")
+                for z in range(size)
+                if row[z] != image[inv[z]]
+            )
     return RingReport(not out, tuple(out))
+
+
+def _involution_mismatches(
+    c: Sequence[Sequence[Sequence[int]]], inv: Sequence[int], ys: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """Every (x, y) with y in ys whose row x*y, read through inv, is not
+    inv(y)*inv(x), lazily, in index order."""
+    for x in range(len(c)):
+        for y in ys:
+            if tuple(c[x][y]) != tuple(map(c[inv[y]][inv[x]].__getitem__, inv)):
+                yield x, y
 
 
 def _relation_mismatches(
@@ -411,8 +433,12 @@ def ring_to_text(ring: BasedRing) -> str:
 
     Layout: a header, the ordered labels, the identity label, the involution
     images in basis order, then one "c x y z value" line per non-zero
-    structure constant, in basis order.
+    structure constant, in basis order.  Raises RingFormatError for a label
+    that would not read back: an empty one, or one holding whitespace or #.
     """
+    for label in ring.labels:
+        if label.split() != [label] or "#" in label:
+            raise RingFormatError(f"label {label!r} is empty or holds whitespace or '#'")
     lines = [
         f"# {_FORMAT_HEADER}",
         "labels " + " ".join(ring.labels),

@@ -16,7 +16,8 @@ every kept module is re-verified by full matrix multiplication and its
 traces afterwards.  A naive enumerator with none of that machinery doubles
 as an independent oracle: it assigns the same entries one at a time over the
 whole range and evaluates each entry of each product relation exactly, at
-every value of the last entry it reads.
+every value of the last entry it reads, or at the one value an entry linear
+in it solves for.
 
 Proven entry caps (Kildetoft & Mazorchuk, *Special modules over positively
 based algebras*; Mazorchuk & Miemietz, *Transitive 2-representations of
@@ -768,10 +769,13 @@ def bruteforce_matrix_modules(
     terms that do not read k are summed into a0, and the coefficient of k in
     those that read it once into a1; a value v of k is kept when
     a0 + (a1 + a2*v)*v == 0, a2 the coefficient of k*k, for every equation
-    attached to k.  Nothing is bounded, capped or forced, and the enumeration
-    is complete up to the bound.  Leaves are tested for transitivity and the
-    filters' checks and deduped by canonical form.  Intended for small ranks
-    and bounds as an independent cross-check of the pruned search.
+    attached to k.  When one is linear in k (a2 == 0, a1 != 0), only
+    v = -a0/a1 can solve it, so that value alone is tried if it is an
+    integer in k's domain.  Nothing is bounded or capped, and the
+    enumeration is complete up to the bound.  Leaves are tested for
+    transitivity and the filters' checks and deduped by canonical form.
+    Intended for small ranks and bounds as an independent cross-check of
+    the pruned search.
     """
     _check_range(rank, bound)
     names = _resolve_filters(filters)
@@ -826,7 +830,13 @@ def bruteforce_matrix_modules(
             for c, u in once:
                 a1 += c * values[u]
             parts.append((a0, a1, a2))
-        for value in domains[k]:
+        values_k = domains[k]
+        for a0, a1, a2 in parts:
+            if a1 and not a2:  # a0 + a1*v == 0 leaves v = -a0/a1 alone
+                value, rest = divmod(-a0, a1)
+                values_k = (value,) if not rest and value in values_k else ()
+                break
+        for value in values_k:
             for a0, a1, a2 in parts:
                 if a0 + (a1 + a2 * value) * value:
                     break

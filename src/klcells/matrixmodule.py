@@ -93,12 +93,13 @@ def satisfies_ring_relations(ring: BasedRing, module: MatrixModule) -> bool:
     Both sides of every relation are compared as packed ints by the kernel
     that basedring.verify runs on the left regular module, which also holds
     the argument that the comparison is exact; the first mismatch decides.
-    Every relation is checked: the ring need not have passed verify.
+    Every relation is checked: the ring need not have passed verify.  A
+    matrix entry that is not a non-negative int fails.
     """
     rank, mats = module.rank, module.mats
     if mats[ring.identity] != identity_matrix(rank):
         return False
-    if any(v < 0 for mat in mats for row in mat for v in row):
+    if any(type(v) is not int or v < 0 for mat in mats for row in mat for v in row):
         return False
     columns = [tuple(zip(*mat)) for mat in mats]
     return next(_relation_mismatches(ring.c, columns), None) is None

@@ -263,7 +263,7 @@ class FieldElement:
     @classmethod
     def _make(cls, field: NumberField | None, num: list[int], den: int = 1) -> FieldElement:
         """The value num/den, reduced to the stored form; den != 0."""
-        num = _strip(num)
+        num = num if num[-1] else _strip(num)
         if den != 1:
             g = math.gcd(den, *num)
             if den < 0:
@@ -347,7 +347,11 @@ class FieldElement:
         field = self._join(rhs)
         da, db = self.den, rhs.den
         scale = sign * da
-        num = [x * db + y * scale for x, y in zip_longest(self.num, rhs.num, fillvalue=0)]
+        x, y = self.num, rhs.num
+        if len(x) == len(y) == 2:  # a + b*theta, the Q(sqrt(d)) values
+            num = [x[0] * db + y[0] * scale, x[1] * db + y[1] * scale]
+        else:
+            num = [a * db + b * scale for a, b in zip_longest(x, y, fillvalue=0)]
         return FieldElement._make(field, num, da * db)
 
     def __add__(self, other: object) -> FieldElement:

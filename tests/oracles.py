@@ -2,12 +2,19 @@
 
 Each is the straightforward version: matrix products as nested sums, traces
 and trace decompositions as FieldElement sums, characters checked by
-FieldElement products, and kl(g)kl(w) read off the group's left descents and
-products.  The tests compare the library with them value by value.
+FieldElement products, kl(g)kl(w) read off the group's left descents and
+products, and the naive module enumerator trying every value of every
+entry.  The tests compare the library with them value by value.
 """
 
+from klcells import classifier
 from klcells.dihedral import DihedralElement, DihedralGroup
-from klcells.matrixmodule import identity_matrix
+from klcells.matrixmodule import (
+    canonical_module,
+    identity_matrix,
+    is_transitive,
+    module_from_mats,
+)
 from klcells.quadfield import FieldElement
 
 _ZERO = FieldElement(0)
@@ -97,3 +104,49 @@ def left_terms(group: DihedralGroup, g: str, w: DihedralElement, index):
     if w.length >= 2:
         terms += ((index[group.multiply(group.element(w.start), w)], 1),)
     return terms
+
+
+def bruteforce_matrix_modules(ring, rank, bound, filters=()):
+    """classifier.bruteforce_matrix_modules with every value of an entry's
+    domain tested against each equation attached to it, linear ones too."""
+    classifier._check_range(rank, bound)
+    names = classifier._resolve_filters(filters)
+    rigid = None
+    if "s-rigidity" in names:
+        rigid = classifier._required_rigid_generator(ring)
+    order = classifier._search_order(ring, rigid)
+    cells = [(b, i, j) for b in order for i in range(rank) for j in range(rank)]
+    index = {cell: k for k, cell in enumerate(cells)}
+    domains = [
+        ((0, 2) if i == j else (0,)) if b == rigid else range(bound + 1)
+        for b, i, j in cells
+    ]
+    values = [0] * len(cells) + [1]
+    checks = [[] for _ in cells]
+    for terms in classifier._oracle_equations(ring, rank, index).values():
+        last = max(k for _, u, v in terms for k in (u, v) if k < len(cells))
+        checks[last].append(terms)
+    results = {}
+
+    def assign(k):
+        if k == len(cells):
+            mats = {
+                b: tuple(
+                    tuple(values[index[(b, i, j)]] for j in range(rank))
+                    for i in range(rank)
+                )
+                for b in order
+            }
+            module = module_from_mats(ring, rank, mats)
+            if is_transitive(module) and classifier._passes(ring, module, names):
+                canon = canonical_module(module)
+                results.setdefault(canon.key(), canon)
+            return
+        for value in domains[k]:
+            values[k] = value
+            if all(sum(c * values[u] * values[v] for c, u, v in terms) == 0
+                   for terms in checks[k]):
+                assign(k + 1)
+
+    assign(0)
+    return tuple(sorted(results.values(), key=lambda m: m.key()))

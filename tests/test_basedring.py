@@ -1,3 +1,6 @@
+import itertools
+import math
+import re
 import time
 from fractions import Fraction
 
@@ -256,6 +259,63 @@ def test_verify_matches_plain_loops_when_only_products_off_the_identity_change(r
     assert verify(corrupted).violations == plain
 
 
+_INVOLUTION_RINGS = {
+    **{f"Q{n}": (lambda n=n: subquotient_qn(n)) for n in (3, 4, 5, 6)},
+    "ZD4": lambda: full_kl_ring(2),
+    "ZD6": lambda: full_kl_ring(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVOLUTION_RINGS))
+def test_verify_matches_plain_loops_under_every_basis_permutation_as_involution(name):
+    # the anti-involution is tried on e and the generators first: a
+    # permutation that moves e, or fails on one pair off them, must still
+    # be reported pair by pair
+    ring = _INVOLUTION_RINGS[name]()
+    failing = 0
+    for involution in itertools.permutations(range(ring.size)):
+        permuted = ring._replace(involution=involution)
+        plain = _plain_violations(permuted)
+        assert verify(permuted).violations == plain, involution
+        failing += bool(plain)
+    assert 0 < failing < math.factorial(ring.size)
+
+
+def test_an_involution_moving_e_is_reported_though_every_generator_pair_passes():
+    # the Ising ring, e, a, b with a*a = e + b, a*b = b*a = a, b*b = e, is
+    # generated by a; swapping e and b keeps phi(xa) = phi(a)phi(x) for
+    # every x, so only the pairs (x, e) show that the swap is no
+    # anti-involution
+    c = (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 1, 0), (1, 0, 1), (0, 1, 0)),
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    )
+    ring = BasedRing(("e", "a", "b"), c, 0, (2, 1, 0))
+    assert _generators(c, 0) == [1]
+    plain = _plain_violations(ring)
+    assert all(v.axiom == "anti-involution" and v.witness[1] != 1 for v in plain)
+    assert plain and verify(ring).violations == plain
+
+
+@pytest.mark.parametrize(
+    "value, shown", [(1.5, "1.5"), (None, "None"), ("1", "'1'"), (Fraction(3, 2), "Fraction(3, 2)")]
+)
+def test_verify_reports_a_constant_that_is_not_an_int(value, shown):
+    ring = BasedRing(("e", "x"), (((1, 0), (0, 1)), ((0, 1), (value, 0))), 0)
+    assert verify(ring).violations == (
+        RingViolation("shape", (1, 1, 0), f"coefficient {shown} is not an int"),
+    )
+
+
+def test_verify_reports_a_non_int_constant_after_the_negative_ones_before_it():
+    ring = BasedRing(("e", "x"), (((1, 0), (0, 1)), ((0, -1), (0.0, 0))), 0)
+    assert verify(ring).violations == (
+        RingViolation("positivity", (1, 0, 1), "coefficient -1 < 0"),
+        RingViolation("shape", (1, 1, 0), "coefficient 0.0 is not an int"),
+    )
+
+
 def _generator_labels(ring):
     return tuple(ring.labels[g] for g in _generators(ring.c, ring.identity))
 
@@ -457,6 +517,13 @@ def test_serialization_round_trip():
         assert back.involution == ring.involution
         # serialization is stable
         assert ring_to_text(back) == text
+
+
+@pytest.mark.parametrize("label", ["a b", "x#y", "", " x", "x\t"])
+def test_to_text_refuses_a_label_that_would_not_read_back(label):
+    ring = BasedRing(("e", label), (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+    with pytest.raises(RingFormatError, match=re.escape(f"label {label!r}")):
+        ring_to_text(ring)
 
 
 def test_serialized_form_lists_positive_quadruples():

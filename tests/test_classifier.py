@@ -34,6 +34,7 @@ from klcells.matrixmodule import (
     trivial_module,
 )
 
+import oracles
 from conftest import ZERO_FREE_RINGS
 
 I2 = ((2, 0), (0, 2))
@@ -857,6 +858,34 @@ def test_trace_pinned_search_equals_bruteforce_at_rank_three(profile):
     ]
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
     assert slow
+
+
+_RIGID = ("s-rigidity",)
+
+# every (ring, rank, bound, filters) that the tests above run the oracle on
+ORACLE_CASES = sorted(
+    {(f"Q{n}", sum(p), bound, _RIGID) for n, p, bound in ABOVE_CAP_CASES}
+    | {(name, 2, cap + 1, tuple(f)) for name, f, cap in UNPINNED_ABOVE_CAP_CASES}
+    | {(name, rank, 8, ()) for name in SMALL_RINGS for rank in (1, 2)}
+    | {(f"Q{n}", 2, 8, _RIGID) for n in (4, 5, 6)}
+    | {(name, 3, 3, ()) for name in SMALL_RINGS}
+    | {(name, 2, 2, ()) for name in ("Q3", "Q4", "Q5")}
+    | {(f"Q{n}", sum(p), 8, _RIGID) for n, p in SMALL_FAITHFUL_PROFILES}
+    | {("Q6", 3, 3, _RIGID)}
+)
+
+
+@pytest.mark.parametrize(
+    "name, rank, bound, filters",
+    ORACLE_CASES,
+    ids=[f"{n}-r{r}-b{b}{'-rigid' if f else ''}" for n, r, b, f in ORACLE_CASES],
+)
+def test_bruteforce_equals_the_every_value_loop(name, rank, bound, filters):
+    # the oracle tries only the value a linear equation solves for; the
+    # plain loop tries every value of every entry
+    ring = SMALL_RINGS[name]()
+    got = bruteforce_matrix_modules(ring, rank, bound, filters)
+    assert got == oracles.bruteforce_matrix_modules(ring, rank, bound, filters)
 
 
 # -- classification ----------------------------------------------------------------

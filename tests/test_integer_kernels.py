@@ -137,6 +137,15 @@ def test_ring_relations_equal_the_oracle_on_emitted_modules_and_perturbations(na
             assert satisfies_ring_relations(ring, changed) == want, changed
 
 
+@pytest.mark.parametrize("value", [2.0, 1.5, Fraction(2), None, "2"], ids=repr)
+def test_ring_relations_fail_on_an_entry_that_is_not_an_int(value):
+    # Q3 acts on rank one with s as 2: the same module with s as 2.0 or
+    # Fraction(2) is no integer module, and None or "2" no number at all
+    ring = subquotient_qn(3)
+    assert satisfies_ring_relations(ring, module_from_mats(ring, 1, {1: ((2,),)}))
+    assert not satisfies_ring_relations(ring, module_from_mats(ring, 1, {1: ((value,),)}))
+
+
 def _packed_case(c, mats):
     ring = BasedRing(tuple("exy"[: len(c)]), c)
     rank = len(mats[1])

@@ -2,7 +2,9 @@ import pytest
 
 from klcells import classifier
 from klcells import selfcheck
-from klcells.dihedral import DihedralGroup
+from klcells.dihedral import DihedralElement, DihedralGroup
+
+_MULTIPLY = DihedralGroup.multiply
 
 
 def test_suite_passes_at_small_exponent():
@@ -90,36 +92,109 @@ def test_a_check_that_exercised_no_case_fails():
     assert report.lines()[0] == "FAIL empty check (0 cases): no case was exercised"
 
 
-def test_dihedral_check_names_every_non_associative_triple(monkeypatch):
-    # a multiply that is wrong on one pair at n = 3: the check must name
-    # exactly the triples where the two bracketings differ, in order
-    multiply = DihedralGroup.multiply
-
-    def broken(self, u, v):
-        if self.n == 3 and u.length == v.length == 1 and u.start == v.start == "s":
-            return u
-        return multiply(self, u, v)
-
-    monkeypatch.setattr(DihedralGroup, "multiply", broken)
+def _associativity_reports(monkeypatch, multiply, max_n):
+    """The associativity failures check_dihedral_arithmetic(max_n) reports
+    under multiply, those a loop over all triples finds, and the check."""
+    monkeypatch.setattr(DihedralGroup, "multiply", multiply)
     reported = []
     result = selfcheck._result
     monkeypatch.setattr(
         selfcheck, "_result", lambda name, failures, cases: reported.extend(failures)
         or result(name, failures, cases)
     )
-    group = DihedralGroup(3)
-    els = group.elements()
-    expected = [
-        f"n=3: associativity fails at {(u, v, w)}"
-        for u in els
-        for v in els
-        for w in els
-        if group.multiply(group.multiply(u, v), w) != group.multiply(u, group.multiply(v, w))
-    ]
-    check = selfcheck.check_dihedral_arithmetic(3)
+    expected = []
+    for n in range(2, max_n + 1):
+        group = DihedralGroup(n)
+        els = group.elements()
+        expected += [
+            f"n={n}: associativity fails at {(u, v, w)}"
+            for u in els
+            for v in els
+            for w in els
+            if group.multiply(group.multiply(u, v), w) != group.multiply(u, group.multiply(v, w))
+        ]
+    check = selfcheck.check_dihedral_arithmetic(max_n)
+    assert check.cases == sum((2 * n) ** 3 + 2 * n for n in range(2, max_n + 1))
+    return [f for f in reported if "associativity" in f], expected, check
+
+
+def test_dihedral_check_names_every_non_associative_triple(monkeypatch):
+    # a multiply that is wrong on one pair at n = 3: the check must name
+    # exactly the triples where the two bracketings differ, in order
+    def broken(self, u, v):
+        if self.n == 3 and u.length == v.length == 1 and u.start == v.start == "s":
+            return u
+        return _MULTIPLY(self, u, v)
+
+    reported, expected, check = _associativity_reports(monkeypatch, broken, 3)
     assert expected and not check.ok
-    assert check.cases == sum((2 * n) ** 3 + 2 * n for n in (2, 3))
-    assert [f for f in reported if "associativity" in f] == expected
+    assert reported == expected
+
+
+def _st_squared_is_st(self, u, v):
+    # wrong only on st*st at n = 4, where it is w0
+    st = DihedralElement("s", 2)
+    if self.n == 4 and u == v == st:
+        return st
+    return _MULTIPLY(self, u, v)
+
+
+_T_T_AND_TS_ST = {
+    (DihedralElement("t", 1), DihedralElement("t", 1)),
+    (DihedralElement("t", 2), DihedralElement("s", 2)),
+}
+
+
+def _t_off_the_nucleus(self, u, v):
+    # t*t and ts*st are w0 instead of e at n = 4; the two changes match up
+    # under s, so (u*s)*w = u*(s*w) still holds for every u and w, and only
+    # pairs through t differ
+    if self.n == 4 and (u, v) in _T_T_AND_TS_ST:
+        return self.element("w0")
+    return _MULTIPLY(self, u, v)
+
+
+def _generators_absorb(self, u, v):
+    # s and t are left zeros, and right zeros for the other elements: then
+    # (u*g)*w = u*(g*w) for g in {s, t}, but right multiplication by s and
+    # t walks from s and t nowhere else, so only the walk sees that the
+    # other triples must be compared
+    if u.length == 1:
+        return u
+    if v.length == 1:
+        return v
+    return _MULTIPLY(self, u, v)
+
+
+@pytest.mark.parametrize(
+    "multiply",
+    [_st_squared_is_st, _t_off_the_nucleus, _generators_absorb],
+    ids=["st-st", "t-only", "absorbing"],
+)
+def test_dihedral_check_names_what_the_all_triples_loop_names(monkeypatch, multiply):
+    reported, expected, check = _associativity_reports(monkeypatch, multiply, 5)
+    assert expected and not check.ok
+    assert reported == expected
+
+
+@pytest.mark.parametrize(
+    "multiply, proven",
+    [
+        (_MULTIPLY, True),
+        (_st_squared_is_st, False),
+        (_t_off_the_nucleus, False),
+        (_generators_absorb, False),
+    ],
+    ids=["true", "st-st", "t-only", "absorbing"],
+)
+def test_generators_prove_associativity_only_for_the_true_product(monkeypatch, multiply, proven):
+    # st-st and t-only: s and t reach every element, and a pair (u, g, w)
+    # differs; absorbing: every such pair agrees, and the walk falls short
+    monkeypatch.setattr(DihedralGroup, "multiply", multiply)
+    group = DihedralGroup(4)
+    els = group.elements()
+    rows = {v: [group.multiply(v, w) for w in els] for v in els}
+    assert selfcheck._associative_on_generators(group, els, rows) is proven
 
 
 @pytest.mark.parametrize(
