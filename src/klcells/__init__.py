@@ -11,7 +11,6 @@ from .basedring import (
     RingError,
     RingFormatError,
     RingReport,
-    TruncationError,
     full_kl_ring,
     rigid_generator,
     ring_from_text,
@@ -92,7 +91,6 @@ __all__ = [
     "RingError",
     "RingFormatError",
     "RingReport",
-    "TruncationError",
     "full_kl_ring",
     "rigid_generator",
     "ring_from_text",

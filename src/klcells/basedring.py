@@ -17,7 +17,7 @@ matrixmodule.satisfies_ring_relations on each module the search keeps.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, lshift, mul
+from operator import lshift, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import klring
@@ -26,11 +26,9 @@ from .dihedral import DihedralGroup
 __all__ = [
     "BasedRing",
     "RingError",
-    "TruncationError",
     "RingFormatError",
     "RingViolation",
     "RingReport",
-    "restrict_constants",
     "full_kl_ring",
     "subquotient_qn",
     "verify",
@@ -43,10 +41,6 @@ __all__ = [
 
 class RingError(ValueError):
     """A based-ring axiom failed."""
-
-
-class TruncationError(RingError):
-    """A product left the expected span before truncation."""
 
 
 class RingFormatError(ValueError):
@@ -259,7 +253,10 @@ def _relation_mismatches(
     rank = len(columns[0]) if columns else 0
     top = max((abs(v) for cols in columns for col in cols for v in col), default=0)
     column_sum = max((sum(map(abs, col)) for cols in columns for col in cols), default=0)
-    spread = max((sum(map(abs, row)) for plane in c for row in plane), default=0)
+    if columns is c:  # the left regular module: its columns are the rows of c
+        spread = column_sum
+    else:
+        spread = max((sum(map(abs, row)) for plane in c for row in plane), default=0)
     width = (top * max(column_sum, spread)).bit_length() + 1
     at_i = [width * i for i in range(rank)]
     at_j = [width * rank * j for j in range(rank)]
@@ -320,51 +317,6 @@ def _checked(ring: BasedRing) -> BasedRing:
     return ring
 
 
-def restrict_constants(
-    constants: klring.KLStructureConstants,
-    keep: Sequence[int],
-    deletable: Sequence[int] = (),
-    name: str = "",
-) -> BasedRing:
-    """Restrict a structure-constant table to a span, deleting coefficients at
-    the deletable indices; raises if any product leaves span + deletable.
-
-    Each kept row is read in C: one itemgetter projects it onto the span,
-    and one any() over the entries at the positions outside span +
-    deletable tests it, which is the per-entry test a != 0 at those
-    positions.  Labels are spelled out only for a row that fails.
-    """
-    allowed = set(keep) | set(deletable)
-    outside = _picker([z for z in range(len(constants.labels)) if z not in allowed])
-    project = _picker(keep)
-    labels = tuple(constants.labels[i] for i in keep)
-    table = []
-    for i in keep:
-        row = []
-        for j in keep:
-            full = constants.c[i][j]
-            if any(outside(full)):
-                names = [
-                    constants.labels[z] for z, a in enumerate(full) if a != 0 and z not in allowed
-                ]
-                raise TruncationError(
-                    f"product {constants.labels[i]}*{constants.labels[j]} has "
-                    f"support outside the span: {names}"
-                )
-            row.append(project(full))
-        table.append(tuple(row))
-    return _checked(BasedRing(labels, tuple(table), keep.index(0) if 0 in keep else 0, name=name))
-
-
-def _picker(indices: Sequence[int]):
-    """A callable taking a row to the tuple of its entries at indices:
-    itemgetter, except that itemgetter of one index returns a bare entry."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    return itemgetter(*indices) if indices else lambda row: ()
-
-
 def full_kl_ring(n: int) -> BasedRing:
     """The KL ring ZD_2n as a based ring whose involution is inversion.
 
@@ -388,22 +340,35 @@ def full_kl_ring(n: int) -> BasedRing:
 
 @lru_cache(maxsize=None)
 def subquotient_qn(n: int) -> BasedRing:
-    """The based ring Q_n on {e} + {alternating s...s words of odd length < n}.
+    """The based ring Q_n on e and the words s_l = sts...s of odd length l < n.
 
-    Structure constants are the KL constants of ZD_2n restricted to that span,
-    with the w0 coefficient deleted.  Any product whose support leaves
-    span + {w0} would contradict the cell-theoretic closure and raises.
+    Q_n is the span of e and the s-H-cell of ZD_2n with the kl(w0)
+    coefficient deleted, and rule (S), proved in klring.structure_constants,
+    writes it down: s_i ends in s and s_j starts with s, so kl(s_i)kl(s_j) =
+    2 sum_{l in B(i, j)} kl(s_l) + c kl(w0), every l odd and below n.  With
+    s_l at index (l + 1) // 2 and i <= j, that row is 2 at the count =
+    (min(i + j, 2n - i - j) - (j - i)) // 2 indices from (j - i + 2) // 2 on:
+    one slice of a zero-padded template per count, shared with (j, i).
     """
     if n < 3:
         raise ValueError(f"subquotient ring needs n >= 3, got {n}")
-    constants = klring.structure_constants(n)
-    keep = [0] + [
-        i
-        for i, el in enumerate(constants.elements)
-        if el.start == "s" and el.length % 2 == 1 and el.length < n
-    ]
-    w0 = len(constants.elements) - 1
-    return restrict_constants(constants, keep, deletable=[w0], name=f"Q{n}")
+    size = n // 2 + 1
+    zero = (0,) * size
+    one = zero + (1,) + zero
+    unit = tuple(one[size - z : 2 * size - z] for z in range(size))
+    templates = {}
+    odd = range(1, n, 2)
+    rows = {}
+    for i in odd:
+        for j in range(i, n, 2):
+            count = (min(i + j, 2 * n - i - j) - (j - i)) // 2
+            if count not in templates:
+                templates[count] = zero + (2,) * count + zero
+            start = (j - i + 2) // 2
+            rows[i, j] = rows[j, i] = templates[count][size - start : 2 * size - start]
+    table = (unit, *((unit[(i + 1) // 2], *(rows[i, j] for j in odd)) for i in odd))
+    labels = ("e", *(("st" * n)[:l] for l in odd))
+    return _checked(BasedRing(labels, table, name=f"Q{n}"))
 
 
 def rigid_generator(ring: BasedRing) -> int | None:

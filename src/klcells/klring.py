@@ -95,7 +95,8 @@ def structure_constants(n: int) -> KLStructureConstants:
     B(i, j - 1) and B(i, j + 1) start at L - 1 and L + 1 in some order, or
     both at L + 1 = 2 when i = j, where 0 is dropped; they end at U - 1 and
     U + 1 in some order, or both at U - 1 when i + j = n, where U + 1 = n.
-    So subtracting B(i, j - 1) leaves B(i, j + 1).
+    So subtracting B(i, j - 1) leaves B(i, j + 1).  (S) on the words s_l of
+    odd length, with kl(w0) deleted, is the table of Q_n (subquotient_qn).
 
     (O).  m does not start b_j, so kl(m)kl(b_j) = kl(m_{j+1}) +
     kl(m_{j-1}), the second term only for j >= 2, and kl(x)kl(m) =

@@ -106,13 +106,14 @@ def satisfies_ring_relations(ring: BasedRing, module: MatrixModule) -> bool:
 
 
 def is_transitive(module: MatrixModule) -> bool:
-    """Every position (i, j) is hit by a strictly positive entry of some M_b."""
+    """Rank at least 1 and every position (i, j) hit by a strictly positive
+    entry of some M_b."""
     rank = module.rank
     for i in range(rank):
         for j in range(rank):
             if not any(mat[i][j] > 0 for mat in module.mats):
                 return False
-    return True
+    return rank > 0
 
 
 def canonical_module(module: MatrixModule) -> MatrixModule:

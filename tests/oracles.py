@@ -3,11 +3,13 @@
 Each is the straightforward version: matrix products as nested sums, traces
 and trace decompositions as FieldElement sums, characters checked by
 FieldElement products, kl(g)kl(w) read off the group's left descents and
-products, and the naive module enumerator trying every value of every
-entry.  The tests compare the library with them value by value.
+products, the KL table restricted to a span entry by entry, and the naive
+module enumerator trying every value of every entry.  The tests compare the
+library with them value by value.
 """
 
-from klcells import classifier
+from klcells import classifier, klring
+from klcells.basedring import BasedRing
 from klcells.dihedral import DihedralElement, DihedralGroup
 from klcells.matrixmodule import (
     canonical_module,
@@ -104,6 +106,37 @@ def left_terms(group: DihedralGroup, g: str, w: DihedralElement, index):
     if w.length >= 2:
         terms += ((index[group.multiply(group.element(w.start), w)], 1),)
     return terms
+
+
+def restricted_kl_ring(n, span, name):
+    """The KL table of ZD_2n on the basis elements labelled span (e first),
+    the kl(w0) coefficient deleted; asserts that every product of the span
+    has support in span + {w0}.  Reads the uncached table, so a sweep over n
+    holds one table at a time."""
+    constants = klring.structure_constants.__wrapped__(n)
+    keep = [constants.index(label) for label in span]
+    allowed = {*keep, len(constants.labels) - 1}
+    table = []
+    for x in keep:
+        plane = []
+        for y in keep:
+            row = constants.c[x][y]
+            outside = [constants.labels[z] for z, a in enumerate(row) if a and z not in allowed]
+            assert not outside, f"{constants.labels[x]}*{constants.labels[y]} reaches {outside}"
+            plane.append(tuple(row[z] for z in keep))
+        table.append(tuple(plane))
+    return BasedRing(tuple(span), tuple(table), name=name)
+
+
+def subquotient_by_restriction(n):
+    """Q_n as ZD_2n restricted to e and the s-words of odd length below n."""
+    group = DihedralGroup(n)
+    span = ["e"] + [
+        group.label(el)
+        for el in group.elements()
+        if el.start == "s" and el.length % 2 == 1 and el.length < n
+    ]
+    return restricted_kl_ring(n, span, f"Q{n}")
 
 
 def bruteforce_matrix_modules(ring, rank, bound, filters=()):

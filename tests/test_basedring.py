@@ -4,16 +4,17 @@ import re
 import time
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klcells import klring
 from klcells.basedring import (
     BasedRing,
     RingError,
     RingFormatError,
     RingViolation,
-    TruncationError,
     full_kl_ring,
     ring_from_text,
     ring_products,
@@ -439,66 +440,19 @@ def test_cells_of_subquotients():
     assert compute_cells(q3.labels, q3.c, q3.identity).two_sided == (("e",), ("s",))
 
 
-def test_truncation_guard_raises_on_bad_span():
-    # the span {e, sts} is not closed even modulo w0: sts*sts reaches s
-    from klcells.basedring import restrict_constants
-    from klcells.klring import structure_constants
-
-    full = structure_constants(5)
-    w0 = len(full.labels) - 1
-    with pytest.raises(TruncationError):
-        restrict_constants(full, [0, full.index("sts")], deletable=[w0])
+def test_subquotient_ring_equals_the_kl_table_restricted_to_its_span():
+    # rule (S) against a plain restriction of ZD_2n, which also asserts that
+    # every product of the span stays inside it plus w0
+    for n in range(3, 65):
+        assert subquotient_qn(n) == oracles.subquotient_by_restriction(n)
 
 
-@pytest.mark.parametrize(
-    "keep, deletable, message",
-    [
-        (["e", "sts"], ["w0"], "product sts*sts has support outside the span: ['s']"),
-        (["e", "sts"], [], "product sts*sts has support outside the span: ['s', 'w0']"),
-        (["e", "st"], ["w0"], "product st*st has support outside the span: ['stst']"),
-    ],
-)
-def test_truncation_error_names_the_first_failing_product_and_its_labels(
-    keep, deletable, message
-):
-    from klcells.basedring import restrict_constants
-    from klcells.klring import structure_constants
+def test_subquotient_ring_never_reads_the_kl_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"structure_constants({n}) was called")
 
-    full = structure_constants(5)
-    with pytest.raises(TruncationError) as error:
-        restrict_constants(full, [full.index(x) for x in keep], [full.index(x) for x in deletable])
-    assert str(error.value) == message
-
-
-def test_restriction_to_one_element_or_to_a_closed_span_projects_the_rows():
-    from klcells.basedring import restrict_constants
-    from klcells.klring import KLStructureConstants, structure_constants
-
-    # a one-element span keeps one entry per product: here the identity
-    table = KLStructureConstants(1, ("a", "e"), (), (((1, 0), (0, 1)), ((0, 1), (0, 1))))
-    assert restrict_constants(table, [1]).c == (((1,),),)
-    full = structure_constants(4)
-    # nothing outside span + deletable: Q4 again, with no position to test
-    keep = [full.index(x) for x in subquotient_qn(4).labels]
-    rest = [z for z in range(len(full.labels)) if z not in keep]
-    assert restrict_constants(full, keep, rest).c == subquotient_qn(4).c
-
-
-def test_truncation_soundness_for_the_real_spans():
-    # every product of two non-identity basis elements of Q_n stays inside
-    # the span plus w0 before truncation
-    from klcells.basedring import restrict_constants
-    from klcells.klring import structure_constants
-
-    for n in range(3, 9):
-        full = structure_constants(n)
-        keep = [0] + [
-            i
-            for i, el in enumerate(full.elements)
-            if el.start == "s" and el.length % 2 == 1 and el.length < n
-        ]
-        ring = restrict_constants(full, keep, deletable=[len(full.labels) - 1])
-        assert verify(ring).ok
+    monkeypatch.setattr(klring, "structure_constants", refuse)
+    assert subquotient_qn.__wrapped__(7) == subquotient_qn(7)
 
 
 def test_subquotient_rejects_small_n():

@@ -6,7 +6,12 @@ import time
 import pytest
 
 from klcells.basedring import ring_from_text, ring_to_text, subquotient_qn
-from klcells.characters import character_table, decompose, special_character
+from klcells.characters import (
+    DecompositionError,
+    character_table,
+    decompose,
+    special_character,
+)
 from klcells.classifier import (
     ANNOTATIONS,
     EXPECTED_CANDIDATES,
@@ -1270,3 +1275,11 @@ def test_zero_module_is_transitive_rank_one_only():
         (((1, 0), (0, 1)), ((0, 0), (0, 0)), ((0, 0), (0, 0))),
     )
     assert not is_transitive(rank2_zero)
+
+
+def test_a_rank_zero_module_is_not_transitive():
+    # no position to hit: decompose refuses the same module as malformed
+    empty = MatrixModule(("e", "s"), 0, 0, ((), ()))
+    assert not is_transitive(empty)
+    with pytest.raises(DecompositionError):
+        decompose(character_table(subquotient_qn(3)), empty)

@@ -17,7 +17,6 @@ from klcells import klring
 from klcells.basedring import (
     BasedRing,
     full_kl_ring,
-    restrict_constants,
     ring_from_text,
     ring_to_text,
     subquotient_qn,
@@ -48,8 +47,7 @@ def _a4():
     """The paper's A_4: the span of e and s in the rank-4 dihedral KL ring,
     closed without truncation.  Its table is Q3's, reached by restriction
     rather than by the subquotient construction."""
-    constants = klring.structure_constants(4)
-    return restrict_constants(constants, [0, constants.index("s")], name="A4")
+    return oracles.restricted_kl_ring(4, ["e", "s"], "A4")
 
 
 FIBONACCI = "labels e t\nidentity e\nc e e e 1\nc e t t 1\nc t e t 1\nc t t e 1\nc t t t 1\n"

@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "SearchOutcome",
     "SpecialCharacterError",
     "SuiteReport",
-    "TruncationError",
     "__version__",
     "bruteforce_matrix_modules",
     "bundled_ring",
