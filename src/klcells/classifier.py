@@ -650,12 +650,14 @@ class _Search:
         self.solutions.append(module_from_mats(self.ring, rank, mats))
 
 
-def _check_range(rank: int | None, bound: int | None) -> None:
-    """Refuse a rank below 1 and a negative bound; None passes."""
-    if rank is not None and rank < 1:
-        raise ClassifierError(f"rank must be at least 1, got {rank}")
-    if bound is not None and bound < 0:
-        raise ClassifierError(f"bound must be at least 0, got {bound}")
+def _check_range(rank: int | None, bound: int | None, max_rank: int | None = None) -> None:
+    """Refuse a rank or max_rank below 1, a negative bound, and any of them
+    that is not an int (bool included); None passes."""
+    for name, value, least in (("rank", rank, 1), ("bound", bound, 0), ("max rank", max_rank, 1)):
+        if value is not None and type(value) is not int:
+            raise ClassifierError(f"{name} must be an int, got {value!r}")
+        if value is not None and value < least:
+            raise ClassifierError(f"{name} must be at least {least}, got {value}")
 
 
 def solve_matrix_modules(
@@ -675,13 +677,15 @@ def solve_matrix_modules(
     proven cap (_perron_limits), and by bound too when bound is given.  A
     ring without an exact character table has no caps and needs a bound.
     The outcome records whether any consistent branch pressed against a
-    limit that is not a proven cap.  A rank below 1 or a negative bound
-    raises ClassifierError.
+    limit that is not a proven cap.  A rank below 1, a negative bound, and
+    a rank, bound or trace that is not an int raise ClassifierError.
     """
     _check_range(rank, bound)
     unknown = sorted(set(traces or ()) - set(ring.labels))
     if unknown:
         raise ClassifierError(f"traces name no basis element of the ring: {unknown}")
+    if any(type(t) is not int for t in (traces or {}).values()):
+        raise ClassifierError(f"traces must be ints, got {dict(traces)}")
     names = _resolve_filters(filters)
     rigid_constrained = None
     if "s-rigidity" in names:
@@ -923,10 +927,10 @@ def bundled_ring(name: str) -> BasedRing:
     """The ring Q_n named "Q<n>", n >= 3, spelled as the constructor names
     it: n in plain decimal with no sign, leading zero, underscore or space
     ("Q05", "Q+5", "Q5_0", " Q5" and "q5" are refused).  Any other name
-    raises ClassifierError."""
+    raises ClassifierError, as does a name that is not a str."""
     try:
         n = int(name[1:])
-    except ValueError:
+    except (TypeError, ValueError):  # not a string, or no decimal after its first letter
         n = 0
     if n < 3 or f"Q{n}" != name:
         raise ClassifierError(f"unknown ring name {name!r}; named rings are Q<n>, n >= 3")
@@ -994,20 +998,19 @@ def classify(
     ring: the zero module and the ideal module are realized-cell by rule
     (see the module docstring), the others take the bundled status data.
     The ideal module has rank size - 1, and its canonical form is built only
-    when some candidate has that rank.  Without
-    s-rigidity the searches are raw per-rank runs without trace pinning,
-    which surfaces any extra algebraic solutions; a rank override forces a
-    single raw search, at most max_rank.  Profiles are screened up to the
+    when some candidate has that rank.  Without s-rigidity the searches are
+    raw, untraced, and only at the ranks of the faithful profiles below the
+    s-rigid rank cap: Q4 searches ranks 1-2 and Q5 rank 2, though Q4 has 2
+    and 1 raw modules at ranks 3 and 4, Q5 4 and 1.  A rank override forces
+    a single raw search, at most max_rank.  Profiles are screened up to the
     rank cap, or up to max_rank when that is lower.  The regression check
     against the bundled candidates applies to a complete run under
     s-rigidity alone.  A ring without a full character table
     (non-commutative, not split semisimple, or neither a Q_n nor quadratic)
     raises ClassifierError, as do a rank or max_rank below 1, a rank above
-    max_rank and a negative bound.
+    max_rank, a negative bound and any of the three that is not an int.
     """
-    _check_range(rank, bound)
-    if max_rank is not None and max_rank < 1:
-        raise ClassifierError(f"max rank must be at least 1, got {max_rank}")
+    _check_range(rank, bound, max_rank)
     if rank is not None and max_rank is not None and rank > max_rank:
         raise ClassifierError(f"rank {rank} exceeds max_rank {max_rank}")
     # dedupe, preserving order; transitivity is always applied and listed first

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: ring, cells, characters, classify, verify.  Text output follows
-the row/column layout of the reference tables; structured output is JSON with
-sorted keys and canonically ordered lists, byte-identical across runs.
+the row/column layout of the reference tables; structured output is
+json.dumps with sorted keys and a two-space indent over canonically ordered
+lists, byte-identical across runs.
 Exit codes: 0 success, 1 invariant or regression failure, 2 usage error.
 """
 
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 from typing import Sequence
 
 from . import __version__
@@ -49,44 +49,8 @@ def _meta(command: str, **extra) -> dict:
     return meta
 
 
-_SCALARS = {str, int, float, bool, type(None)}  # exact types, each written without brackets
-
-
-def _is_table(value: object) -> bool:
-    """A non-empty list of non-empty lists of JSON scalars."""
-    if not isinstance(value, (list, tuple)) or not value or not all(value):
-        return False
-    return set(map(type, value)) <= {list, tuple} and set(map(type, chain(*value))) <= _SCALARS
-
-
-def _dumps(value: object, indent: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False), nested
-    `indent` deep.  An indent makes json use its pure-Python encoder, one
-    step per value.  Here a table is one call of the C encoder, with the
-    separator of the lines of a row; as json escapes newlines in strings,
-    and a scalar does not end in "]", a "]" followed by it ends a row."""
-    deeper = indent + "  "
-    inner, end = "\n" + deeper, "\n" + indent + "]"
-    if _is_table(value):
-        row = inner + "  "
-        text = json.dumps(value, ensure_ascii=False, separators=("," + row, ": "))[2:-2]
-        text = text.replace(f"],{row}[", f"{inner}],{inner}[{row}")
-        return f"[{inner}[{row}{text}{inner}]{end}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join(_dumps(v, deeper) for v in value) + end
-    if isinstance(value, dict) and value and all(type(k) is str for k in value):
-        items = (
-            f"{json.dumps(k, ensure_ascii=False)}: {_dumps(v, deeper)}"
-            for k, v in sorted(value.items())
-        )
-        return "{" + inner + ("," + inner).join(items) + "\n" + indent + "}"
-    # scalars, empty lists and dicts, and dicts with keys other than str
-    dumped = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
-    return dumped.replace("\n", "\n" + indent)
-
-
 def _emit_json(payload: dict) -> None:
-    print(_dumps(payload))
+    print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
 
 
 # -- shared renderers -----------------------------------------------------------

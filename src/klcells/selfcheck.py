@@ -466,9 +466,11 @@ def check_classification_regression() -> CheckResult:
 def run_suite(max_n: int = 8) -> SuiteReport:
     """Run every verification suite up to the given exponent.
 
-    Raises ValueError below SMALLEST_MAX_N, where some per-n check would
-    exercise no case and pass vacuously.
+    Raises ValueError for a max_n that is not an int or is below
+    SMALLEST_MAX_N, where some per-n check would exercise no case.
     """
+    if type(max_n) is not int:
+        raise ValueError(f"max_n must be an int, got {max_n!r}")
     if max_n < SMALLEST_MAX_N:
         raise ValueError(f"max_n must be at least {SMALLEST_MAX_N}, got {max_n}")
     # the raw rank-2 Q5 solutions under s-rigidity, read by two checks

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,7 @@ from klcells.matrixmodule import (
     satisfies_ring_relations,
     trivial_module,
 )
+from klcells.selfcheck import run_suite
 
 import oracles
 from conftest import ZERO_FREE_RINGS
@@ -1262,6 +1264,45 @@ def test_out_of_range_arguments_raise(call, refused, accepted):
 def test_solve_rejects_traces_of_unknown_labels():
     with pytest.raises(ClassifierError, match="bogus"):
         solve_matrix_modules(subquotient_qn(4), 2, ["s-rigidity"], traces={"bogus": 2})
+
+
+@pytest.mark.parametrize(
+    "trace", [4.0, 4.5, "4", Fraction(5, 2), True],
+    ids=["float", "half", "str", "fraction", "bool"],
+)
+def test_solve_rejects_a_trace_that_is_not_an_int(trace):
+    # a float trace used to raise TypeError mid-search or decide the result
+    with pytest.raises(ClassifierError, match="traces must be ints"):
+        solve_matrix_modules(subquotient_qn(5), 2, ["s-rigidity"], traces={"s": trace, "sts": 2})
+
+
+# each call with an argument of the wrong type, and the message it must raise
+_MISTYPED_CALLS = {
+    "classify-rank-float": (lambda: classify("Q5", rank=2.0), "rank must be an int"),
+    "classify-rank-bool": (lambda: classify("Q5", rank=True), "rank must be an int"),
+    "solve-rank-str": (
+        lambda: solve_matrix_modules(subquotient_qn(5), "2"), "rank must be an int"
+    ),
+    "solve-bound-float": (
+        lambda: solve_matrix_modules(subquotient_qn(5), 2, bound=2.5), "bound must be an int"
+    ),
+    "classify-max-rank-float": (
+        lambda: classify("Q5", max_rank=2.5), "max rank must be an int"
+    ),
+    "classify-int-ring": (lambda: classify(5), "unknown ring name"),
+    "classify-none-ring": (lambda: classify(None), "unknown ring name"),
+    "classify-tuple-ring": (lambda: classify(("Q5",)), "unknown ring name"),
+    # run_suite raises ValueError, as it does for an int below 3
+    "run-suite-float": (lambda: run_suite(max_n=3.5), "max_n must be an int"),
+    "run-suite-str": (lambda: run_suite(max_n="8"), "max_n must be an int"),
+}
+
+
+@pytest.mark.parametrize("call, message", _MISTYPED_CALLS.values(), ids=list(_MISTYPED_CALLS))
+def test_mistyped_arguments_raise_the_library_error(call, message):
+    error = ValueError if message.startswith("max_n") else ClassifierError
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_zero_module_is_transitive_rank_one_only():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from klcells import characters, classifier, cli
+from klcells import characters, classifier
 from klcells.basedring import ring_from_text
 from klcells.cli import _build_parser, main
 from klcells.matrixmodule import canonical_module, module_from_mats
@@ -453,46 +453,6 @@ def test_structured_output_is_byte_identical_across_runs(capsys):
         _, first, _ = run_cli(capsys, *command)
         _, second, _ = run_cli(capsys, *command)
         assert first == second
-
-
-def _assert_writes_indented_json(value):
-    # line by line, so that a failure names the first differing line cheaply
-    want = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
-    assert cli._dumps(value).split("\n") == want.split("\n")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ring", "--n", "8", "--full-kl"],
-        ["cells", "--n", "16"],
-        ["classify", "--n", "5"],
-        ["characters", "--n", "12"],
-        ["verify", "--max-n", "4"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_structured_writer_matches_indented_json_dumps(argv, capsys, monkeypatch):
-    payloads = []
-    monkeypatch.setattr(cli, "_emit_json", payloads.append)
-    main([*argv, "--format", "structured"])
-    assert len(payloads) == 1
-    _assert_writes_indented_json(payloads[0])
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [1]], [[1], []], [[[]]], {"a": [[], {}]},
-        ["√5", "λ", "1-√5"], {"√": "λ", "b": ["λ²", 1]}, ['"]', "[,\n", "a\n]", "\u0000"],
-        [True, False, None], [1, True], [[1, True]], [[None, 2]], {"t": True, "n": None},
-        [1.5, -0.0, 2], [[1, "s"], ["sts", -3]], [["]", "["], ["],", 1]], [(1, 2), (3,)], ((1, "e"),), [[1, 2], 3],
-        {"b": 1, "a": [[["x", 2]]], "c": {"z": [1], "y": []}}, {2: "x", 10: "y"},
-        "√", 7, None, True, 0.25, [[[1, 2], [3]], [[4]]],
-    ],
-)
-def test_structured_writer_matches_indented_json_dumps_on_edge_cases(value):
-    _assert_writes_indented_json(value)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -124,6 +124,17 @@ _PINS = [
     # the full KL table at n = 64 needs 32-bit digits
     (("ring", "--n", "64", "--full-kl", "--format", "structured"), "ring",
      "ece9bf5fbe20ea9fadc0c0702680b128fe80ebf57defaaff3e31858667c59e9f", None),
+    # structured output as printed: layout, key order and escaping included
+    (("ring", "--n", "8", "--full-kl", "--format", "structured"), "text",
+     "6ad7a5e63223896a7e6e8f5144fea8c6097913ebd8b5d42d638f35a42b153ae6", None),
+    (("cells", "--n", "16", "--format", "structured"), "text",
+     "3aef0a189d6658532d25fc000cd1e2a67be66e6887671a119f23b7227f5f2103", None),
+    (_classify("--n", "5"), "text",
+     "4c5a4f036816630bf7ab4becc7b7fe90198c44c0a58a718633a3621b3f8b13c6", None),
+    (_characters(12), "text",
+     "e8b99d0bbcf058847546d885bc105a820b7d550065e7b6cda64e00537f7e20ca", None),
+    (("verify", "--max-n", "4", "--format", "structured"), "text",
+     "5a9d19fdba6b81ba33b4ceeb1757772e8f36d0b5e575ce93cacb6bc5807e9735", None),
 ]
 
 
