@@ -59,7 +59,7 @@ import math
 from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .basedring import BasedRing, rigid_generator, subquotient_qn
 from .characters import (
@@ -122,49 +122,18 @@ def _rigidity_holds(ring: BasedRing, module: MatrixModule) -> bool:
     return True
 
 
-def _is_faithful(ring: BasedRing, module: MatrixModule) -> bool:
-    zero = tuple((0,) * module.rank for _ in range(module.rank))
-    return any(
-        module.mats[b] != zero for b in range(ring.size) if b != ring.identity
-    )
-
-
-def _special_mult_one(ring: BasedRing, module: MatrixModule) -> bool:
-    table = character_table(ring)
-    try:
-        mults = decompose(table, module)
-    except DecompositionError:
-        return False
-    return mults[special_character(table)] == 1
-
-
-# name -> (description, the check every candidate must pass).  Transitivity
-# has no check here: every search tests it anyway.  s-rigidity also confines
-# the search domain of the doubling generator's matrix.
-_FILTERS: dict[str, tuple[str, Callable[[BasedRing, MatrixModule], bool] | None]] = {
-    "transitive": (
-        "every matrix position is hit by a positive entry (always applied)",
-        None,
-    ),
-    "s-rigidity": (
-        "the doubling generator acts diagonally with entries 0 or 2",
-        _rigidity_holds,
-    ),
-    "faithful": (
-        "some non-identity basis element acts by a non-zero matrix",
-        _is_faithful,
-    ),
-    "special-mult-one": (
-        "the trace decomposition exists and gives the special character "
-        "multiplicity one",
-        _special_mult_one,
-    ),
+# name -> description.  Transitivity has no check of its own: every search
+# tests it anyway.  s-rigidity also confines the search domain of the
+# doubling generator's matrix.
+_FILTERS = {
+    "transitive": "every matrix position is hit by a positive entry (always applied)",
+    "s-rigidity": "the doubling generator acts diagonally with entries 0 or 2",
 }
 
 
 def named_filters() -> dict[str, str]:
     """The available candidate filters, name -> description."""
-    return {name: description for name, (description, _) in _FILTERS.items()}
+    return dict(_FILTERS)
 
 
 def _resolve_filters(filters: Iterable[str]) -> list[str]:
@@ -182,9 +151,9 @@ def _resolve_filters(filters: Iterable[str]) -> list[str]:
 
 
 def _passes(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool:
-    """Whether module passes the check of every named filter."""
-    checks = (_FILTERS[name][1] for name in names)
-    return all(check(ring, module) for check in checks if check is not None)
+    """Whether module passes the check of every named filter: only
+    s-rigidity has one."""
+    return "s-rigidity" not in names or _rigidity_holds(ring, module)
 
 
 def _admitted(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool:
@@ -779,9 +748,11 @@ def bruteforce_matrix_modules(
     enumeration is complete up to the bound.  Leaves are tested for
     transitivity and the filters' checks and deduped by canonical form.
     Intended for small ranks and bounds as an independent cross-check of
-    the pruned search.
+    the pruned search.  With no caps of its own, it refuses a bound of None.
     """
     _check_range(rank, bound)
+    if bound is None:
+        raise ClassifierError("the naive enumerator has no caps; it needs an explicit bound")
     names = _resolve_filters(filters)
     rigid = None
     if "s-rigidity" in names:
@@ -971,7 +942,7 @@ class ClassificationReport(NamedTuple):
     bound_exhausted: bool
     candidates: tuple[Candidate, ...]
     matches_expected: bool | None
-    complete: bool  # every faithful profile searched under its proven caps alone
+    complete: bool  # every screened profile up to the rank cap searched under its proven caps alone
 
     @property
     def realized(self) -> tuple[Candidate, ...]:
@@ -990,25 +961,24 @@ def classify(
 
     ring is a name bundled_ring accepts or a BasedRing, reported as "custom"
     and left unannotated.  filters name filters from named_filters();
-    transitivity is always applied.  Default pipeline: screen faithful rank
-    profiles, search each profile with its exact trace budget under
-    s-rigidity, prepend the rank-one zero module (the one transitive
-    non-faithful candidate) only when it is a module and passes the filters,
-    as every searched module must, and annotate every candidate of a named
+    transitivity is always applied.  Every run takes the same three steps.
+    It screens the rank profiles up to the rank cap, or up to max_rank when
+    that is lower: the faithful profiles under s-rigidity, every profile
+    with non-negative traces without it (raw), each screen to its own
+    Perron cap.  It searches each profile, or with rank only those of that
+    rank, with its exact trace budget.  It then prepends the rank-one zero
+    module (the one transitive non-faithful candidate, which the s-rigid
+    screen leaves out) only when it is a module and passes the filters, as
+    every searched module must, and annotates every candidate of a named
     ring: the zero module and the ideal module are realized-cell by rule
     (see the module docstring), the others take the bundled status data.
     The ideal module has rank size - 1, and its canonical form is built only
-    when some candidate has that rank.  Without s-rigidity the searches are
-    raw, untraced, and only at the ranks of the faithful profiles below the
-    s-rigid rank cap: Q4 searches ranks 1-2 and Q5 rank 2, though Q4 has 2
-    and 1 raw modules at ranks 3 and 4, Q5 4 and 1.  A rank override forces
-    a single raw search, at most max_rank.  Profiles are screened up to the
-    rank cap, or up to max_rank when that is lower.  The regression check
-    against the bundled candidates applies to a complete run under
-    s-rigidity alone.  A ring without a full character table
-    (non-commutative, not split semisimple, or neither a Q_n nor quadratic)
-    raises ClassifierError, as do a rank or max_rank below 1, a rank above
-    max_rank, a negative bound and any of the three that is not an int.
+    when some candidate has that rank.  The regression check against the
+    bundled candidates applies to a complete run under s-rigidity.  A ring
+    without a full character table (non-commutative, not split semisimple,
+    or neither a Q_n nor quadratic) raises ClassifierError, as do a rank or
+    max_rank below 1, a rank above max_rank, a negative bound and any of the
+    three that is not an int.
     """
     _check_range(rank, bound, max_rank)
     if rank is not None and max_rank is not None and rank > max_rank:
@@ -1022,21 +992,12 @@ def classify(
         table = character_table(ring)  # the table the caps and filters read
     except CharacterError as exc:  # the ring is outside what the search supports
         raise ClassifierError(str(exc)) from exc
-    rank_cap = _perron_limits(table, 1, None, rigid_generator(ring) is not None)[0]
-    limit = rank_cap if max_rank is None else min(max_rank, rank_cap)
-    profiles = feasible_rank_profiles(table, faithful=True, max_rank=limit)
     rigidity_on = "s-rigidity" in filter_names
-
-    jobs: list[tuple[int, dict[str, int] | None]]
+    rank_cap = _perron_limits(table, 1, None, rigidity_on and rigid_generator(ring) is not None)[0]
+    limit = rank_cap if max_rank is None else min(max_rank, rank_cap)
+    profiles = feasible_rank_profiles(table, faithful=rigidity_on, max_rank=limit)
     if rank is not None:
-        jobs = [(rank, None)]
-    elif rigidity_on:
-        jobs = [
-            (sum(profile), profile_traces(table, profile)) for profile in profiles
-        ]
-    else:
-        # raw searches: no trace pinning, so algebraic extras can surface
-        jobs = [(r, None) for r in sorted({sum(p) for p in profiles})]
+        profiles = tuple(p for p in profiles if sum(p) == rank)
 
     found: dict[tuple, MatrixModule] = {}
     # the one transitive non-faithful candidate, always rank one
@@ -1044,8 +1005,10 @@ def classify(
     if _admitted(ring, zero, filter_names):
         found[zero.key()] = zero
     outcomes = [
-        solve_matrix_modules(ring, r, filter_names, bound=bound, traces=t)
-        for r, t in jobs
+        solve_matrix_modules(
+            ring, sum(p), filter_names, bound=bound, traces=profile_traces(table, p)
+        )
+        for p in profiles
     ]
     for outcome in outcomes:
         for module in outcome.modules:
@@ -1079,16 +1042,11 @@ def classify(
             status, note = "unresolved", _NOTE_UNRESOLVED
         candidates.append(Candidate(module, mults, status, note))
 
-    # the one completeness verdict: every faithful profile up to the rank cap
-    # searched with its trace budget, each search under its proven caps alone
-    complete = (
-        rigidity_on
-        and rank is None
-        and limit == rank_cap
-        and all(o.complete for o in outcomes)
-    )
+    # the one completeness verdict: every profile up to the rank cap searched
+    # with its trace budget, each search under its proven caps alone
+    complete = rank is None and limit == rank_cap and all(o.complete for o in outcomes)
     matches: bool | None = None
-    if ring_id in EXPECTED_CANDIDATES and complete and filter_names == ["s-rigidity"]:
+    if ring_id in EXPECTED_CANDIDATES and complete and rigidity_on:
         matches = tuple(sorted(found)) == EXPECTED_CANDIDATES[ring_id]
 
     return ClassificationReport(

@@ -32,7 +32,6 @@ from .classifier import (
     ClassifierError,
     _resolve_filters,
     classify,
-    named_filters,
 )
 from .klring import CellPartition, PositivityError, compute_cells, structure_constants
 from .matrixmodule import MatrixModule
@@ -265,16 +264,12 @@ def _report_payload(report: ClassificationReport) -> dict:
 
 
 def _requested_filters(args: argparse.Namespace) -> list[str]:
-    """s-rigidity, then each --filter, less each --no-filter.  Disabling
-    transitivity, or a filter that is not applied, is a usage error."""
+    """s-rigidity, unless --no-filter s-rigidity.  Disabling transitivity is
+    a usage error."""
     removed = _resolve_filters(args.no_filter or ())
     if "transitive" in removed:
         raise ClassifierError("transitivity is always applied; it cannot be disabled")
-    filters = ["s-rigidity", *_resolve_filters(args.filter or ())]
-    for name in removed:
-        if name not in filters:
-            raise ClassifierError(f"filter {name!r} is not applied; it cannot be disabled")
-    return [name for name in filters if name not in removed]
+    return [] if "s-rigidity" in removed else ["s-rigidity"]
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -301,7 +296,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"classification report for {report.ring_id}")
         print("basis:", ", ".join(report.ring.labels))
         print(
-            "faithful rank profiles:",
+            "faithful rank profiles:" if "s-rigidity" in report.filters else "rank profiles:",
             "  ".join(str(p) for p in report.profiles) or "(none)",
         )
         print("filters:", ", ".join(report.filters))
@@ -311,8 +306,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             completeness = "proven per-entry caps; no branch hit an unproven bound"
         else:
             completeness = (
-                "completeness not certified: a --bound, --max-rank, --rank or "
-                "--no-filter s-rigidity narrows the run"
+                "completeness not certified: a --bound, --max-rank or --rank narrows the run"
             )
         print(f"entry bound: {report.bound} ({completeness})")
         print()
@@ -417,13 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument(
         "--ring-file", help="classify a user-supplied ring (serialization format)"
     )
-    cls.add_argument("--rank", type=int, help="force a single raw search at this rank")
+    cls.add_argument("--rank", type=int, help="search only the rank profiles of this rank")
     cls.add_argument(
-        "--filter", action="append", metavar="NAME",
-        help=f"enable a named filter ({', '.join(sorted(named_filters()))})",
-    )
-    cls.add_argument(
-        "--no-filter", action="append", metavar="NAME", help="disable a named filter"
+        "--no-filter", action="append", metavar="NAME",
+        help="disable a named filter (only s-rigidity can be disabled)",
     )
     cls.add_argument("--bound", type=int, help="override the entry bound")
     cls.add_argument(

@@ -52,6 +52,6 @@ ZERO_FREE_RINGS = {
     ),
     "z2": (
         "labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\nc x x e 1\n",
-        [(1, ((1,),))],
+        [(1, ((1,),)), (2, ((0, 1, 1, 0),))],
     ),
 }

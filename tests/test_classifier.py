@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -139,8 +140,9 @@ def test_lemma_23_candidate_set():
 
 
 def test_q5_rank_one_faithful_is_empty():
-    outcome = solve_matrix_modules(subquotient_qn(5), 1, ["s-rigidity", "faithful"])
-    assert outcome.modules == ()
+    # the s-rigid rank-one search finds the zero module alone
+    outcome = solve_matrix_modules(subquotient_qn(5), 1, ["s-rigidity"])
+    assert flats(outcome) == [((0,), (0,))]
 
 
 def test_q4_rank_one_candidates():
@@ -414,7 +416,7 @@ def test_unpinned_search_equals_bruteforce_above_the_caps(name, filters, cap):
 
 def test_named_filters_registry():
     registry = named_filters()
-    assert set(registry) == {"transitive", "s-rigidity", "faithful", "special-mult-one"}
+    assert set(registry) == {"transitive", "s-rigidity"}
     for description in registry.values():
         assert isinstance(description, str) and description
 
@@ -422,7 +424,8 @@ def test_named_filters_registry():
 def test_unknown_filter_rejected():
     ring = subquotient_qn(4)
     # filters are names only: objects are refused like unknown names
-    for bad in ("bogus", object(), ("s-rigidity",)):
+    # faithful and special-mult-one are properties of a profile, not filters
+    for bad in ("bogus", object(), ("s-rigidity",), "faithful", "special-mult-one"):
         with pytest.raises(ClassifierError, match="unknown filter"):
             solve_matrix_modules(ring, 1, [bad])
         with pytest.raises(ClassifierError, match="unknown filter"):
@@ -466,24 +469,6 @@ def test_raw_search_returns_strictly_more_than_rigidity():
     rigid_keys = {m.key() for m in rigid.modules}
     assert rigid_keys < raw_keys
     assert ((1, 1, 1, 1), (1, 1, 1, 1)) in {m.flat() for m in raw.modules}
-
-
-def test_special_mult_one_filter():
-    ring = subquotient_qn(4)
-    outcome = solve_matrix_modules(ring, 2, ["special-mult-one"])
-    table = character_table(ring)
-    for module in outcome.modules:
-        mults = decompose(table, module)
-        assert mults[2] == 1
-
-
-def test_faithful_filter_drops_the_zero_module():
-    ring = subquotient_qn(4)
-    everything = solve_matrix_modules(ring, 1)
-    faithful = solve_matrix_modules(ring, 1, ["faithful"])
-    zero_key = trivial_module(ring).key()
-    assert zero_key in {m.key() for m in everything.modules}
-    assert zero_key not in {m.key() for m in faithful.modules}
 
 
 # -- canonicalization -------------------------------------------------------------
@@ -924,31 +909,21 @@ def test_classify_q4_theorem_counts():
     assert extra.multiplicities == (0, 0, 1)
 
 
-@pytest.mark.parametrize("ring_id", ["Q4", "Q5"])
-def test_special_mult_one_applies_to_every_candidate(ring_id):
-    # the zero module decomposes as 1*V1, with the special character at 0
-    report = classify(ring_id, filters=["s-rigidity", "special-mult-one"])
-    special = special_character(character_table(report.ring))
-    assert report.candidates
-    assert all(c.multiplicities[special] == 1 for c in report.candidates)
-    default = classify(ring_id)
-    assert [c.module.key() for c in report.candidates] == [
-        c.module.key()
-        for c in default.candidates
-        if c.multiplicities and c.multiplicities[special] == 1
-    ]
-    assert "special-mult-one" in report.filters
-
-
-@pytest.mark.parametrize("ring_id", ["Q4", "Q5"])
-def test_faithful_filter_drops_only_the_zero_module(ring_id):
-    report = classify(ring_id, filters=["s-rigidity", "faithful"])
-    zero = canonical_module(trivial_module(report.ring)).key()
-    default = [c.module.key() for c in classify(ring_id).candidates]
-    assert zero in default
-    assert [c.module.key() for c in report.candidates] == [
-        key for key in default if key != zero
-    ]
+@pytest.mark.parametrize("ring_id", [f"Q{n}" for n in range(3, 9)])
+def test_every_nonzero_default_candidate_is_faithful_with_special_multiplicity_one(ring_id):
+    # why classify has no faithful or special-mult-one filter: the s-rigid
+    # profile screen already carries both, and only the zero module, which
+    # classify admits on its own, lacks them
+    report = classify(ring_id)
+    table = character_table(report.ring)
+    special = special_character(table)
+    zero = canonical_module(trivial_module(report.ring))
+    assert report.candidates[0].module == zero
+    assert decompose(table, zero)[special] == 0
+    for candidate in report.candidates[1:]:
+        module = candidate.module
+        assert any(any(map(any, mat)) for b, mat in enumerate(module.mats) if b != module.identity)
+        assert decompose(table, module)[special] == 1
 
 
 def test_classify_q3():
@@ -1081,9 +1056,15 @@ def test_classify_q6_default_pins_the_candidates():
     assert report.complete and not report.bound_exhausted
 
 
+@functools.cache
+def _raw_run(name):
+    """classify(name) without s-rigidity, run once: raw Q4 takes seconds."""
+    return classify(name, filters=())
+
+
 def test_classify_without_rigidity_is_strictly_larger():
     default = classify("Q4")
-    raw = classify("Q4", filters=())
+    raw = _raw_run("Q4")
     assert len(raw.candidates) > len(default.candidates)
     assert raw.matches_expected is None
     extra = {c.module.flat() for c in raw.candidates} - {
@@ -1098,14 +1079,28 @@ def test_classify_without_rigidity_is_strictly_larger():
     assert "s-rigidity" in note
 
 
-def test_raw_run_misses_raw_modules_above_the_rigid_ranks():
-    # the raw run takes its ranks (1 and 2) from the s-rigid screen, while
-    # raw transitive modules also live at rank 3 (the raw rank cap is 5)
-    assert len(solve_matrix_modules(subquotient_qn(4), 3).modules) == 2
-    raw = classify("Q4", filters=())
-    assert {sum(p) for p in raw.profiles} == {1, 2}  # the ranks searched
-    assert max(c.module.rank for c in raw.candidates) == 2
-    assert not raw.complete and not raw.bound_exhausted
+def test_raw_run_finds_the_raw_modules_above_the_rigid_ranks():
+    # the s-rigid screen of Q4 stops at rank 2, while raw transitive modules
+    # also live at ranks 3 and 4; the raw run screens every profile up to
+    # the raw rank cap, 5, and finds them
+    raw = _raw_run("Q4")
+    assert max(sum(p) for p in raw.profiles) == 5
+    ranks = [c.module.rank for c in raw.candidates]
+    assert [ranks.count(r) for r in range(1, 6)] == [2, 3, 2, 1, 0]
+    assert raw.complete and not raw.bound_exhausted
+
+
+@pytest.mark.parametrize("name", ["Q3", "Q4"])
+def test_raw_run_lists_the_untraced_searches_up_to_the_raw_cap(name):
+    # the untraced solve_matrix_modules, one search per rank, is the
+    # independent reference for the traced per-profile searches of classify
+    raw = _raw_run(name)
+    cap = _perron_limits(character_table(raw.ring), 1, None, False)[0]
+    want = set()
+    for rank in range(1, cap + 1):
+        want |= {m.key() for m in solve_matrix_modules(raw.ring, rank).modules}
+    assert [c.module.key() for c in raw.candidates] == sorted(want)
+    assert raw.complete and raw.matches_expected is None
 
 
 def test_classify_rank_override():
@@ -1249,6 +1244,12 @@ _RANGED_CALLS = {
     "bruteforce-rank": (lambda v: bruteforce_matrix_modules(subquotient_qn(4), v, 2), 0, 1),
     "bruteforce-bound": (lambda v: bruteforce_matrix_modules(subquotient_qn(4), 1, v), -1, 0),
 }
+
+
+def test_bruteforce_refuses_a_missing_bound():
+    # the oracle has no caps: None used to fail mid-search with a TypeError
+    with pytest.raises(ClassifierError, match="needs an explicit bound"):
+        bruteforce_matrix_modules(subquotient_qn(4), 1, None)
 
 
 @pytest.mark.parametrize(

@@ -344,10 +344,7 @@ def test_classify_q5_text(capsys):
     assert "status: excluded" in out
 
 
-NOT_CERTIFIED = (
-    "(completeness not certified: a --bound, --max-rank, --rank or "
-    "--no-filter s-rigidity narrows the run)"
-)
+NOT_CERTIFIED = "(completeness not certified: a --bound, --max-rank or --rank narrows the run)"
 
 
 @pytest.mark.parametrize(
@@ -355,11 +352,12 @@ NOT_CERTIFIED = (
     [
         (("--n", "5"),
          "entry bound: 10 (proven per-entry caps; no branch hit an unproven bound)"),
-        # one raw search at one rank leaves every other rank unsearched
-        (("--n", "5", "--rank", "2"), f"entry bound: 16 {NOT_CERTIFIED}"),
-        # the raw run takes its ranks from the s-rigid screen (1 and 2), but
-        # raw modules exist at ranks 3 and 4
-        (("--n", "4", "--no-filter", "s-rigidity"), f"entry bound: 8 {NOT_CERTIFIED}"),
+        # the rank-2 profile alone, searched under its caps, leaves every
+        # other rank unsearched
+        (("--n", "5", "--rank", "2"), f"entry bound: 10 {NOT_CERTIFIED}"),
+        # the raw run screens every profile up to the raw rank cap, 5
+        (("--n", "4", "--no-filter", "s-rigidity"),
+         "entry bound: 8 (proven per-entry caps; no branch hit an unproven bound)"),
         # s-rigidity fixes every entry of Q3
         (("--n", "3"),
          "entry bound: 0 (proven per-entry caps; no branch hit an unproven bound)"),
@@ -416,11 +414,11 @@ def test_classify_q4_structured(capsys):
 
 def test_classify_no_filter_gives_more_candidates(capsys):
     _, out_default, _ = run_cli(
-        capsys, "classify", "--n", "4", "--format", "structured"
+        capsys, "classify", "--n", "3", "--format", "structured"
     )
     _, out_raw, _ = run_cli(
         capsys,
-        "classify", "--n", "4", "--no-filter", "s-rigidity", "--format", "structured",
+        "classify", "--n", "3", "--no-filter", "s-rigidity", "--format", "structured",
     )
     n_default = len(json.loads(out_default)["candidates"])
     n_raw = len(json.loads(out_raw)["candidates"])
@@ -509,9 +507,18 @@ def test_max_rank_at_or_above_the_rank_cap_keeps_the_regression_check(capsys, ma
 
 
 def test_unknown_filter_exits_two(capsys):
-    code, _, err = run_cli(capsys, "classify", "--n", "4", "--filter", "nope")
+    # faithful is a property of a profile, not a filter
+    code, _, err = run_cli(capsys, "classify", "--n", "4", "--no-filter", "faithful")
     assert code == 2
     assert "unknown filter" in err
+
+
+def test_the_filter_option_is_gone(capsys):
+    # both filters are on by default, so there is nothing to switch on
+    with pytest.raises(SystemExit) as exit_:
+        main(["classify", "--n", "4", "--filter", "s-rigidity"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --filter" in capsys.readouterr().err
 
 
 def test_unknown_disabled_filter_exits_two(capsys):
@@ -527,46 +534,24 @@ def test_disabling_transitivity_exits_two(capsys):
     assert err.splitlines() == ["error: transitivity is always applied; it cannot be disabled"]
 
 
-@pytest.mark.parametrize("name", ["faithful", "special-mult-one"])
-def test_disabling_a_filter_that_is_not_applied_exits_two(capsys, name):
-    code, out, err = run_cli(capsys, "classify", "--n", "4", "--no-filter", name)
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [f"error: filter {name!r} is not applied; it cannot be disabled"]
-
-
-@pytest.mark.parametrize(
-    "argv, filters",
-    [
-        (("--filter", "faithful", "--no-filter", "faithful"), ["transitive", "s-rigidity"]),
-        (("--no-filter", "s-rigidity"), ["transitive"]),
-        (("--no-filter", "s-rigidity", "--filter", "faithful"), ["transitive", "faithful"]),
-    ],
-)
-def test_disabling_an_applied_filter_is_accepted(capsys, argv, filters):
-    code, out, _ = run_cli(capsys, "classify", "--n", "4", *argv, "--format", "structured")
+def test_disabling_an_applied_filter_is_accepted(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify", "--n", "3", "--no-filter", "s-rigidity", "--format", "structured"
+    )
     assert code == 0
-    assert json.loads(out)["meta"]["filters"] == filters
+    assert json.loads(out)["meta"]["filters"] == ["transitive"]
 
 
-def test_naming_the_default_filter_keeps_the_regression_check(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--n", "4", "--filter", "s-rigidity")
+def test_raw_text_report_labels_its_profiles_rank_profiles(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--n", "3", "--no-filter", "s-rigidity")
     assert code == 0
-    assert out.splitlines()[-1] == "realized classes: 3 (regression check: ok)"
-
-
-@pytest.mark.parametrize("name", ["faithful", "special-mult-one"])
-def test_requested_filter_applies_to_every_q4_candidate(capsys, name):
-    code, out, _ = run_cli(capsys, "classify", "--n", "4", "--filter", name,
-                           "--format", "structured")
-    assert code == 0
-    candidates = json.loads(out)["candidates"]
-    assert candidates
-    for candidate in candidates:
-        # the zero module is not faithful, nor has V3, Q4's special character
-        assert any(any(flat) for _, flat in candidate["matrices"])
-        if name == "special-mult-one":
-            assert candidate["multiplicities"][2] == 1
+    lines = out.splitlines()
+    assert lines[2] == (
+        "rank profiles: (0, 1)  (1, 0)  (0, 2)  (1, 1)  (2, 0)  (0, 3)  (1, 2)  (2, 1)  (3, 0)"
+    )
+    assert lines[4] == "entry bound: 4 (proven per-entry caps; no branch hit an unproven bound)"
+    code, out, _ = run_cli(capsys, "classify", "--n", "3")
+    assert out.splitlines()[2] == "faithful rank profiles: (0, 1)"
 
 
 def test_text_classify_builds_its_character_table_once(capsys, monkeypatch):
@@ -586,13 +571,13 @@ def test_text_classify_builds_its_character_table_once(capsys, monkeypatch):
 
 
 def test_transitive_filter_is_listed_once(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--n", "5", "--filter", "transitive")
+    code, out, _ = run_cli(capsys, "classify", "--n", "5")
     assert code == 0
     assert "filters: transitive, s-rigidity" in out.splitlines()
-    code, out, _ = run_cli(
-        capsys, "classify", "--n", "5", "--filter", "transitive", "--format", "structured"
-    )
+    code, out, _ = run_cli(capsys, "classify", "--n", "5", "--format", "structured")
     assert json.loads(out)["meta"]["filters"] == ["transitive", "s-rigidity"]
+    code, out, _ = run_cli(capsys, "classify", "--n", "3", "--no-filter", "s-rigidity")
+    assert "filters: transitive" in out.splitlines()
 
 
 def test_missing_ring_file_exits_two(capsys):
