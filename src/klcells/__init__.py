@@ -39,7 +39,6 @@ from .classifier import (
     bundled_ring,
     classify,
     feasible_rank_profiles,
-    named_filters,
     solve_matrix_modules,
 )
 from .dihedral import DihedralElement, DihedralGroup
@@ -123,7 +122,6 @@ __all__ = [
     "bundled_ring",
     "classify",
     "feasible_rank_profiles",
-    "named_filters",
     "solve_matrix_modules",
     # verification
     "SuiteReport",

@@ -85,7 +85,6 @@ __all__ = [
     "SearchOutcome",
     "Candidate",
     "ClassificationReport",
-    "named_filters",
     "feasible_rank_profiles",
     "solve_matrix_modules",
     "bruteforce_matrix_modules",
@@ -100,7 +99,7 @@ class ClassifierError(ValueError):
     pass
 
 
-# -- filters -------------------------------------------------------------------
+# -- s-rigidity ----------------------------------------------------------------
 
 
 def _required_rigid_generator(ring: BasedRing) -> int:
@@ -122,46 +121,19 @@ def _rigidity_holds(ring: BasedRing, module: MatrixModule) -> bool:
     return True
 
 
-# name -> description.  Transitivity has no check of its own: every search
-# tests it anyway.  s-rigidity also confines the search domain of the
-# doubling generator's matrix.
-_FILTERS = {
-    "transitive": "every matrix position is hit by a positive entry (always applied)",
-    "s-rigidity": "the doubling generator acts diagonally with entries 0 or 2",
-}
+def _check_rigid(rigid: bool) -> None:
+    """Refuse a rigid that is not a bool, rather than read it as truthy."""
+    if type(rigid) is not bool:
+        raise ClassifierError(f"rigid must be True or False, got {rigid!r}")
 
 
-def named_filters() -> dict[str, str]:
-    """The available candidate filters, name -> description."""
-    return dict(_FILTERS)
-
-
-def _resolve_filters(filters: Iterable[str]) -> list[str]:
-    if isinstance(filters, str):  # would otherwise be read letter by letter
-        raise ClassifierError(
-            f"filters must be a collection of filter names, not the string {filters!r}"
-        )
-    names = list(filters)
-    for name in names:
-        if not isinstance(name, str) or name not in _FILTERS:
-            raise ClassifierError(
-                f"unknown filter {name!r}; available: {sorted(_FILTERS)}"
-            )
-    return names
-
-
-def _passes(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool:
-    """Whether module passes the check of every named filter: only
-    s-rigidity has one."""
-    return "s-rigidity" not in names or _rigidity_holds(ring, module)
-
-
-def _admitted(ring: BasedRing, module: MatrixModule, names: Iterable[str]) -> bool:
-    """Whether module is transitive, satisfies the ring relations and passes every named filter."""
+def _admitted(ring: BasedRing, module: MatrixModule, rigid: bool) -> bool:
+    """Whether module is transitive, satisfies the ring relations and, when
+    rigid, passes s-rigidity."""
     return (
         is_transitive(module)
         and satisfies_ring_relations(ring, module)
-        and _passes(ring, module, names)
+        and (not rigid or _rigidity_holds(ring, module))
     )
 
 
@@ -632,33 +604,33 @@ def _check_range(rank: int | None, bound: int | None, max_rank: int | None = Non
 def solve_matrix_modules(
     ring: BasedRing,
     rank: int,
-    filters: Iterable[str] = (),
     *,
+    rigid: bool = False,
     bound: int | None = None,
     traces: Mapping[str, int] | None = None,
     dedupe: bool = True,
 ) -> SearchOutcome:
     """All transitive matrix modules of the given rank, canonical and deduped.
 
-    filters name optional screens from named_filters(); transitivity is always
-    applied.  traces, when given, pin the trace of every listed basis element
-    exactly (the per-profile trace budget).  Every entry is limited by its
-    proven cap (_perron_limits), and by bound too when bound is given.  A
-    ring without an exact character table has no caps and needs a bound.
+    rigid keeps only the s-rigid ones: the doubling generator acts
+    diagonally with entries 0 or 2.  traces, when given, pin the trace of
+    every listed basis element exactly (the per-profile trace budget).
+    Every entry is limited by its proven cap (_perron_limits), and by bound
+    too when bound is given.  A ring without an exact character table has
+    no caps and needs a bound.
     The outcome records whether any consistent branch pressed against a
-    limit that is not a proven cap.  A rank below 1, a negative bound, and
-    a rank, bound or trace that is not an int raise ClassifierError.
+    limit that is not a proven cap.  A rank below 1, a negative bound, a
+    rank, bound or trace that is not an int, and a rigid that is not a bool
+    raise ClassifierError.
     """
     _check_range(rank, bound)
+    _check_rigid(rigid)
     unknown = sorted(set(traces or ()) - set(ring.labels))
     if unknown:
         raise ClassifierError(f"traces name no basis element of the ring: {unknown}")
     if any(type(t) is not int for t in (traces or {}).values()):
         raise ClassifierError(f"traces must be ints, got {dict(traces)}")
-    names = _resolve_filters(filters)
-    rigid_constrained = None
-    if "s-rigidity" in names:
-        rigid_constrained = _required_rigid_generator(ring)
+    rigid_constrained = _required_rigid_generator(ring) if rigid else None
     try:
         table = character_table(ring)
     except CharacterError as exc:
@@ -679,7 +651,7 @@ def solve_matrix_modules(
     kept = [  # every module re-checked independently of the search
         module for module in search.solutions
         if all(module.trace(label) == t for label, t in (traces or {}).items())
-        and _admitted(ring, module, names)
+        and _admitted(ring, module, rigid)
     ]
     if dedupe:
         seen: dict[tuple, MatrixModule] = {}
@@ -728,15 +700,16 @@ def bruteforce_matrix_modules(
     ring: BasedRing,
     rank: int,
     bound: int,
-    filters: Iterable[str] = (),
+    *,
+    rigid: bool = False,
 ) -> tuple[MatrixModule, ...]:
     """Exhaustive entry-by-entry generate-and-test with no pruning (oracle).
 
     The entries of the non-identity matrices are assigned one at a time, in
     the search's basis order and row-major within each matrix, each over
-    0..bound; under s-rigidity the doubling generator's diagonal entries range
-    over {0, 2} and its other entries are 0.  Entry (i, j) of every relation
-    M_x M_y = sum_z c[x][y][z] M_z with x, y != e is one equation
+    0..bound; when rigid (s-rigidity), the doubling generator's diagonal
+    entries range over {0, 2} and its other entries are 0.  Entry (i, j) of
+    every relation M_x M_y = sum_z c[x][y][z] M_z with x, y != e is one equation
     (_oracle_equations; the relations through e hold identically), attached
     to the last of its entries in assignment order, k.  Once per node its
     terms that do not read k are summed into a0, and the coefficient of k in
@@ -746,22 +719,20 @@ def bruteforce_matrix_modules(
     v = -a0/a1 can solve it, so that value alone is tried if it is an
     integer in k's domain.  Nothing is bounded or capped, and the
     enumeration is complete up to the bound.  Leaves are tested for
-    transitivity and the filters' checks and deduped by canonical form.
+    transitivity and, when rigid, s-rigidity, and deduped by canonical form.
     Intended for small ranks and bounds as an independent cross-check of
     the pruned search.  With no caps of its own, it refuses a bound of None.
     """
     _check_range(rank, bound)
+    _check_rigid(rigid)
     if bound is None:
         raise ClassifierError("the naive enumerator has no caps; it needs an explicit bound")
-    names = _resolve_filters(filters)
-    rigid = None
-    if "s-rigidity" in names:
-        rigid = _required_rigid_generator(ring)
-    order = _search_order(ring, rigid)
+    g = _required_rigid_generator(ring) if rigid else None
+    order = _search_order(ring, g)
     cells = [(b, i, j) for b in order for i in range(rank) for j in range(rank)]
     index = {cell: k for k, cell in enumerate(cells)}
     domains = [
-        ((0, 2) if i == j else (0,)) if b == rigid else range(bound + 1)
+        ((0, 2) if i == j else (0,)) if b == g else range(bound + 1)
         for b, i, j in cells
     ]
     # every entry, then a fixed slot holding 1 for the identity's diagonal
@@ -792,7 +763,7 @@ def bruteforce_matrix_modules(
             module = module_from_mats(ring, rank, mats)
             if not is_transitive(module):
                 return
-            if not _passes(ring, module, names):
+            if rigid and not _rigidity_holds(ring, module):
                 return
             canon = canonical_module(module)
             results.setdefault(canon.key(), canon)
@@ -931,13 +902,13 @@ class Candidate(NamedTuple):
 
 
 class ClassificationReport(NamedTuple):
-    """The outcome of classify, a named tuple: the screened profiles, the
-    filters applied, the search bound and every candidate, annotated."""
+    """The outcome of classify, a named tuple: the screened profiles, whether
+    s-rigidity was applied, the search bound and every candidate, annotated."""
 
     ring_id: str
     ring: BasedRing
     profiles: tuple[tuple[int, ...], ...]
-    filters: tuple[str, ...]
+    rigid: bool
     bound: int
     bound_exhausted: bool
     candidates: tuple[Candidate, ...]
@@ -952,7 +923,7 @@ class ClassificationReport(NamedTuple):
 def classify(
     ring: str | BasedRing,
     *,
-    filters: Iterable[str] = ("s-rigidity",),
+    rigid: bool = True,
     rank: int | None = None,
     bound: int | None = None,
     max_rank: int | None = None,
@@ -960,53 +931,53 @@ def classify(
     """End-to-end candidate classification for one ring.
 
     ring is a name bundled_ring accepts or a BasedRing, reported as "custom"
-    and left unannotated.  filters name filters from named_filters();
-    transitivity is always applied.  Every run takes the same three steps.
+    and left unannotated.  Every candidate is transitive; rigid (the
+    default) also demands s-rigidity.  Every run takes the same three steps.
     It screens the rank profiles up to the rank cap, or up to max_rank when
-    that is lower: the faithful profiles under s-rigidity, every profile
-    with non-negative traces without it (raw), each screen to its own
-    Perron cap.  It searches each profile, or with rank only those of that
-    rank, with its exact trace budget.  It then prepends the rank-one zero
-    module (the one transitive non-faithful candidate, which the s-rigid
-    screen leaves out) only when it is a module and passes the filters, as
-    every searched module must, and annotates every candidate of a named
-    ring: the zero module and the ideal module are realized-cell by rule
-    (see the module docstring), the others take the bundled status data.
+    that is lower: the faithful profiles when rigid, every profile with
+    non-negative traces otherwise (raw), each screen to its own Perron cap.
+    It searches each profile, or with rank only those of that rank, with
+    its exact trace budget.  It then prepends the rank-one zero module (the
+    one transitive non-faithful candidate, which the s-rigid screen leaves
+    out) only when rank is None or 1, the zero module is a module and, when
+    rigid, it is s-rigid, as every searched module must be.  It annotates
+    every candidate of a named ring: the zero module and the ideal module
+    are realized-cell by rule (see the module docstring), the others take
+    the bundled status data.
     The ideal module has rank size - 1, and its canonical form is built only
     when some candidate has that rank.  The regression check against the
-    bundled candidates applies to a complete run under s-rigidity.  A ring
-    without a full character table (non-commutative, not split semisimple,
-    or neither a Q_n nor quadratic) raises ClassifierError, as do a rank or
-    max_rank below 1, a rank above max_rank, a negative bound and any of the
-    three that is not an int.
+    bundled candidates applies to a complete rigid run.  A ring without a
+    full character table (non-commutative, not split semisimple, or neither
+    a Q_n nor quadratic) raises ClassifierError, as do a rank or max_rank
+    below 1, a rank above max_rank, a negative bound, any of the three that
+    is not an int, and a rigid that is not a bool.
     """
     _check_range(rank, bound, max_rank)
+    _check_rigid(rigid)
     if rank is not None and max_rank is not None and rank > max_rank:
         raise ClassifierError(f"rank {rank} exceeds max_rank {max_rank}")
-    # dedupe, preserving order; transitivity is always applied and listed first
-    names = dict.fromkeys(_resolve_filters(filters))
-    filter_names = [name for name in names if name != "transitive"]
     named = not isinstance(ring, BasedRing)
     ring_id, ring = (ring, bundled_ring(ring)) if named else ("custom", ring)
     try:
-        table = character_table(ring)  # the table the caps and filters read
+        table = character_table(ring)  # the table the caps and the screen read
     except CharacterError as exc:  # the ring is outside what the search supports
         raise ClassifierError(str(exc)) from exc
-    rigidity_on = "s-rigidity" in filter_names
-    rank_cap = _perron_limits(table, 1, None, rigidity_on and rigid_generator(ring) is not None)[0]
+    # a rigid run needs the doubling generator even when no profile is searched
+    g = _required_rigid_generator(ring) if rigid else None
+    rank_cap = _perron_limits(table, 1, None, g is not None)[0]
     limit = rank_cap if max_rank is None else min(max_rank, rank_cap)
-    profiles = feasible_rank_profiles(table, faithful=rigidity_on, max_rank=limit)
+    profiles = feasible_rank_profiles(table, faithful=rigid, max_rank=limit)
     if rank is not None:
         profiles = tuple(p for p in profiles if sum(p) == rank)
 
     found: dict[tuple, MatrixModule] = {}
     # the one transitive non-faithful candidate, always rank one
     zero = canonical_module(trivial_module(ring))
-    if _admitted(ring, zero, filter_names):
+    if rank in (None, 1) and _admitted(ring, zero, rigid):
         found[zero.key()] = zero
     outcomes = [
         solve_matrix_modules(
-            ring, sum(p), filter_names, bound=bound, traces=profile_traces(table, p)
+            ring, sum(p), rigid=rigid, bound=bound, traces=profile_traces(table, p)
         )
         for p in profiles
     ]
@@ -1046,14 +1017,14 @@ def classify(
     # with its trace budget, each search under its proven caps alone
     complete = rank is None and limit == rank_cap and all(o.complete for o in outcomes)
     matches: bool | None = None
-    if ring_id in EXPECTED_CANDIDATES and complete and rigidity_on:
+    if ring_id in EXPECTED_CANDIDATES and complete and rigid:
         matches = tuple(sorted(found)) == EXPECTED_CANDIDATES[ring_id]
 
     return ClassificationReport(
         ring_id,
         ring,
         profiles,
-        tuple(["transitive", *filter_names]),
+        rigid,
         max((o.bound for o in outcomes), default=0),
         any(o.bound_exhausted for o in outcomes),
         tuple(candidates),

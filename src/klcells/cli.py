@@ -27,12 +27,7 @@ from .basedring import (
     subquotient_qn,
 )
 from .characters import CharacterTable, character_table, special_character
-from .classifier import (
-    ClassificationReport,
-    ClassifierError,
-    _resolve_filters,
-    classify,
-)
+from .classifier import ClassificationReport, ClassifierError, classify
 from .klring import CellPartition, PositivityError, compute_cells, structure_constants
 from .matrixmodule import MatrixModule
 from .quadfield import FieldElement
@@ -235,12 +230,17 @@ def cmd_characters(args: argparse.Namespace) -> int:
     return 0
 
 
+def _filters(report: ClassificationReport) -> list[str]:
+    """The conditions every candidate met, as the output names them."""
+    return ["transitive", "s-rigidity"] if report.rigid else ["transitive"]
+
+
 def _report_payload(report: ClassificationReport) -> dict:
     return {
         "meta": _meta(
             "classify",
             ring=report.ring_id,
-            filters=list(report.filters),
+            filters=_filters(report),
             bound=report.bound,
             bound_exhausted=report.bound_exhausted,
             max_rank_profiles=[list(p) for p in report.profiles],
@@ -263,15 +263,6 @@ def _report_payload(report: ClassificationReport) -> dict:
     }
 
 
-def _requested_filters(args: argparse.Namespace) -> list[str]:
-    """s-rigidity, unless --no-filter s-rigidity.  Disabling transitivity is
-    a usage error."""
-    removed = _resolve_filters(args.no_filter or ())
-    if "transitive" in removed:
-        raise ClassifierError("transitivity is always applied; it cannot be disabled")
-    return [] if "s-rigidity" in removed else ["s-rigidity"]
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.ring_file:
         # a file that cannot be opened or decoded, or whose table breaks a
@@ -285,7 +276,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ring = f"Q{args.n}"
     report = classify(
         ring,
-        filters=_requested_filters(args),
+        rigid=not args.no_filter,
         rank=args.rank,
         bound=args.bound,
         max_rank=args.max_rank,
@@ -296,10 +287,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"classification report for {report.ring_id}")
         print("basis:", ", ".join(report.ring.labels))
         print(
-            "faithful rank profiles:" if "s-rigidity" in report.filters else "rank profiles:",
+            "faithful rank profiles:" if report.rigid else "rank profiles:",
             "  ".join(str(p) for p in report.profiles) or "(none)",
         )
-        print("filters:", ", ".join(report.filters))
+        print("filters:", ", ".join(_filters(report)))
         if report.bound_exhausted:
             completeness = "a branch pressed against the bound; completeness not certified"
         elif report.complete:
@@ -413,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cls.add_argument("--rank", type=int, help="search only the rank profiles of this rank")
     cls.add_argument(
-        "--no-filter", action="append", metavar="NAME",
-        help="disable a named filter (only s-rigidity can be disabled)",
+        "--no-filter", choices=("s-rigidity",),
+        help="disable s-rigidity: list every transitive module (raw)",
     )
     cls.add_argument("--bound", type=int, help="override the entry bound")
     cls.add_argument(

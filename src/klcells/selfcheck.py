@@ -391,7 +391,7 @@ def check_rank_two_candidate_sets(raw_q5: tuple[MatrixModule, ...]) -> CheckResu
             flat for rank, flat in classifier.EXPECTED_CANDIDATES[ring_id] if rank == 2
         )
         ring = classifier.bundled_ring(ring_id)
-        outcome = classifier.solve_matrix_modules(ring, 2, ["s-rigidity"])
+        outcome = classifier.solve_matrix_modules(ring, 2, rigid=True)
         got = tuple(m.flat() for m in outcome.modules)
         if got != want:
             failures.append(f"{ring_id}: got {got}")
@@ -475,7 +475,7 @@ def run_suite(max_n: int = 8) -> SuiteReport:
         raise ValueError(f"max_n must be at least {SMALLEST_MAX_N}, got {max_n}")
     # the raw rank-2 Q5 solutions under s-rigidity, read by two checks
     raw_q5 = classifier.solve_matrix_modules(
-        subquotient_qn(5), 2, ["s-rigidity"], dedupe=False
+        subquotient_qn(5), 2, rigid=True, dedupe=False
     ).modules
     results = (
         check_dihedral_arithmetic(max_n),

@@ -139,19 +139,17 @@ def subquotient_by_restriction(n):
     return restricted_kl_ring(n, span, f"Q{n}")
 
 
-def bruteforce_matrix_modules(ring, rank, bound, filters=()):
+def bruteforce_matrix_modules(ring, rank, bound, *, rigid=False):
     """classifier.bruteforce_matrix_modules with every value of an entry's
-    domain tested against each equation attached to it, linear ones too."""
+    domain tested against each equation attached to it, linear ones too,
+    and its own s-rigidity check on the leaves."""
     classifier._check_range(rank, bound)
-    names = classifier._resolve_filters(filters)
-    rigid = None
-    if "s-rigidity" in names:
-        rigid = classifier._required_rigid_generator(ring)
-    order = classifier._search_order(ring, rigid)
+    g = classifier._required_rigid_generator(ring) if rigid else None
+    order = classifier._search_order(ring, g)
     cells = [(b, i, j) for b in order for i in range(rank) for j in range(rank)]
     index = {cell: k for k, cell in enumerate(cells)}
     domains = [
-        ((0, 2) if i == j else (0,)) if b == rigid else range(bound + 1)
+        ((0, 2) if i == j else (0,)) if b == g else range(bound + 1)
         for b, i, j in cells
     ]
     values = [0] * len(cells) + [1]
@@ -171,7 +169,12 @@ def bruteforce_matrix_modules(ring, rank, bound, filters=()):
                 for b in order
             }
             module = module_from_mats(ring, rank, mats)
-            if is_transitive(module) and classifier._passes(ring, module, names):
+            # s-rigid: g acts diagonally with entries 0 or 2
+            s_rigid = not rigid or all(
+                v in ((0, 2) if i == j else (0,))
+                for i, row in enumerate(mats[g]) for j, v in enumerate(row)
+            )
+            if is_transitive(module) and s_rigid:
                 canon = canonical_module(module)
                 results.setdefault(canon.key(), canon)
             return

@@ -142,7 +142,7 @@ def test_criterion_5_special_modules_exact():
 
 def test_criterion_6_lemma_14_candidates():
     start = time.perf_counter()
-    outcome = solve_matrix_modules(subquotient_qn(5), 2, ["s-rigidity"])
+    outcome = solve_matrix_modules(subquotient_qn(5), 2, rigid=True)
     elapsed = time.perf_counter() - start
     i2 = (2, 0, 0, 2)
     assert [m.flat() for m in outcome.modules] == [

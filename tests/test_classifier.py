@@ -27,7 +27,6 @@ from klcells.classifier import (
     bundled_ring,
     classify,
     feasible_rank_profiles,
-    named_filters,
     profile_traces,
     rigid_generator,
     solve_matrix_modules,
@@ -103,7 +102,7 @@ def test_rigid_generator_detection():
 
 
 def test_lemma_14_candidate_set():
-    outcome = solve_matrix_modules(subquotient_qn(5), 2, ["s-rigidity"])
+    outcome = solve_matrix_modules(subquotient_qn(5), 2, rigid=True)
     i2 = (2, 0, 0, 2)
     assert flats(outcome) == [
         (i2, (0, 1, 4, 2)),
@@ -118,7 +117,7 @@ def test_lemma_14_raw_solution_structure():
     # with the generator pinned, the raw (undeduped) solutions are exactly
     # a = d = 1 with bc = 5, or {a, d} = {0, 2} with bc = 4
     outcome = solve_matrix_modules(
-        subquotient_qn(5), 2, ["s-rigidity"], dedupe=False
+        subquotient_qn(5), 2, rigid=True, dedupe=False
     )
     got = {m.flat()[1] for m in outcome.modules if m.flat()[0] == (2, 0, 0, 2)}
     want = {(1, b, 5 // b, 1) for b in (1, 5)}
@@ -127,7 +126,7 @@ def test_lemma_14_raw_solution_structure():
 
 
 def test_lemma_23_candidate_set():
-    outcome = solve_matrix_modules(subquotient_qn(4), 2, ["s-rigidity"])
+    outcome = solve_matrix_modules(subquotient_qn(4), 2, rigid=True)
     assert flats(outcome) == [
         ((2, 0, 0, 2), (0, 1, 4, 0)),
         ((2, 0, 0, 2), (0, 2, 2, 0)),
@@ -141,17 +140,17 @@ def test_lemma_23_candidate_set():
 
 def test_q5_rank_one_faithful_is_empty():
     # the s-rigid rank-one search finds the zero module alone
-    outcome = solve_matrix_modules(subquotient_qn(5), 1, ["s-rigidity"])
+    outcome = solve_matrix_modules(subquotient_qn(5), 1, rigid=True)
     assert flats(outcome) == [((0,), (0,))]
 
 
 def test_q4_rank_one_candidates():
-    outcome = solve_matrix_modules(subquotient_qn(4), 1, ["s-rigidity"])
+    outcome = solve_matrix_modules(subquotient_qn(4), 1, rigid=True)
     assert flats(outcome) == [((0,), (0,)), ((2,), (2,))]
 
 
 def test_q3_rank_one_dichotomy():
-    outcome = solve_matrix_modules(subquotient_qn(3), 1, ["s-rigidity"])
+    outcome = solve_matrix_modules(subquotient_qn(3), 1, rigid=True)
     assert flats(outcome) == [((0,),), ((2,),)]
 
 
@@ -168,14 +167,14 @@ def test_traces_pin_the_search():
     table = character_table(ring)
     traces = profile_traces(table, (0, 1, 1))
     assert traces == {"e": 2, "s": 4, "sts": 2}
-    outcome = solve_matrix_modules(ring, 2, ["s-rigidity"], traces=traces)
+    outcome = solve_matrix_modules(ring, 2, rigid=True, traces=traces)
     for module in outcome.modules:
         assert module.trace("s") == 4 and module.trace("sts") == 2
 
 
 def test_bound_override_can_lose_solutions_and_flags_nothing_below():
     ring = subquotient_qn(5)
-    narrow = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=3)
+    narrow = solve_matrix_modules(ring, 2, rigid=True, bound=3)
     assert ((2, 0, 0, 2), (0, 2, 2, 2)) in flats(narrow)
     assert len(narrow.modules) < 4  # entries 4 and 5 are out of reach
 
@@ -290,22 +289,22 @@ def test_faithful_rank_screens_past_the_bundled_rings_within_a_minute():
 def test_q4_excluded_candidate_sits_on_its_cap():
     ring = subquotient_qn(4)
     traces = profile_traces(character_table(ring), (0, 1, 1))
-    outcome = solve_matrix_modules(ring, 2, ["s-rigidity"], traces=traces)
+    outcome = solve_matrix_modules(ring, 2, rigid=True, traces=traces)
     assert outcome.bound == 4
     assert ((2, 0, 0, 2), (0, 1, 4, 0)) in flats(outcome)
     assert not outcome.bound_exhausted  # reaching a proven cap is not flagged
     assert outcome.complete
     # one below the cap loses it, and the outcome says it is not complete
-    narrow = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=3, traces=traces)
+    narrow = solve_matrix_modules(ring, 2, rigid=True, bound=3, traces=traces)
     assert ((2, 0, 0, 2), (0, 1, 4, 0)) not in flats(narrow)
     assert narrow.bound == 3
     assert not narrow.complete and not narrow.bound_exhausted
     # a bound at or above every cap lowers none
     assert solve_matrix_modules(
-        ring, 2, ["s-rigidity"], bound=4, traces=traces
+        ring, 2, rigid=True, bound=4, traces=traces
     ).complete
     # reaching an explicit bound below a cap is flagged
-    narrower = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=2, traces=traces)
+    narrower = solve_matrix_modules(ring, 2, rigid=True, bound=2, traces=traces)
     assert narrower.bound_exhausted
 
 
@@ -339,14 +338,14 @@ def test_caps_need_their_hypotheses():
     q7_traces = {label: 2 if label == "s" else 1 for label in q7.labels}
     caps = _perron_limits(character_table(q7), 1, q7_traces, False)[1]
     assert set(caps.values()) == {(0, 0)}
-    # the trace pin alone sets d = 3, with or without the s-rigidity filter
+    # the trace pin alone sets d = 3, with or without s-rigidity
     for outcome in (
         solve_matrix_modules(ring, 2, traces=traces),
-        solve_matrix_modules(ring, 2, ["s-rigidity"], traces=traces),
+        solve_matrix_modules(ring, 2, rigid=True, traces=traces),
     ):
         assert outcome.bound == 4 and outcome.complete
     # unpinned: d = 1, and s gets caps when it is not constrained
-    assert solve_matrix_modules(ring, 2, ["s-rigidity"]).bound == 8
+    assert solve_matrix_modules(ring, 2, rigid=True).bound == 8
     # a ring without an exact character table has no caps and needs a bound
     nilpotent = ring_from_text("labels e x\nidentity e\nc e e e 1\nc e x x 1\nc x e x 1\n")
     with pytest.raises(ClassifierError):
@@ -374,12 +373,12 @@ def test_capped_search_equals_bruteforce_above_the_caps(n, profile, bound):
     ring = subquotient_qn(n)
     traces = profile_traces(character_table(ring), profile)
     rank = sum(profile)
-    fast = solve_matrix_modules(ring, rank, ["s-rigidity"], traces=traces)
+    fast = solve_matrix_modules(ring, rank, rigid=True, traces=traces)
     assert fast.complete and fast.bound == bound - 1  # the largest cap
     assert not fast.bound_exhausted
     slow = [
         m
-        for m in bruteforce_matrix_modules(ring, rank, bound, ["s-rigidity"])
+        for m in bruteforce_matrix_modules(ring, rank, bound, rigid=True)
         if all(m.trace(label) == t for label, t in traces.items())
     ]
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
@@ -387,66 +386,51 @@ def test_capped_search_equals_bruteforce_above_the_caps(n, profile, bound):
 
 # rank 2 without pinned traces, the oracle run one past the largest proven cap
 UNPINNED_ABOVE_CAP_CASES = [
-    ("Q3", (), 4),
-    ("Q3", ("s-rigidity",), 0),  # s-rigidity fixes every entry
-    ("Q4", (), 8),
-    ("Q4", ("s-rigidity",), 8),
-    ("Q5", (), 16),
-    ("Q5", ("s-rigidity",), 16),
-    ("Q6", ("s-rigidity",), 32),
+    ("Q3", False, 4),
+    ("Q3", True, 0),  # s-rigidity fixes every entry
+    ("Q4", False, 8),
+    ("Q4", True, 8),
+    ("Q5", False, 16),
+    ("Q5", True, 16),
+    ("Q6", True, 32),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, filters, cap",
+    "name, rigid, cap",
     UNPINNED_ABOVE_CAP_CASES,
-    ids=[f"{name}-{'rigid' if f else 'raw'}" for name, f, _ in UNPINNED_ABOVE_CAP_CASES],
+    ids=[f"{name}-{'rigid' if r else 'raw'}" for name, r, _ in UNPINNED_ABOVE_CAP_CASES],
 )
-def test_unpinned_search_equals_bruteforce_above_the_caps(name, filters, cap):
+def test_unpinned_search_equals_bruteforce_above_the_caps(name, rigid, cap):
     ring = SMALL_RINGS[name]()
-    fast = solve_matrix_modules(ring, 2, filters)
+    fast = solve_matrix_modules(ring, 2, rigid=rigid)
     assert fast.complete and not fast.bound_exhausted
     assert fast.bound == cap
-    slow = bruteforce_matrix_modules(ring, 2, cap + 1, filters)
+    slow = bruteforce_matrix_modules(ring, 2, cap + 1, rigid=rigid)
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
 
 
-# -- filters ---------------------------------------------------------------------
-
-
-def test_named_filters_registry():
-    registry = named_filters()
-    assert set(registry) == {"transitive", "s-rigidity"}
-    for description in registry.values():
-        assert isinstance(description, str) and description
-
-
-def test_unknown_filter_rejected():
-    ring = subquotient_qn(4)
-    # filters are names only: objects are refused like unknown names
-    # faithful and special-mult-one are properties of a profile, not filters
-    for bad in ("bogus", object(), ("s-rigidity",), "faithful", "special-mult-one"):
-        with pytest.raises(ClassifierError, match="unknown filter"):
-            solve_matrix_modules(ring, 1, [bad])
-        with pytest.raises(ClassifierError, match="unknown filter"):
-            bruteforce_matrix_modules(ring, 1, 2, [bad])
-        with pytest.raises(ClassifierError, match="unknown filter"):
-            classify("Q4", filters=[bad])
+# -- s-rigidity ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda f: classify("Q4", filters=f),
-        lambda f: solve_matrix_modules(subquotient_qn(4), 2, f),
-        lambda f: bruteforce_matrix_modules(subquotient_qn(4), 1, 2, f),
+        lambda r: classify("Q4", rigid=r),
+        lambda r: solve_matrix_modules(subquotient_qn(4), 2, rigid=r),
+        lambda r: bruteforce_matrix_modules(subquotient_qn(4), 1, 2, rigid=r),
     ],
     ids=["classify", "solve", "bruteforce"],
 )
-@pytest.mark.parametrize("name", ["faithful", "s-rigidity"])
-def test_a_plain_string_of_filters_is_refused_not_read_letter_by_letter(entry, name):
-    with pytest.raises(ClassifierError, match=f"not the string '{name}'"):
-        entry(name)
+@pytest.mark.parametrize("rigid", ["s-rigidity", ["s-rigidity"], 1], ids=["str", "list", "int"])
+def test_a_rigid_that_is_not_a_bool_is_refused_not_read_as_truthy(entry, rigid):
+    with pytest.raises(ClassifierError, match="rigid must be True or False"):
+        entry(rigid)
+
+
+def test_the_old_positional_filter_list_is_refused():
+    with pytest.raises(TypeError):
+        solve_matrix_modules(subquotient_qn(4), 2, ["s-rigidity"])
 
 
 def test_rigidity_needs_a_doubling_generator():
@@ -458,13 +442,16 @@ def test_rigidity_needs_a_doubling_generator():
         "c u u u 1\nc v v v 1\n"
     )
     with pytest.raises(ClassifierError):
-        solve_matrix_modules(ring_from_text(text), 1, ["s-rigidity"])
+        solve_matrix_modules(ring_from_text(text), 1, rigid=True)
+    # also when the run searches no profile, rather than pass vacuously
+    with pytest.raises(ClassifierError, match="no doubling generator"):
+        classify(ring_from_text(ZERO_FREE_RINGS["z2"][0]), rank=2)
 
 
 def test_raw_search_returns_strictly_more_than_rigidity():
     ring = subquotient_qn(4)
     raw = solve_matrix_modules(ring, 2)
-    rigid = solve_matrix_modules(ring, 2, ["s-rigidity"])
+    rigid = solve_matrix_modules(ring, 2, rigid=True)
     raw_keys = {m.key() for m in raw.modules}
     rigid_keys = {m.key() for m in rigid.modules}
     assert rigid_keys < raw_keys
@@ -536,8 +523,8 @@ def test_pruned_search_equals_bruteforce(make_ring, rank):
 def test_pruned_search_equals_bruteforce_with_rigidity():
     for n in (4, 5, 6):
         ring = subquotient_qn(n)
-        fast = solve_matrix_modules(ring, 2, ["s-rigidity"], bound=8)
-        slow = bruteforce_matrix_modules(ring, 2, 8, ["s-rigidity"])
+        fast = solve_matrix_modules(ring, 2, rigid=True, bound=8)
+        slow = bruteforce_matrix_modules(ring, 2, 8, rigid=True)
         assert [m.key() for m in fast.modules] == [m.key() for m in slow], n
 
 
@@ -761,7 +748,7 @@ def _faithful_cases(max_rank):
 
 
 # every faithful profile of Q4-Q6 up to rank 4 (s-rigidity, pinned traces),
-# and raw searches (no filter, no traces): Q4 and Q5 at rank 3, and the
+# and raw searches (no s-rigidity, no traces): Q4 and Q5 at rank 3, and the
 # Fibonacci ring at rank 2, whose one searched matrix has no doubling
 # diagonal to settle every transposition at its first pair
 SYMMETRY_CASES = [*_faithful_cases(4)] + [
@@ -781,8 +768,8 @@ def test_symmetry_break_keeps_one_module_of_every_orbit(name, shape, bound):
     # the lex-leader break against the unbroken search, canonicalized
     ring = _compiler_ring(name)
     if bound is None:
-        args = (ring, sum(shape), ["s-rigidity"])
-        kwargs = {"traces": profile_traces(character_table(ring), shape)}
+        args = (ring, sum(shape))
+        kwargs = {"rigid": True, "traces": profile_traces(character_table(ring), shape)}
     else:
         args, kwargs = (ring, shape), {"bound": bound}
     broken = solve_matrix_modules(*args, **kwargs)
@@ -799,8 +786,8 @@ def test_symmetry_break_drops_the_flag_of_dead_end_branches(bound):
     # reach the bound, and the break cuts the ones that are not lex-leaders
     # (the bounds lie below the proven rank-3 cap 6, which is never flagged)
     ring = subquotient_qn(4)
-    broken = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=bound)
-    full = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=bound, dedupe=False)
+    broken = solve_matrix_modules(ring, 3, rigid=True, bound=bound)
+    full = solve_matrix_modules(ring, 3, rigid=True, bound=bound, dedupe=False)
     assert broken.modules == full.modules == ()
     assert not broken.bound_exhausted
     assert full.bound_exhausted
@@ -827,10 +814,10 @@ def test_trace_pinned_search_equals_bruteforce(n, profile):
     table = character_table(ring)
     traces = profile_traces(table, profile)
     rank = sum(profile)
-    fast = solve_matrix_modules(ring, rank, ["s-rigidity"], bound=8, traces=traces)
+    fast = solve_matrix_modules(ring, rank, rigid=True, bound=8, traces=traces)
     slow = [
         m
-        for m in bruteforce_matrix_modules(ring, rank, 8, ["s-rigidity"])
+        for m in bruteforce_matrix_modules(ring, rank, 8, rigid=True)
         if all(m.trace(label) == t for label, t in traces.items())
     ]
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
@@ -842,42 +829,40 @@ def test_trace_pinned_search_equals_bruteforce_at_rank_three(profile):
     # barely reach
     ring = subquotient_qn(6)
     traces = profile_traces(character_table(ring), profile)
-    fast = solve_matrix_modules(ring, 3, ["s-rigidity"], bound=3, traces=traces)
+    fast = solve_matrix_modules(ring, 3, rigid=True, bound=3, traces=traces)
     slow = [
         m
-        for m in bruteforce_matrix_modules(ring, 3, 3, ["s-rigidity"])
+        for m in bruteforce_matrix_modules(ring, 3, 3, rigid=True)
         if all(m.trace(label) == t for label, t in traces.items())
     ]
     assert [m.key() for m in fast.modules] == [m.key() for m in slow]
     assert slow
 
 
-_RIGID = ("s-rigidity",)
-
-# every (ring, rank, bound, filters) that the tests above run the oracle on
+# every (ring, rank, bound, rigid) that the tests above run the oracle on
 ORACLE_CASES = sorted(
-    {(f"Q{n}", sum(p), bound, _RIGID) for n, p, bound in ABOVE_CAP_CASES}
-    | {(name, 2, cap + 1, tuple(f)) for name, f, cap in UNPINNED_ABOVE_CAP_CASES}
-    | {(name, rank, 8, ()) for name in SMALL_RINGS for rank in (1, 2)}
-    | {(f"Q{n}", 2, 8, _RIGID) for n in (4, 5, 6)}
-    | {(name, 3, 3, ()) for name in SMALL_RINGS}
-    | {(name, 2, 2, ()) for name in ("Q3", "Q4", "Q5")}
-    | {(f"Q{n}", sum(p), 8, _RIGID) for n, p in SMALL_FAITHFUL_PROFILES}
-    | {("Q6", 3, 3, _RIGID)}
+    {(f"Q{n}", sum(p), bound, True) for n, p, bound in ABOVE_CAP_CASES}
+    | {(name, 2, cap + 1, rigid) for name, rigid, cap in UNPINNED_ABOVE_CAP_CASES}
+    | {(name, rank, 8, False) for name in SMALL_RINGS for rank in (1, 2)}
+    | {(f"Q{n}", 2, 8, True) for n in (4, 5, 6)}
+    | {(name, 3, 3, False) for name in SMALL_RINGS}
+    | {(name, 2, 2, False) for name in ("Q3", "Q4", "Q5")}
+    | {(f"Q{n}", sum(p), 8, True) for n, p in SMALL_FAITHFUL_PROFILES}
+    | {("Q6", 3, 3, True)}
 )
 
 
 @pytest.mark.parametrize(
-    "name, rank, bound, filters",
+    "name, rank, bound, rigid",
     ORACLE_CASES,
-    ids=[f"{n}-r{r}-b{b}{'-rigid' if f else ''}" for n, r, b, f in ORACLE_CASES],
+    ids=[f"{n}-r{r}-b{b}{'-rigid' if g else ''}" for n, r, b, g in ORACLE_CASES],
 )
-def test_bruteforce_equals_the_every_value_loop(name, rank, bound, filters):
+def test_bruteforce_equals_the_every_value_loop(name, rank, bound, rigid):
     # the oracle tries only the value a linear equation solves for; the
     # plain loop tries every value of every entry
     ring = SMALL_RINGS[name]()
-    got = bruteforce_matrix_modules(ring, rank, bound, filters)
-    assert got == oracles.bruteforce_matrix_modules(ring, rank, bound, filters)
+    got = bruteforce_matrix_modules(ring, rank, bound, rigid=rigid)
+    assert got == oracles.bruteforce_matrix_modules(ring, rank, bound, rigid=rigid)
 
 
 # -- classification ----------------------------------------------------------------
@@ -1043,7 +1028,7 @@ def test_q6_rank_six_module_is_a_rigid_transitive_module():
     # every entry within the rank-6 caps: sts <= 4 / 8, ststs <= 2 / 4
     caps = _perron_limits(table, 6, traces, True)[1]
     assert caps == {1: (2, 4), 2: (4, 8), 3: (2, 4)}
-    outcome = solve_matrix_modules(ring, 6, ["s-rigidity"], traces=traces)
+    outcome = solve_matrix_modules(ring, 6, rigid=True, traces=traces)
     assert outcome.modules == (module,)
     assert outcome.complete and not outcome.bound_exhausted
 
@@ -1059,7 +1044,7 @@ def test_classify_q6_default_pins_the_candidates():
 @functools.cache
 def _raw_run(name):
     """classify(name) without s-rigidity, run once: raw Q4 takes seconds."""
-    return classify(name, filters=())
+    return classify(name, rigid=False)
 
 
 def test_classify_without_rigidity_is_strictly_larger():
@@ -1105,9 +1090,19 @@ def test_raw_run_lists_the_untraced_searches_up_to_the_raw_cap(name):
 
 def test_classify_rank_override():
     report = classify("Q5", rank=2)
-    assert all(c.module.rank in (1, 2) for c in report.candidates)
+    assert report.candidates
+    assert all(c.module.rank == 2 for c in report.candidates)
     assert report.matches_expected is None
     assert not report.complete
+
+
+def test_classify_at_a_rank_above_one_leaves_out_the_zero_module():
+    # Q3 has no s-rigid module of rank 2; its raw rank-2 run lists rank 2 only
+    assert classify("Q3", rank=2).candidates == ()
+    raw = classify("Q3", rank=2, rigid=False)
+    assert [c.module.rank for c in raw.candidates] == [2]
+    # at rank 1 the zero module is listed as before
+    assert ((0,),) in [c.module.flat() for c in classify("Q3", rank=1).candidates]
 
 
 def test_classify_custom_ring():
@@ -1130,12 +1125,6 @@ def test_classify_takes_a_ring_file_ring_as_custom():
     report = classify(ring_from_text(ring_to_text(subquotient_qn(5))))
     assert report.ring_id == "custom"
     assert tuple(c.module.key() for c in report.candidates) == EXPECTED_CANDIDATES["Q5"]
-
-
-def test_naming_the_default_filter_keeps_the_regression_check():
-    report = classify("Q4", filters=["s-rigidity", "transitive", "s-rigidity"])
-    assert report.filters == ("transitive", "s-rigidity")
-    assert report.matches_expected is True
 
 
 def test_classify_rejects_bad_ids():
@@ -1224,7 +1213,7 @@ def test_classify_lists_the_zero_module_only_when_it_is_a_module(kind):
     text, want = ZERO_FREE_RINGS[kind]
     ring = ring_from_text(text)
     assert not satisfies_ring_relations(ring, trivial_module(ring))
-    report = classify(ring, filters=[])
+    report = classify(ring, rigid=False)
     assert [c.module.key() for c in report.candidates] == want
 
 
@@ -1264,7 +1253,7 @@ def test_out_of_range_arguments_raise(call, refused, accepted):
 
 def test_solve_rejects_traces_of_unknown_labels():
     with pytest.raises(ClassifierError, match="bogus"):
-        solve_matrix_modules(subquotient_qn(4), 2, ["s-rigidity"], traces={"bogus": 2})
+        solve_matrix_modules(subquotient_qn(4), 2, rigid=True, traces={"bogus": 2})
 
 
 @pytest.mark.parametrize(
@@ -1274,7 +1263,7 @@ def test_solve_rejects_traces_of_unknown_labels():
 def test_solve_rejects_a_trace_that_is_not_an_int(trace):
     # a float trace used to raise TypeError mid-search or decide the result
     with pytest.raises(ClassifierError, match="traces must be ints"):
-        solve_matrix_modules(subquotient_qn(5), 2, ["s-rigidity"], traces={"s": trace, "sts": 2})
+        solve_matrix_modules(subquotient_qn(5), 2, rigid=True, traces={"s": trace, "sts": 2})
 
 
 # each call with an argument of the wrong type, and the message it must raise

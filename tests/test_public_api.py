@@ -54,7 +54,6 @@ PUBLIC_NAMES = [
     "full_kl_ring",
     "is_transitive",
     "module_from_mats",
-    "named_filters",
     "rigid_generator",
     "ring_from_text",
     "ring_to_text",
